@@ -28,9 +28,9 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from .bijections import _FORWARD_VALUE, BijectionKind, _psi_value
+from .bijections import _FORWARD_VALUE, BijectionKind, _psi_value, _require_dimension
 from .bits import DEFAULT_ENUMERATION_CAP, BitVector
-from .chains import _unmatched_shifts
+from .chains import _unmatched_zeros
 from .errors import (
     CoordinateRangeError,
     EnumerationCapError,
@@ -80,22 +80,18 @@ def chain_count_formula(n: int, t: int) -> int:
 def chain_count_enumerated(
     n: int, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> ChainCountTable:
-    """Count distinct chain codes by length over the whole cube."""
+    """Count chains by length over the whole cube.
+
+    Each chain has exactly one top vertex, the member with no unmatched 0s,
+    and a top vertex with b unmatched 1s heads a chain of length b + 1.
+    """
     if (1 << n) > cap:
         raise EnumerationCapError(1 << n, cap, "vertices")
-    seen: set[tuple[int, int]] = set()
     counts = {t: 0 for t in range(1, n + 2)}
     for v in range(1 << n):
-        zeros, ones = _unmatched_shifts(n, v)
-        blank_mask = 0
-        for s in zeros:
-            blank_mask |= 1 << s
-        for s in ones:
-            blank_mask |= 1 << s
-        key = (blank_mask, v & ~blank_mask)
-        if key not in seen:
-            seen.add(key)
-            counts[len(zeros) + len(ones) + 1] += 1
+        zeros, ones_count = _unmatched_zeros(n, v)
+        if not zeros:
+            counts[ones_count + 1] += 1
     return ChainCountTable(n=n, entries=counts)
 
 
@@ -123,8 +119,8 @@ def unmarked_profile_histogram(
         raise EnumerationCapError(1 << n, cap, "vertices")
     hist: dict[tuple[int, int], int] = {}
     for v in range(1 << n):
-        zeros, ones = _unmatched_shifts(n, v)
-        key = (len(zeros), len(ones))
+        zeros, ones_count = _unmatched_zeros(n, v)
+        key = (len(zeros), ones_count)
         hist[key] = hist.get(key, 0) + 1
     return hist
 
@@ -276,8 +272,7 @@ def influence_profile(
     stretch sweeps.
     """
     kind = BijectionKind(kind)
-    if n % 2:
-        raise OddLengthError(f"{kind.value} requires even input length, got {n}")
+    _require_dimension(n, kind.value)
     if n * (1 << n) > cap:
         raise EnumerationCapError(n * (1 << n), cap, "(x, j) pairs")
     table = image_table(kind, n)

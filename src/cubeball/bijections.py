@@ -27,8 +27,8 @@ from enum import Enum
 from typing import Callable, Union
 
 from .bits import BitVector
-from .chains import _unmatched_shifts
-from .errors import NotInBallError, NotInImageError, OddLengthError
+from .chains import _unmatched_shifts, _unmatched_zeros
+from .errors import DimensionError, NotInBallError, NotInImageError, OddLengthError
 
 
 class BijectionKind(str, Enum):
@@ -70,6 +70,13 @@ def _require_even(n: int, who: str) -> None:
         raise OddLengthError(f"{who} requires even input length, got {n}")
 
 
+def _require_dimension(n: int, who: str) -> None:
+    """Reject a cube dimension outside the maps' domain, even n >= 2."""
+    _require_even(n, who)
+    if n < 2:
+        raise DimensionError(f"{who} requires n >= 2, got {n}")
+
+
 def _as_ball_value(z: BallLike, who: str) -> tuple[int, int]:
     """Return (n, integer value) for a length-(n+1) ball point, validating."""
     vec = z.vector if isinstance(z, BallVector) else z
@@ -84,15 +91,7 @@ def _as_ball_value(z: BallLike, who: str) -> tuple[int, int]:
 
 
 def _psi_value(n: int, v: int) -> int:
-    zeros = []
-    depth = 0
-    for s in range(n - 1, -1, -1):
-        if (v >> s) & 1:
-            depth += 1
-        elif depth:
-            depth -= 1
-        else:
-            zeros.append(s)
+    zeros, _ = _unmatched_zeros(n, v)
     ell = len(zeros)
     out = v
     for s in zeros[ell >> 1 :]:
@@ -119,8 +118,8 @@ def _phi_value(n: int, v: int) -> int:
     j = v.bit_count()
     if 2 * j > n:
         return v << 1
-    zeros, ones = _unmatched_shifts(n, v)
-    k = (n - len(zeros) - len(ones)) // 2
+    zeros, ones_count = _unmatched_zeros(n, v)
+    k = (n - len(zeros) - ones_count) // 2
     out = v
     for s in zeros[j - k :]:
         out |= 1 << s

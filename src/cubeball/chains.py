@@ -18,6 +18,21 @@ sweep of coordinates, which is what makes the chain monotone.
 
 A vertex ``x`` sits on its own chain at distance ``ell`` from the top, where
 ``ell`` is the number of blank coordinates holding 0 in ``x``.
+
+Marking is reduction in the bicyclic monoid: any segment leaves a pair
+``(a, b)`` of ``a`` unmatched 0s followed by ``b`` unmatched 1s, and two
+adjacent segments combine as
+``(a1, b1) . (a2, b2) = (a1 + max(0, a2 - b1), b2 + max(0, b1 - a2))``:
+the first ``min(a2, b1)`` unmatched 0s of the right segment close open 1s
+of the left one.  :func:`_unmatched_zeros` applies this combine a byte at a
+time.  A 256-entry table, built once at import, holds ``(a, b, shifts of
+the unmatched 0s)`` for every byte; the input is padded on the right with
+1s up to a whole number of bytes, which changes nothing because trailing 1s
+never match.  The kernel reports the unmatched 0s and only the number of
+unmatched 1s, which is all psi, phi and the counting routines need;
+:func:`_unmatched_shifts`, the bit-at-a-time stack scan, also gives the
+positions of the unmatched 1s and is the oracle the kernel is tested
+against.
 """
 
 from __future__ import annotations
@@ -46,6 +61,37 @@ def _unmatched_shifts(n: int, v: int) -> tuple[list[int], list[int]]:
         else:
             zeros.append(s)
     return zeros, ones
+
+
+def _chunk_profile(byte: int) -> tuple[int, int, tuple[int, ...]]:
+    zeros, ones = _unmatched_shifts(8, byte)
+    return len(zeros), len(ones), tuple(zeros)
+
+
+_CHUNKS = tuple(_chunk_profile(byte) for byte in range(256))
+_ONES = tuple((1 << pad) - 1 for pad in range(8))
+
+
+def _unmatched_zeros(n: int, v: int) -> tuple[list[int], int]:
+    """Shifts of the unmatched 0s, leftmost first, and the number of unmatched 1s.
+
+    Agrees with :func:`_unmatched_shifts` on the zeros and on the count of
+    ones, reading eight bits per step through the chunk table.  Needs n >= 1.
+    """
+    pad = -n & 7
+    zeros: list[int] = []
+    depth = 0  # unmatched 1s so far
+    base = n - 8  # shift in v of the chunk's lowest bit; negative inside the padding
+    for byte in ((v << pad) | _ONES[pad]).to_bytes((n + pad) >> 3, "big"):
+        a, b, chunk_zeros = _CHUNKS[byte]
+        if a > depth:
+            for z in chunk_zeros[depth:]:
+                zeros.append(base + z)
+            depth = b
+        else:
+            depth += b - a
+        base -= 8
+    return zeros, depth - pad
 
 
 @dataclass(frozen=True, slots=True)
@@ -196,24 +242,23 @@ def mark_via_split(x: BitVector, i: int) -> MarkedString:
     return MarkedString(x.bits(), tuple(marked[1:]))
 
 
+def _chain_code(n: int, v: int, zeros: list[int], ones: list[int]) -> ChainCode:
+    symbols = list(format(v, f"0{n}b"))
+    for s in zeros + ones:
+        symbols[n - 1 - s] = BLANK
+    return ChainCode("".join(symbols))
+
+
 def chain_code(x: BitVector) -> ChainCode:
     """The code of the chain containing x: marked bits kept, blanks elsewhere."""
-    n, v = x.n, x.value
-    zeros, ones = _unmatched_shifts(n, v)
-    blank = set(zeros) | set(ones)
-    symbols = "".join(
-        BLANK if s in blank else ("1" if (v >> s) & 1 else "0")
-        for s in range(n - 1, -1, -1)
-    )
-    return ChainCode(symbols)
+    return _chain_code(x.n, x.value, *_unmatched_shifts(x.n, x.value))
 
 
 def position(x: BitVector) -> ChainPosition:
     """Locate x on its chain: code, bottom level k, level j, distance ell."""
-    code = chain_code(x)
-    zeros, _ = _unmatched_shifts(x.n, x.value)
-    j = x.weight()
-    return ChainPosition(code=code, k=code.k, j=j, ell=len(zeros))
+    zeros, ones = _unmatched_shifts(x.n, x.value)
+    code = _chain_code(x.n, x.value, zeros, ones)
+    return ChainPosition(code=code, k=code.k, j=x.weight(), ell=len(zeros))
 
 
 def chain_member(code: ChainCode, j: int) -> BitVector:

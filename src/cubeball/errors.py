@@ -21,6 +21,10 @@ class OddLengthError(CubeballError, ValueError):
     """An operation defined only for even input length got an odd one."""
 
 
+class DimensionError(CubeballError, ValueError):
+    """A cube dimension lies below the maps' domain, which is even n >= 2."""
+
+
 class ParityError(CubeballError, ValueError):
     """Integer arguments violate a required parity constraint."""
 

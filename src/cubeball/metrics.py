@@ -22,6 +22,7 @@ order-canonical combine, so a report is identical for any worker count.
 
 from __future__ import annotations
 
+import os
 import random
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -30,9 +31,9 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
-from .bijections import _FORWARD_VALUE, BijectionKind
+from .bijections import _FORWARD_VALUE, BijectionKind, _require_dimension
 from .bits import DEFAULT_ENUMERATION_CAP, BitVector, EdgeId
-from .errors import BijectivityError, EnumerationCapError, OddLengthError
+from .errors import BijectivityError, EnumerationCapError
 
 # Above this domain size, sampled sweeps evaluate the map per draw instead of
 # building a full image table.
@@ -115,9 +116,9 @@ class TransitivityAudit:
 @lru_cache(maxsize=16)
 def image_table(kind: BijectionKind, n: int) -> list[int]:
     """Integer image values for every cube vertex, indexed by vertex value."""
-    if n % 2:
-        raise OddLengthError(f"{kind.value} requires even input length, got {n}")
-    f = _FORWARD_VALUE[BijectionKind(kind)]
+    kind = BijectionKind(kind)
+    _require_dimension(n, kind.value)
+    f = _FORWARD_VALUE[kind]
     return [f(n, v) for v in range(1 << n)]
 
 
@@ -149,7 +150,8 @@ def _shard_ranges(size: int, workers: int) -> list[tuple[int, int]]:
 
 
 def _run_shards(fn, shards, workers: int) -> list:
-    if workers <= 1 or len(shards) <= 1:
+    workers = min(workers, len(shards), os.cpu_count() or 1)
+    if workers <= 1:
         return [fn(lo, hi) for lo, hi in shards]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(lambda r: fn(*r), shards))
@@ -164,8 +166,7 @@ def forward_stretch_exhaustive(
 ) -> StretchReport:
     """Exact max and average stretch over every cube edge."""
     kind = BijectionKind(kind)
-    if n % 2:
-        raise OddLengthError(f"{kind.value} requires even input length, got {n}")
+    _require_dimension(n, kind.value)
     if n * (1 << n) > cap:
         raise EnumerationCapError(n * (1 << n), cap, "(x, i) pairs")
     table = image_table(kind, n)
@@ -209,8 +210,7 @@ def inverse_stretch_exhaustive(
 ) -> StretchReport:
     """Exact max and average inverse stretch over ball-induced edges."""
     kind = BijectionKind(kind)
-    if n % 2:
-        raise OddLengthError(f"{kind.value} requires even input length, got {n}")
+    _require_dimension(n, kind.value)
     m = n + 1
     if m * (1 << m) > cap:
         raise EnumerationCapError(m * (1 << m), cap, "(z, i) pairs")
@@ -274,8 +274,7 @@ def forward_stretch_sampled(
     seed and the exact sample variance so callers can form standard errors.
     """
     kind = BijectionKind(kind)
-    if n % 2:
-        raise OddLengthError(f"{kind.value} requires even input length, got {n}")
+    _require_dimension(n, kind.value)
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     if seed is None:
@@ -322,8 +321,7 @@ def pairwise_ratio_audit(
 ) -> RatioAudit:
     """Extreme image/source distance ratios over all unordered vertex pairs."""
     kind = BijectionKind(kind)
-    if n % 2:
-        raise OddLengthError(f"{kind.value} requires even input length, got {n}")
+    _require_dimension(n, kind.value)
     size = 1 << n
     pairs = size * (size - 1) // 2
     if pairs > cap:
@@ -364,8 +362,7 @@ def transitivity_ratio_audit(
     Checks f(x) = y and f(y) = x and scans every unordered ball pair for the
     extreme distance ratios.
     """
-    if n % 2:
-        raise OddLengthError(f"transitivity audit requires even n, got {n}")
+    _require_dimension(n, "transitivity audit")
     xv = x.value if isinstance(x, BitVector) else int(x)
     yv = y.value if isinstance(y, BitVector) else int(y)
     size = 1 << n

@@ -16,7 +16,7 @@ from cubeball.bijections import (
     psi_inverse,
     transitivity_map,
 )
-from cubeball.chains import mark
+from cubeball.chains import chain_member, mark, position
 from cubeball.errors import NotInBallError, NotInImageError, OddLengthError
 
 from strategies import bit_vectors
@@ -55,6 +55,15 @@ def test_phi_examples(src, img):
 def test_naive_examples(src, img):
     assert naive(BitVector.parse(src)).render() == img
     assert naive_inverse(BitVector.parse(img)).render() == src
+
+
+@given(st.data())
+def test_psi_climbs_half_way_up_the_chain_at_large_n(data):
+    n = 2 * data.draw(st.integers(1, 1025))
+    x = BitVector(n, data.draw(st.integers(0, (1 << n) - 1)))
+    pos = position(x)
+    climbed = chain_member(pos.code, pos.j + pos.ell - pos.ell // 2)
+    assert psi(x).vector == climbed.concat(BitVector(1, int(pos.ell % 2 == 0)))
 
 
 @pytest.mark.parametrize("kind", KINDS)

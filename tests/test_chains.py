@@ -5,6 +5,8 @@ from hypothesis import given
 from cubeball.bits import BitVector, distance
 from cubeball.chains import (
     ChainCode,
+    _unmatched_shifts,
+    _unmatched_zeros,
     chain_code,
     chain_member,
     chain_members,
@@ -154,3 +156,20 @@ def test_chains_partition_the_cube(n):
         assert members == values
         total += len(values)
     assert total == 1 << n
+
+
+@pytest.mark.parametrize("n", range(1, 15))
+def test_unmatched_zeros_matches_stack_scan_exhaustive(n):
+    for v in range(1 << n):
+        zeros, ones = _unmatched_shifts(n, v)
+        assert _unmatched_zeros(n, v) == (zeros, len(ones))
+
+
+@pytest.mark.parametrize("residue", range(8))
+@given(st.data())
+def test_unmatched_zeros_matches_stack_scan_large_n(residue, data):
+    # every residue of n mod 8 exercises a different right padding
+    n = 8 * data.draw(st.integers(1 if residue == 0 else 0, (2050 - residue) // 8)) + residue
+    v = data.draw(st.integers(0, (1 << n) - 1))
+    zeros, ones = _unmatched_shifts(n, v)
+    assert _unmatched_zeros(n, v) == (zeros, len(ones))

@@ -3,6 +3,8 @@ import io
 import subprocess
 import sys
 
+import pytest
+
 from cubeball.cli import run
 
 
@@ -155,6 +157,22 @@ def test_cap_error_without_allow_large():
     code, out = _run(["pairs-audit", "--bijection", "psi", "--n", "14"])
     assert code == 1
     assert _fields(out)["error"] == "EnumerationCapError"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["pairs-audit", "--bijection", "psi", "--n", "0"],
+        ["verify", "--bijection", "psi", "--n", "-2"],
+        ["verify", "--bijection", "psi", "--n", "0", "--mode", "sample", "--seed", "1"],
+        ["stats", "influence", "--n", "0"],
+    ],
+)
+def test_dimension_below_domain_is_a_one_line_error(argv):
+    code, out = _run(argv)
+    assert code == 1
+    assert len(out.splitlines()) == 1
+    assert _fields(out)["error"] == "DimensionError"
 
 
 def test_usage_error_exit_code():

@@ -6,8 +6,8 @@ import pytest
 
 from cubeball.bits import BitVector, distance
 from cubeball.bijections import BijectionKind, forward_map, inverse_map
-from cubeball.errors import EnumerationCapError
-from cubeball import metrics
+from cubeball.errors import DimensionError, EnumerationCapError
+from cubeball import analysis, metrics
 
 PSI = BijectionKind.PSI
 PHI = BijectionKind.PHI
@@ -119,6 +119,46 @@ def test_reports_identical_for_any_worker_count(workers):
     base_i = metrics.inverse_stretch_exhaustive(PSI, 8, workers=1)
     assert metrics.forward_stretch_exhaustive(PSI, 8, workers=workers) == base_f
     assert metrics.inverse_stretch_exhaustive(PSI, 8, workers=workers) == base_i
+
+
+def test_thread_pool_is_clamped_to_cpu_count(monkeypatch):
+    requested = []
+
+    class RecordingExecutor:
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(metrics, "ThreadPoolExecutor", RecordingExecutor)
+    monkeypatch.setattr(metrics.os, "cpu_count", lambda: 3)
+    base = metrics.forward_stretch_exhaustive(PSI, 8, workers=1)
+    assert metrics.forward_stretch_exhaustive(PSI, 8, workers=10**6) == base
+    assert requested == [3]
+
+
+@pytest.mark.parametrize("n", [0, -2])
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda n: metrics.forward_stretch_exhaustive(PSI, n),
+        lambda n: metrics.inverse_stretch_exhaustive(PSI, n),
+        lambda n: metrics.forward_stretch_sampled(PSI, n, 10, 1),
+        lambda n: metrics.pairwise_ratio_audit(PSI, n),
+        lambda n: analysis.influence_profile(PSI, n),
+    ],
+    ids=["forward", "inverse", "sampled", "pairwise", "influence"],
+)
+def test_entry_points_reject_dimension_below_two(entry, n):
+    with pytest.raises(DimensionError):
+        entry(n)
 
 
 def test_sampled_is_deterministic_per_seed():
