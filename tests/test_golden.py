@@ -1,0 +1,94 @@
+"""Byte-for-byte CLI output against frozen files under tests/golden/.
+
+Each row of ``CASES`` names one invocation and the file holding its stdout.
+A refactor that keeps the reports must keep every file; a change that moves
+a report on purpose rewrites the files and says which lines moved.  Rewrite
+them with ``PYTHONPATH=src python tests/test_golden.py``.
+"""
+
+import io
+from pathlib import Path
+
+import pytest
+
+from cubeball.cli import run
+
+GOLDEN = Path(__file__).parent / "golden"
+
+CASES = [
+    ("map_psi", ["map", "--bijection", "psi", "--input", "0000"]),
+    ("map_phi_csv", ["map", "--bijection", "phi", "--input", "0111", "--format", "csv"]),
+    ("map_naive", ["map", "--bijection", "naive", "--input", "01100110"]),
+    ("invmap_psi", ["invmap", "--bijection", "psi", "--input", "01110"]),
+    ("invmap_phi_csv", ["invmap", "--bijection", "phi", "--input", "01110", "--format", "csv"]),
+    ("invmap_naive", ["invmap", "--bijection", "naive", "--input", "11001"]),
+    ("chain_full", ["chain", "--input", "01100110", "--full"]),
+    ("chain_csv", ["chain", "--input", "0011", "--format", "csv"]),
+    ("verify_psi_fwd", ["verify", "--bijection", "psi", "--n", "10"]),
+    ("verify_psi_inv_csv",
+     ["verify", "--bijection", "psi", "--direction", "inv", "--n", "8", "--format", "csv"]),
+    ("verify_phi_fwd_csv", ["verify", "--bijection", "phi", "--n", "8", "--format", "csv"]),
+    ("verify_phi_inv", ["verify", "--bijection", "phi", "--direction", "inv", "--n", "8"]),
+    ("verify_naive_fwd", ["verify", "--bijection", "naive", "--n", "6"]),
+    ("verify_naive_inv_csv",
+     ["verify", "--bijection", "naive", "--direction", "inv", "--n", "6", "--format", "csv"]),
+    ("verify_psi_sample_n12",
+     ["verify", "--bijection", "psi", "--n", "12", "--mode", "sample",
+      "--samples", "500", "--seed", "7"]),
+    ("verify_psi_sample_n1024_csv",
+     ["verify", "--bijection", "psi", "--n", "1024", "--mode", "sample",
+      "--samples", "50", "--seed", "3", "--format", "csv"]),
+    ("verify_naive_sample_n1024",
+     ["verify", "--bijection", "naive", "--n", "1024", "--mode", "sample",
+      "--samples", "50", "--seed", "11"]),
+    ("pairs_psi_n4", ["pairs-audit", "--bijection", "psi", "--n", "4"]),
+    ("pairs_psi_n6", ["pairs-audit", "--bijection", "psi", "--n", "6"]),
+    ("pairs_psi_n8_csv", ["pairs-audit", "--bijection", "psi", "--n", "8", "--format", "csv"]),
+    ("pairs_phi_n4", ["pairs-audit", "--bijection", "phi", "--n", "4"]),
+    ("pairs_phi_n6_csv", ["pairs-audit", "--bijection", "phi", "--n", "6", "--format", "csv"]),
+    ("pairs_phi_n8", ["pairs-audit", "--bijection", "phi", "--n", "8"]),
+    ("pairs_naive_n4_csv", ["pairs-audit", "--bijection", "naive", "--n", "4", "--format", "csv"]),
+    ("pairs_naive_n6", ["pairs-audit", "--bijection", "naive", "--n", "6"]),
+    ("pairs_naive_n8", ["pairs-audit", "--bijection", "naive", "--n", "8"]),
+    ("stats_chains", ["stats", "chains", "--n", "6"]),
+    ("stats_chains_csv", ["stats", "chains", "--n", "5", "--format", "csv"]),
+    ("stats_profile", ["stats", "profile", "--n", "6", "--a", "2", "--b", "0"]),
+    ("stats_profile_csv",
+     ["stats", "profile", "--n", "7", "--a", "1", "--b", "2", "--format", "csv"]),
+    ("stats_flipprob_exact", ["stats", "flipprob", "--n", "8", "--mode", "exact"]),
+    ("stats_flipprob_exhaustive_csv",
+     ["stats", "flipprob", "--n", "6", "--mode", "exhaustive", "--format", "csv"]),
+    ("stats_flipprob_bit", ["stats", "flipprob", "--n", "10", "--bit", "4"]),
+    ("stats_influence_psi", ["stats", "influence", "--n", "6"]),
+    ("stats_influence_phi_csv",
+     ["stats", "influence", "--n", "4", "--bijection", "phi", "--format", "csv"]),
+    ("stats_influence_naive", ["stats", "influence", "--n", "4", "--bijection", "naive"]),
+    ("reduce_majority", ["reduce-majority", "--input", "01101"]),
+    ("reduce_majority_csv", ["reduce-majority", "--input", "100", "--format", "csv"]),
+    ("error_dimension_pairs", ["pairs-audit", "--bijection", "psi", "--n", "0"]),
+    ("error_dimension_verify", ["verify", "--bijection", "phi", "--n", "-2"]),
+    ("error_dimension_csv",
+     ["stats", "influence", "--n", "0", "--format", "csv"]),
+    ("error_cap_verify", ["verify", "--bijection", "psi", "--n", "22"]),
+    ("error_cap_chains", ["stats", "chains", "--n", "26"]),
+    ("error_odd_length", ["map", "--bijection", "psi", "--input", "010"]),
+    ("error_not_in_ball", ["invmap", "--bijection", "naive", "--input", "00011"]),
+    ("selftest", ["selftest"]),
+]
+
+
+def _stdout(argv):
+    buf = io.StringIO()
+    run(argv, stdout=buf)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("name,argv", CASES, ids=[name for name, _ in CASES])
+def test_cli_output_matches_golden(name, argv):
+    assert _stdout(argv) == (GOLDEN / f"{name}.txt").read_text()
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    for name, argv in CASES:
+        (GOLDEN / f"{name}.txt").write_text(_stdout(argv))
