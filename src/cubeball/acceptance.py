@@ -239,41 +239,18 @@ def _c12_marking_order_independence() -> tuple[bool, str]:
 def _c13_determinism() -> tuple[bool, str]:
     from . import cli
 
-    sampled_args = [
-        "verify", "--bijection", "psi", "--direction", "fwd", "--n", "10",
-        "--mode", "sample", "--samples", "5000", "--seed", "7",
-    ]
-    texts = []
-    for _ in range(2):
-        buf = io.StringIO()
-        code = cli.run(sampled_args, stdout=buf)
-        if code != 0:
-            return False, f"sampled verify exited {code}"
-        texts.append(buf.getvalue())
-    if texts[0] != texts[1]:
-        return False, "repeated sampled runs differ"
-    rep1 = metrics.forward_stretch_exhaustive(PSI, 10, workers=1)
-    rep8 = metrics.forward_stretch_exhaustive(PSI, 10, workers=8)
-    if rep1 != rep8:
-        return False, "forward reports differ between 1 and 8 workers"
-    inv1 = metrics.inverse_stretch_exhaustive(PSI, 10, workers=1)
-    inv8 = metrics.inverse_stretch_exhaustive(PSI, 10, workers=8)
-    if inv1 != inv8:
-        return False, "inverse reports differ between 1 and 8 workers"
-    cli_texts = []
-    for w in ("1", "8"):
-        buf = io.StringIO()
-        code = cli.run(
-            ["verify", "--bijection", "psi", "--direction", "fwd", "--n", "10",
-             "--mode", "exhaustive", "--workers", w],
-            stdout=buf,
-        )
-        if code != 0:
-            return False, f"exhaustive verify exited {code}"
-        cli_texts.append(buf.getvalue())
-    if cli_texts[0] != cli_texts[1]:
-        return False, "exhaustive output differs between 1 and 8 workers"
-    return True, "sampled reruns byte-identical; exhaustive reports identical for 1 and 8 workers"
+    verify = ["verify", "--bijection", "psi", "--direction", "fwd", "--n", "10"]
+    for mode, extra in (("sample", ["--samples", "5000", "--seed", "7"]), ("exhaustive", [])):
+        texts = []
+        for _ in range(2):
+            buf = io.StringIO()
+            code = cli.run([*verify, "--mode", mode, *extra], stdout=buf)
+            if code != 0:
+                return False, f"{mode} verify exited {code}"
+            texts.append(buf.getvalue())
+        if texts[0] != texts[1]:
+            return False, f"repeated {mode} runs differ"
+    return True, "sampled and exhaustive reruns byte-identical"
 
 
 CRITERIA: tuple[tuple[int, str, Callable[[], tuple[bool, str]]], ...] = (

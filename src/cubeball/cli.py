@@ -3,7 +3,7 @@
 Every command prints one flat key=value record per result line (or CSV with
 ``--format csv``), embedding the tool version and the configuration that
 produced it.  Identical invocations, including the seed, give byte-identical
-output; worker counts never change the bytes.  Exit codes: 0 success,
+output.  Exit codes: 0 success,
 1 computation or domain error (reported as a one-line ``error=...`` record
 on stdout), 2 usage error.
 """
@@ -21,14 +21,13 @@ from typing import Optional, TextIO
 
 from . import __version__, analysis, metrics
 from .bijections import BijectionKind, forward_map, inverse_map
-from .bits import BitVector
+from .bits import DEFAULT_ENUMERATION_CAP, BitVector
 from .chains import chain_members, position
 from .errors import CubeballError
 
 # The CLI enumerates at most 2^24 items unless --allow-large lifts the cap
 # to the library ceiling.
 CLI_ENUMERATION_CAP = 1 << 24
-LARGE_ENUMERATION_CAP = 1 << 28
 
 _KINDS = [k.value for k in BijectionKind]
 
@@ -52,7 +51,6 @@ class RunConfig:
     mode: Optional[str] = None
     samples: Optional[int] = None
     seed: Optional[int] = None
-    workers: int = 1
     full: bool = False
     a: Optional[int] = None
     b: Optional[int] = None
@@ -79,12 +77,10 @@ class RunConfig:
                     raise UsageError("sampled sweeps are forward only")
                 if self.samples is None or self.samples < 1:
                     raise UsageError("--samples must be >= 1")
-            if self.workers < 1:
-                raise UsageError("--workers must be >= 1")
 
     @property
     def cap(self) -> int:
-        return LARGE_ENUMERATION_CAP if self.allow_large else CLI_ENUMERATION_CAP
+        return DEFAULT_ENUMERATION_CAP if self.allow_large else CLI_ENUMERATION_CAP
 
 
 def _frac(f: Fraction) -> str:
@@ -160,13 +156,9 @@ def _cmd_verify(cfg: RunConfig) -> list[dict[str, str]]:
     if cfg.mode == "sample":
         report = metrics.forward_stretch_sampled(kind, cfg.n, cfg.samples, cfg.seed)
     elif cfg.direction == "fwd":
-        report = metrics.forward_stretch_exhaustive(
-            kind, cfg.n, workers=cfg.workers, cap=cfg.cap
-        )
+        report = metrics.forward_stretch_exhaustive(kind, cfg.n, cap=cfg.cap)
     else:
-        report = metrics.inverse_stretch_exhaustive(
-            kind, cfg.n, workers=cfg.workers, cap=cfg.cap
-        )
+        report = metrics.inverse_stretch_exhaustive(kind, cfg.n, cap=cfg.cap)
     rec = _base("verify")
     rec.update(report.to_record())
     return [rec]
@@ -327,7 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["exhaustive", "sample"], default="exhaustive")
     p.add_argument("--samples", type=int, default=100000)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--workers", type=int, default=1)
 
     p = sub.add_parser("pairs-audit", parents=[common],
                        help="extreme pairwise distance ratios")

@@ -2,8 +2,8 @@
 
 Forward stretch of a map f on the cube is ``distance(f(x), f(x+e_i))``.
 The exhaustive average is taken over all n * 2^n ordered (x, i) pairs, which
-equals the average over unordered edges; sweeps visit each unordered edge
-once, from its endpoint with the 0 bit, and the accumulated sum is doubled.
+equals the average over unordered edges, so sweeps visit each unordered edge
+once, from its endpoint with the 0 bit.
 
 Inverse stretch is measured on the subgraph of {0,1}^(n+1) induced by the
 ball (both endpoints inside).  The average is over ordered induced (z, i)
@@ -15,16 +15,15 @@ estimates draw (x, i) uniformly from Python's ``random.Random(seed)``
 (Mersenne twister; one ``getrandbits(n)`` then one ``randrange(n)`` per
 sample) and are byte-reproducible for a fixed seed.
 
-Sweeps are data-parallel across contiguous value ranges.  Shard results
-merge with (max-with-first-witness, sum, count), an associative,
-order-canonical combine, so a report is identical for any worker count.
+Both exhaustive sweeps run one loop, ``_edge_sweep``, and it is the only
+loop over a whole cube or ball here: the pair and swap ratio audits read
+their extremes off edge sweeps, because the cube and the ball are geodesic
+(see :class:`RatioAudit`).
 """
 
 from __future__ import annotations
 
-import os
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -91,7 +90,18 @@ class StretchReport:
 
 @dataclass(frozen=True, slots=True)
 class RatioAudit:
-    """Extremes of distance(f(x), f(y)) / distance(x, y) over unordered pairs."""
+    """Extremes of distance(f(x), f(y)) / distance(x, y) over unordered pairs.
+
+    Both come from edge sweeps.  The cube is geodesic: a pair at distance d
+    is joined by a path of d edges, so no pair ratio exceeds the largest
+    forward edge stretch, and ``max_witness``, the edge that attains it,
+    reaches it.  The ball {|z| > n/2} is an up-set, so a shortest path
+    between two ball points can flip 0s to 1s first and 1s to 0s after
+    without leaving it, and the ball's induced subgraph measures Hamming
+    distance.  So no pair ratio falls below 1 / (largest inverse edge
+    stretch), and ``min_witness``, the preimages of the ball edge that
+    attains it, reaches it.
+    """
 
     kind: BijectionKind
     n: int
@@ -104,7 +114,11 @@ class RatioAudit:
 
 @dataclass(frozen=True, slots=True)
 class TransitivityAudit:
-    """Distortion of the swap map built from two ball points."""
+    """Distortion of the swap map built from two ball points.
+
+    The extremes range over every unordered pair of ball points and, as in
+    :class:`RatioAudit`, come from a sweep of the ball's induced edges.
+    """
 
     n: int
     pairs: int
@@ -143,126 +157,87 @@ def preimage_table(kind: BijectionKind, n: int) -> list[int]:
     return inv
 
 
-def _shard_ranges(size: int, workers: int) -> list[tuple[int, int]]:
-    w = max(1, min(workers, size))
-    step = -(-size // w)
-    return [(lo, min(lo + step, size)) for lo in range(0, size, step)]
+def _require_edge_cap(m: int, cap: int, what: str) -> None:
+    if m * (1 << m) > cap:
+        raise EnumerationCapError(m * (1 << m), cap, what)
 
 
-def _run_shards(fn, shards, workers: int) -> list:
-    workers = min(workers, len(shards), os.cpu_count() or 1)
-    if workers <= 1:
-        return [fn(lo, hi) for lo, hi in shards]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda r: fn(*r), shards))
+def _edge_sweep(table: list[int], m: int) -> tuple[int, tuple[int, int], int, int]:
+    """Max, keep-first witness, sum and count of edge distances in a table.
+
+    ``table`` is indexed by the points of {0,1}^m, with -1 at the points left
+    out; the edges swept are those of the subgraph induced by the rest.
+    Each edge is visited once, from its endpoint with the 0 bit, in order of
+    that endpoint and then coordinate 1..m.  Every table passed here leaves
+    out a down-set (nothing, or the complement of the ball), so the other
+    endpoint of an edge from a kept point is kept too.
+    """
+    best = -1
+    bw = (0, 1)
+    total = 0
+    edges = 0
+    for z in range(1 << m):
+        tz = table[z]
+        if tz < 0:
+            continue
+        edges += m - z.bit_count()
+        for s in range(m - 1, -1, -1):
+            bit = 1 << s
+            if not z & bit:
+                d = (tz ^ table[z | bit]).bit_count()
+                total += d
+                if d > best:
+                    best = d
+                    bw = (z, m - s)
+    return best, bw, total, edges
+
+
+def _exhaustive_report(
+    kind: BijectionKind,
+    direction: Direction,
+    n: int,
+    table: list[int],
+    m: int,
+    averaging: str,
+) -> StretchReport:
+    best, (z, i), total, edges = _edge_sweep(table, m)
+    return StretchReport(
+        kind=kind,
+        direction=direction,
+        n=n,
+        mode=SweepMode.EXHAUSTIVE,
+        max_stretch=best,
+        max_witness=EdgeId(BitVector(m, z), i),
+        avg_stretch=Fraction(total, edges),
+        edges_considered=edges,
+        averaging=averaging,
+    )
 
 
 def forward_stretch_exhaustive(
-    kind: BijectionKind,
-    n: int,
-    *,
-    workers: int = 1,
-    cap: int = DEFAULT_ENUMERATION_CAP,
+    kind: BijectionKind, n: int, *, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> StretchReport:
     """Exact max and average stretch over every cube edge."""
     kind = BijectionKind(kind)
     _require_dimension(n, kind.value)
-    if n * (1 << n) > cap:
-        raise EnumerationCapError(n * (1 << n), cap, "(x, i) pairs")
-    table = image_table(kind, n)
-
-    def shard(lo: int, hi: int):
-        best = -1
-        bw = (0, 1)
-        total = 0
-        for v in range(lo, hi):
-            fv = table[v]
-            for s in range(n - 1, -1, -1):
-                bit = 1 << s
-                if not v & bit:
-                    d = (fv ^ table[v | bit]).bit_count()
-                    total += d
-                    if d > best:
-                        best = d
-                        bw = (v, n - s)
-        return best, bw, total
-
-    best, bw, total = _merge_shards(_run_shards(shard, _shard_ranges(1 << n, workers), workers))
-    return StretchReport(
-        kind=kind,
-        direction=Direction.FORWARD,
-        n=n,
-        mode=SweepMode.EXHAUSTIVE,
-        max_stretch=best,
-        max_witness=EdgeId(BitVector(n, bw[0]), bw[1]),
-        avg_stretch=Fraction(2 * total, n << n),
-        edges_considered=n << (n - 1),
-        averaging="ordered (x,i) pairs, i uniform in [n]",
+    _require_edge_cap(n, cap, "(x, i) pairs")
+    return _exhaustive_report(
+        kind, Direction.FORWARD, n, image_table(kind, n), n,
+        "ordered (x,i) pairs, i uniform in [n]",
     )
 
 
 def inverse_stretch_exhaustive(
-    kind: BijectionKind,
-    n: int,
-    *,
-    workers: int = 1,
-    cap: int = DEFAULT_ENUMERATION_CAP,
+    kind: BijectionKind, n: int, *, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> StretchReport:
     """Exact max and average inverse stretch over ball-induced edges."""
     kind = BijectionKind(kind)
     _require_dimension(n, kind.value)
-    m = n + 1
-    if m * (1 << m) > cap:
-        raise EnumerationCapError(m * (1 << m), cap, "(z, i) pairs")
-    inv = preimage_table(kind, n)
-
-    def shard(lo: int, hi: int):
-        best = -1
-        bw = (0, 1)
-        total = 0
-        edges = 0
-        for z in range(lo, hi):
-            xv = inv[z]
-            if xv < 0:
-                continue
-            for s in range(m - 1, -1, -1):
-                bit = 1 << s
-                if not z & bit:
-                    # z | bit has one more 1, so it stays inside the ball
-                    d = (xv ^ inv[z | bit]).bit_count()
-                    total += d
-                    edges += 1
-                    if d > best:
-                        best = d
-                        bw = (z, m - s)
-        return best, bw, total, edges
-
-    parts = _run_shards(shard, _shard_ranges(1 << m, workers), workers)
-    best, bw, total = _merge_shards([p[:3] for p in parts])
-    edges = sum(p[3] for p in parts)
-    return StretchReport(
-        kind=kind,
-        direction=Direction.INVERSE,
-        n=n,
-        mode=SweepMode.EXHAUSTIVE,
-        max_stretch=best,
-        max_witness=EdgeId(BitVector(m, bw[0]), bw[1]),
-        avg_stretch=Fraction(total, edges),
-        edges_considered=edges,
-        averaging="ordered induced (z,i) pairs on the ball subgraph",
+    _require_edge_cap(n + 1, cap, "(z, i) pairs")
+    return _exhaustive_report(
+        kind, Direction.INVERSE, n, preimage_table(kind, n), n + 1,
+        "ordered induced (z,i) pairs on the ball subgraph",
     )
-
-
-def _merge_shards(parts):
-    best = -1
-    bw = (0, 1)
-    total = 0
-    for pbest, pbw, ptotal in parts:
-        total += ptotal
-        if pbest > best:  # keep-left on ties: canonical first witness
-            best = pbest
-            bw = pbw
-    return best, bw, total
 
 
 def forward_stretch_sampled(
@@ -319,34 +294,26 @@ def forward_stretch_sampled(
 def pairwise_ratio_audit(
     kind: BijectionKind, n: int, *, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> RatioAudit:
-    """Extreme image/source distance ratios over all unordered vertex pairs."""
+    """Extreme image/source distance ratios over all unordered vertex pairs.
+
+    Read off the forward and inverse edge sweeps (see :class:`RatioAudit`);
+    ``cap`` bounds the edges each sweep visits.
+    """
     kind = BijectionKind(kind)
-    _require_dimension(n, kind.value)
+    fwd = forward_stretch_exhaustive(kind, n, cap=cap)
+    inv = inverse_stretch_exhaustive(kind, n, cap=cap)
+    pre = preimage_table(kind, n)
+    e = inv.max_witness
+    lo_x, lo_y = sorted((pre[e.vertex.value], pre[e.other_endpoint().value]))
     size = 1 << n
-    pairs = size * (size - 1) // 2
-    if pairs > cap:
-        raise EnumerationCapError(pairs, cap, "vertex pairs")
-    table = image_table(kind, n)
-    # ratios tracked as cross-multiplied integers to avoid Fraction overhead
-    min_num, min_den, min_w = 1, 0, (0, 1)  # +infinity
-    max_num, max_den, max_w = 0, 1, (0, 1)  # zero
-    for x in range(size):
-        fx = table[x]
-        for y in range(x + 1, size):
-            ds = (x ^ y).bit_count()
-            di = (fx ^ table[y]).bit_count()
-            if di * min_den < min_num * ds:
-                min_num, min_den, min_w = di, ds, (x, y)
-            if di * max_den > max_num * ds:
-                max_num, max_den, max_w = di, ds, (x, y)
     return RatioAudit(
         kind=kind,
         n=n,
-        pairs=pairs,
-        min_ratio=Fraction(min_num, min_den),
-        max_ratio=Fraction(max_num, max_den),
-        min_witness=(BitVector(n, min_w[0]), BitVector(n, min_w[1])),
-        max_witness=(BitVector(n, max_w[0]), BitVector(n, max_w[1])),
+        pairs=size * (size - 1) // 2,
+        min_ratio=Fraction(1, inv.max_stretch),
+        max_ratio=Fraction(fwd.max_stretch),
+        min_witness=(BitVector(n, lo_x), BitVector(n, lo_y)),
+        max_witness=(fwd.max_witness.vertex, fwd.max_witness.other_endpoint()),
     )
 
 
@@ -357,43 +324,34 @@ def transitivity_ratio_audit(
     *,
     cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> TransitivityAudit:
-    """Distortion audit of the swap map f(z) built from ball points x and y.
+    """Distortion audit of the swap map g(z) built from ball points x and y.
 
-    Checks f(x) = y and f(y) = x and scans every unordered ball pair for the
-    extreme distance ratios.
+    Checks g(x) = y and g(y) = x and sweeps g's ball edges for the extreme
+    distance ratios over all unordered ball pairs; ``cap`` bounds the
+    (z, i) pairs swept.
     """
     _require_dimension(n, "transitivity audit")
     xv = x.value if isinstance(x, BitVector) else int(x)
     yv = y.value if isinstance(y, BitVector) else int(y)
-    size = 1 << n
-    pairs = size * (size - 1) // 2
-    if pairs > cap:
-        raise EnumerationCapError(pairs, cap, "ball pairs")
+    m = n + 1
+    _require_edge_cap(m, cap, "(z, i) pairs")
     fwd = image_table(BijectionKind.PSI, n)
     inv = preimage_table(BijectionKind.PSI, n)
     if inv[xv] < 0 or inv[yv] < 0:
         raise BijectivityError("audit endpoints must lie inside the ball")
     delta = inv[xv] ^ inv[yv]
-    members = [z for z in range(1 << (n + 1)) if inv[z] >= 0]
-    f = {z: fwd[inv[z] ^ delta] for z in members}
-    swaps_ok = f[xv] == yv and f[yv] == xv
-    min_num, min_den = 1, 0
-    max_num, max_den = 0, 1
-    for a_idx in range(len(members)):
-        za = members[a_idx]
-        fa = f[za]
-        for b_idx in range(a_idx + 1, len(members)):
-            zb = members[b_idx]
-            ds = (za ^ zb).bit_count()
-            di = (fa ^ f[zb]).bit_count()
-            if di * min_den < min_num * ds:
-                min_num, min_den = di, ds
-            if di * max_den > max_num * ds:
-                max_num, max_den = di, ds
+    swap = [-1 if p < 0 else fwd[p ^ delta] for p in inv]
+    # The ball is geodesic, so no pair ratio of g exceeds its largest
+    # ball-edge stretch s.  g is an involution, so d(a, b) =
+    # d(g(g(a)), g(g(b))) <= s * d(g(a), g(b)): no ratio falls below 1/s,
+    # and (g(a), g(b)) attains it for an edge (a, b) stretched by s.  The
+    # ratios span exactly [1/s, s].
+    s = _edge_sweep(swap, m)[0]
+    size = 1 << n
     return TransitivityAudit(
         n=n,
-        pairs=pairs,
-        swaps_ok=swaps_ok,
-        min_ratio=Fraction(min_num, min_den),
-        max_ratio=Fraction(max_num, max_den),
+        pairs=size * (size - 1) // 2,
+        swaps_ok=swap[xv] == yv and swap[yv] == xv,
+        min_ratio=Fraction(1, s),
+        max_ratio=Fraction(s),
     )

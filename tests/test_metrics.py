@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 from math import comb
 
@@ -113,37 +114,6 @@ def test_witness_realizes_max_stretch(kind):
     )
 
 
-@pytest.mark.parametrize("workers", [2, 3, 8])
-def test_reports_identical_for_any_worker_count(workers):
-    base_f = metrics.forward_stretch_exhaustive(PSI, 8, workers=1)
-    base_i = metrics.inverse_stretch_exhaustive(PSI, 8, workers=1)
-    assert metrics.forward_stretch_exhaustive(PSI, 8, workers=workers) == base_f
-    assert metrics.inverse_stretch_exhaustive(PSI, 8, workers=workers) == base_i
-
-
-def test_thread_pool_is_clamped_to_cpu_count(monkeypatch):
-    requested = []
-
-    class RecordingExecutor:
-        def __init__(self, max_workers):
-            requested.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(metrics, "ThreadPoolExecutor", RecordingExecutor)
-    monkeypatch.setattr(metrics.os, "cpu_count", lambda: 3)
-    base = metrics.forward_stretch_exhaustive(PSI, 8, workers=1)
-    assert metrics.forward_stretch_exhaustive(PSI, 8, workers=10**6) == base
-    assert requested == [3]
-
-
 @pytest.mark.parametrize("n", [0, -2])
 @pytest.mark.parametrize(
     "entry",
@@ -190,17 +160,65 @@ def test_naive_sampled_average_scales_like_sqrt_n(n):
     assert 0.3 <= ratio <= 3
 
 
+def _pair_ratio_oracle(images):
+    """(pairs, min, max) of image/source distance ratios, pair by pair.
+
+    ``images`` maps each source point to its image, both as integers.
+    """
+    points = sorted(images)
+    seen = {
+        ((images[a] ^ images[b]).bit_count(), (a ^ b).bit_count())
+        for i, a in enumerate(points)
+        for b in points[i + 1 :]
+    }
+    ratios = [Fraction(di, ds) for di, ds in seen]
+    return len(points) * (len(points) - 1) // 2, min(ratios), max(ratios)
+
+
+@pytest.mark.parametrize("kind", [PSI, PHI, NAIVE])
+@pytest.mark.parametrize("n", [2, 4, 6, 8, 10])
+def test_pairwise_audit_matches_bruteforce_oracle(kind, n):
+    fwd = forward_map(kind)
+    images = {v: fwd(BitVector(n, v)).vector.value for v in range(1 << n)}
+    aud = metrics.pairwise_ratio_audit(kind, n)
+    assert (aud.pairs, aud.min_ratio, aud.max_ratio) == _pair_ratio_oracle(images)
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_transitivity_audit_matches_bruteforce_oracle(n):
+    from cubeball.bijections import BallVector, transitivity_map
+
+    ball = [BallVector(BitVector(n + 1, z)) for z in range(1 << (n + 1))
+            if 2 * z.bit_count() > n]
+    rng = random.Random(n)
+    for _ in range(7):
+        x, y = rng.sample(ball, 2)
+        images = {z.vector.value: transitivity_map(x, y, z).vector.value for z in ball}
+        aud = metrics.transitivity_ratio_audit(x.vector, y.vector, n)
+        assert aud.swaps_ok
+        assert (aud.pairs, aud.min_ratio, aud.max_ratio) == _pair_ratio_oracle(images)
+
+
 def test_pairwise_audit_n4_regression():
     aud = metrics.pairwise_ratio_audit(PSI, 4)
     assert aud.pairs == 16 * 15 // 2
     assert aud.min_ratio == Fraction(1, 3)
     assert aud.max_ratio == Fraction(4)
-    fwd = forward_map(PSI)
+
+
+@pytest.mark.parametrize("kind", [PSI, PHI, NAIVE])
+@pytest.mark.parametrize("n", [4, 8])
+def test_pairwise_witnesses_attain_their_ratios(kind, n):
+    aud = metrics.pairwise_ratio_audit(kind, n)
+    fwd = forward_map(kind)
     for pair, ratio in ((aud.min_witness, aud.min_ratio), (aud.max_witness, aud.max_ratio)):
         x, y = pair
         assert Fraction(
             distance(fwd(x).vector, fwd(y).vector), distance(x, y)
         ) == ratio
+    # the max witness is a cube edge; the min witness maps onto a ball edge
+    assert distance(*aud.max_witness) == 1
+    assert distance(*(fwd(x).vector for x in aud.min_witness)) == 1
 
 
 def test_pairwise_audit_n8_bounds():
@@ -238,6 +256,9 @@ def test_enumeration_caps():
         metrics.inverse_stretch_exhaustive(PSI, 8, cap=100)
     with pytest.raises(EnumerationCapError):
         metrics.pairwise_ratio_audit(PSI, 8, cap=100)
+    fwd = metrics.image_table(PSI, 6)
+    with pytest.raises(EnumerationCapError):
+        metrics.transitivity_ratio_audit(fwd[5], fwd[40], 6, cap=100)
 
 
 def test_preimage_table_inverts_image_table():
