@@ -33,6 +33,7 @@ from .bits import DEFAULT_ENUMERATION_CAP, BitVector
 from .chains import _unmatched_zeros
 from .errors import (
     CoordinateRangeError,
+    DimensionError,
     EnumerationCapError,
     OddLengthError,
     ParityError,
@@ -68,6 +69,20 @@ def _binom(n: int, k: int) -> int:
     return comb(n, k) if 0 <= k <= n else 0
 
 
+def _require_cube(n: int, who: str) -> None:
+    """Reject a cube dimension below 1."""
+    if n < 1:
+        raise DimensionError(f"{who} requires n >= 1, got {n}")
+
+
+def _require_flip_domain(n: int) -> None:
+    """Reject n outside the flip probabilities' domain, even n >= 2."""
+    if n < 2:
+        raise DimensionError(f"flip probability requires n >= 2, got {n}")
+    if n % 2:
+        raise OddLengthError(f"flip probability requires even n, got {n}")
+
+
 def chain_count_formula(n: int, t: int) -> int:
     """Closed form for the number of chains of length t."""
     if not 1 <= t <= n + 1:
@@ -85,6 +100,7 @@ def chain_count_enumerated(
     Each chain has exactly one top vertex, the member with no unmatched 0s,
     and a top vertex with b unmatched 1s heads a chain of length b + 1.
     """
+    _require_cube(n, "chain count")
     if (1 << n) > cap:
         raise EnumerationCapError(1 << n, cap, "vertices")
     counts = {t: 0 for t in range(1, n + 2)}
@@ -97,6 +113,7 @@ def chain_count_enumerated(
 
 def unmarked_profile_count(n: int, a: int, b: int) -> int:
     """Vertices whose marking leaves exactly a unmarked zeros and b ones."""
+    _require_cube(n, "profile count")
     if a < 0 or b < 0 or a + b > n:
         raise ValueError(f"profile ({a}, {b}) out of range for n={n}")
     if (a + b - n) % 2:
@@ -106,6 +123,7 @@ def unmarked_profile_count(n: int, a: int, b: int) -> int:
 
 def unmarked_zeros_count(n: int, a: int) -> int:
     """Vertices whose marking leaves exactly a unmarked zeros."""
+    _require_cube(n, "unmarked zero count")
     if not 0 <= a <= n:
         raise ValueError(f"unmarked zero count {a} out of [0, {n}]")
     return _binom(n, (n - a) // 2)
@@ -115,6 +133,7 @@ def unmarked_profile_histogram(
     n: int, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> dict[tuple[int, int], int]:
     """Enumeration oracle for the profile counts."""
+    _require_cube(n, "profile histogram")
     if (1 << n) > cap:
         raise EnumerationCapError(1 << n, cap, "vertices")
     hist: dict[tuple[int, int], int] = {}
@@ -132,8 +151,7 @@ def flip_probability_exact(n: int, i: int) -> Fraction:
     unmarked ones) and suffix unmarked-zero counts c, restricted to a >= c,
     with a final factor 1/2 for x_i = 0.
     """
-    if n % 2:
-        raise OddLengthError(f"flip probability requires even n, got {n}")
+    _require_flip_domain(n)
     if not 1 <= i <= n:
         raise CoordinateRangeError(f"coordinate {i} out of [1, {n}]")
     pre = i - 1
@@ -156,8 +174,7 @@ def flip_probability_exhaustive(
     n: int, i: int, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> BitAgreementStat:
     """Enumeration oracle for :func:`flip_probability_exact`."""
-    if n % 2:
-        raise OddLengthError(f"flip probability requires even n, got {n}")
+    _require_flip_domain(n)
     if not 1 <= i <= n:
         raise CoordinateRangeError(f"coordinate {i} out of [1, {n}]")
     if (1 << n) > cap:

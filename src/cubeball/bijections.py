@@ -65,14 +65,10 @@ class BallVector:
 BallLike = Union[BallVector, BitVector]
 
 
-def _require_even(n: int, who: str) -> None:
-    if n % 2:
-        raise OddLengthError(f"{who} requires even input length, got {n}")
-
-
 def _require_dimension(n: int, who: str) -> None:
     """Reject a cube dimension outside the maps' domain, even n >= 2."""
-    _require_even(n, who)
+    if n % 2:
+        raise OddLengthError(f"{who} requires even input length, got {n}")
     if n < 2:
         raise DimensionError(f"{who} requires n >= 2, got {n}")
 
@@ -81,7 +77,7 @@ def _as_ball_value(z: BallLike, who: str) -> tuple[int, int]:
     """Return (n, integer value) for a length-(n+1) ball point, validating."""
     vec = z.vector if isinstance(z, BallVector) else z
     n = vec.n - 1
-    _require_even(n, who)
+    _require_dimension(n, who)
     if 2 * vec.weight() <= n:
         raise NotInBallError(f"{vec} has weight {vec.weight()}, not above {n}/2")
     return n, vec.value
@@ -176,7 +172,7 @@ _INVERSE_VALUE: dict[BijectionKind, Callable[[int, int], int]] = {
 
 def psi(x: BitVector) -> BallVector:
     """Map a cube vertex into the ball by climbing half way up its chain."""
-    _require_even(x.n, "psi")
+    _require_dimension(x.n, "psi")
     return BallVector(BitVector(x.n + 1, _psi_value(x.n, x.value)))
 
 
@@ -188,7 +184,7 @@ def psi_inverse(z: BallLike) -> BitVector:
 
 def phi(x: BitVector) -> BallVector:
     """Map a cube vertex into the ball by reflecting the lower chain half."""
-    _require_even(x.n, "phi")
+    _require_dimension(x.n, "phi")
     return BallVector(BitVector(x.n + 1, _phi_value(x.n, x.value)))
 
 
@@ -202,13 +198,13 @@ def phi_inverse(z: BallLike) -> BitVector:
     """
     vec = z.vector if isinstance(z, BallVector) else z
     n = vec.n - 1
-    _require_even(n, "phi_inverse")
+    _require_dimension(n, "phi_inverse")
     return BitVector(n, _phi_inverse_value(n, vec.value))
 
 
 def naive(x: BitVector) -> BallVector:
     """Complement-and-append-1 below the equator, append-0 above it."""
-    _require_even(x.n, "naive")
+    _require_dimension(x.n, "naive")
     return BallVector(BitVector(x.n + 1, _naive_value(x.n, x.value)))
 
 

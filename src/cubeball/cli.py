@@ -199,6 +199,7 @@ def _cmd_stats_profile(cfg: RunConfig) -> list[dict[str, str]]:
 
 
 def _cmd_stats_flipprob(cfg: RunConfig) -> list[dict[str, str]]:
+    analysis._require_flip_domain(cfg.n)  # before an empty coordinate loop
     coords = [cfg.bit] if cfg.bit is not None else list(range(1, cfg.n + 1))
     records = []
     for i in coords:

@@ -22,7 +22,11 @@ class OddLengthError(CubeballError, ValueError):
 
 
 class DimensionError(CubeballError, ValueError):
-    """A cube dimension lies below the maps' domain, which is even n >= 2."""
+    """A cube dimension lies below an operation's domain.
+
+    The maps and their inverses need even n >= 2 (ball vectors of length at
+    least 3), flip probabilities even n >= 2, counting n >= 1.
+    """
 
 
 class ParityError(CubeballError, ValueError):

@@ -162,6 +162,15 @@ def test_cap_error_without_allow_large():
         ["verify", "--bijection", "psi", "--n", "-2"],
         ["verify", "--bijection", "psi", "--n", "0", "--mode", "sample", "--seed", "1"],
         ["stats", "influence", "--n", "0"],
+        ["stats", "chains", "--n", "-1"],
+        ["stats", "chains", "--n", "0"],
+        ["stats", "profile", "--n", "-1", "--a", "0", "--b", "0"],
+        ["stats", "flipprob", "--n", "0"],
+        ["stats", "flipprob", "--n", "-1"],
+        ["stats", "flipprob", "--n", "-1", "--mode", "exhaustive"],
+        ["invmap", "--bijection", "psi", "--input", "1"],
+        ["invmap", "--bijection", "phi", "--input", "1"],
+        ["invmap", "--bijection", "naive", "--input", "1"],
     ],
 )
 def test_dimension_below_domain_is_a_one_line_error(argv):

@@ -123,8 +123,15 @@ def test_witness_realizes_max_stretch(kind):
         lambda n: metrics.forward_stretch_sampled(PSI, n, 10, 1),
         lambda n: metrics.pairwise_ratio_audit(PSI, n),
         lambda n: analysis.influence_profile(PSI, n),
+        lambda n: analysis.chain_count_enumerated(n),
+        lambda n: analysis.unmarked_profile_histogram(n),
+        lambda n: analysis.unmarked_profile_count(n, 0, 0),
+        lambda n: analysis.unmarked_zeros_count(n, 0),
+        lambda n: analysis.flip_probability_exact(n, 1),
+        lambda n: analysis.flip_probability_exhaustive(n, 1),
     ],
-    ids=["forward", "inverse", "sampled", "pairwise", "influence"],
+    ids=["forward", "inverse", "sampled", "pairwise", "influence", "chains", "histogram",
+         "profile", "zeros", "flip-exact", "flip-exhaustive"],
 )
 def test_entry_points_reject_dimension_below_two(entry, n):
     with pytest.raises(DimensionError):
