@@ -3,9 +3,8 @@
 Every command prints one flat key=value record per result line (or CSV with
 ``--format csv``), embedding the tool version and the configuration that
 produced it.  Identical invocations, including the seed, give byte-identical
-output.  Exit codes: 0 success,
-1 computation or domain error (reported as a one-line ``error=...`` record
-on stdout), 2 usage error.
+output.  Exit codes: 0 success, 1 computation or domain error (reported as a
+one-line ``error=...`` record on stdout), 2 usage error.
 """
 
 from __future__ import annotations
@@ -199,7 +198,7 @@ def _cmd_stats_profile(cfg: RunConfig) -> list[dict[str, str]]:
 
 
 def _cmd_stats_flipprob(cfg: RunConfig) -> list[dict[str, str]]:
-    analysis._require_flip_domain(cfg.n)  # before an empty coordinate loop
+    analysis._require_flip_domain(cfg.n)  # n < 2 would leave the loop empty
     coords = [cfg.bit] if cfg.bit is not None else list(range(1, cfg.n + 1))
     records = []
     for i in coords:
