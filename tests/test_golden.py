@@ -32,6 +32,18 @@ CASES = [
     ("verify_naive_fwd", ["verify", "--bijection", "naive", "--n", "6"]),
     ("verify_naive_inv_csv",
      ["verify", "--bijection", "naive", "--direction", "inv", "--n", "6", "--format", "csv"]),
+    ("verify_psi_fwd_n12",
+     ["verify", "--bijection", "psi", "--direction", "fwd", "--n", "12"]),
+    ("verify_psi_inv_n12",
+     ["verify", "--bijection", "psi", "--direction", "inv", "--n", "12"]),
+    ("verify_phi_fwd_n12",
+     ["verify", "--bijection", "phi", "--direction", "fwd", "--n", "12"]),
+    ("verify_phi_inv_n12",
+     ["verify", "--bijection", "phi", "--direction", "inv", "--n", "12"]),
+    ("verify_naive_fwd_n12",
+     ["verify", "--bijection", "naive", "--direction", "fwd", "--n", "12"]),
+    ("verify_naive_inv_n12",
+     ["verify", "--bijection", "naive", "--direction", "inv", "--n", "12"]),
     ("verify_psi_sample_n12",
      ["verify", "--bijection", "psi", "--n", "12", "--mode", "sample",
       "--samples", "500", "--seed", "7"]),
@@ -63,6 +75,8 @@ CASES = [
     ("stats_influence_phi_csv",
      ["stats", "influence", "--n", "4", "--bijection", "phi", "--format", "csv"]),
     ("stats_influence_naive", ["stats", "influence", "--n", "4", "--bijection", "naive"]),
+    ("stats_influence_phi_n10", ["stats", "influence", "--n", "10", "--bijection", "phi"]),
+    ("stats_influence_naive_n10", ["stats", "influence", "--n", "10", "--bijection", "naive"]),
     ("reduce_majority", ["reduce-majority", "--input", "01101"]),
     ("reduce_majority_csv", ["reduce-majority", "--input", "100", "--format", "csv"]),
     ("error_dimension_pairs", ["pairs-audit", "--bijection", "psi", "--n", "0"]),
