@@ -38,7 +38,7 @@ from .errors import (
     OddLengthError,
     ParityError,
 )
-from .metrics import image_table
+from .metrics import _edge_sweep, image_table
 
 
 @dataclass(frozen=True, slots=True)
@@ -292,19 +292,11 @@ def influence_profile(
     _require_dimension(n, kind.value)
     if n * (1 << n) > cap:
         raise EnumerationCapError(n * (1 << n), cap, "(x, j) pairs")
-    table = image_table(kind, n)
-    counts = [0] * (n + 1)  # indexed by output shift
-    for v in range(1 << n):
-        zv = table[v]
-        for s in range(n):
-            d = zv ^ table[v ^ (1 << s)]
-            while d:
-                low = d & -d
-                counts[low.bit_length() - 1] += 1
-                d ^= low
+    counts = _edge_sweep(image_table(kind, n), n, n + 1)[2]  # indexed by output shift
     size = 1 << n
-    # output coordinate i sits at shift n+1-i
-    return tuple(Fraction(counts[n + 1 - i], size) for i in range(1, n + 2))
+    # each edge is two ordered (x, j) pairs; output coordinate i sits at
+    # shift n+1-i
+    return tuple(Fraction(2 * counts[n + 1 - i], size) for i in range(1, n + 2))
 
 
 def influence(

@@ -24,19 +24,34 @@ their extremes off edge sweeps, because the cube and the ball are geodesic
 from __future__ import annotations
 
 import random
+import sys
+from array import array
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
 from typing import Optional
 
 from .bijections import _FORWARD_VALUE, BijectionKind, _require_dimension
 from .bits import DEFAULT_ENUMERATION_CAP, BitVector, EdgeId
-from .errors import BijectivityError, EnumerationCapError
+from .errors import (
+    BijectivityError,
+    EnumerationCapError,
+    LengthMismatchError,
+    NotInBallError,
+)
 
 # Above this domain size, sampled sweeps evaluate the map per draw instead of
 # building a full image table.
 _TABLE_LIMIT = 1 << 20
+
+# _DIGITS[b] is a bytes.translate table sending a byte to ASCII "1" where its
+# bit b is set and to "0" where it is clear.
+_DIGITS = tuple(bytes(48 | (v >> b & 1) for v in range(256)) for b in range(8))
+
+# Table entries per tobytes() copy while a byte column is read.
+_CHUNK = 1 << 16
 
 
 class Direction(Enum):
@@ -128,32 +143,39 @@ class TransitivityAudit:
 
 
 @lru_cache(maxsize=16)
-def image_table(kind: BijectionKind, n: int) -> list[int]:
-    """Integer image values for every cube vertex, indexed by vertex value."""
+def image_table(kind: BijectionKind, n: int) -> array:
+    """Integer image values for every cube vertex, indexed by vertex value.
+
+    An ``array('i')``, 4 bytes per entry; the maps' images fit in n + 1 bits.
+    """
     kind = BijectionKind(kind)
     _require_dimension(n, kind.value)
-    f = _FORWARD_VALUE[kind]
-    return [f(n, v) for v in range(1 << n)]
+    return array("i", map(_FORWARD_VALUE[kind], repeat(n), range(1 << n)))
 
 
 @lru_cache(maxsize=16)
-def preimage_table(kind: BijectionKind, n: int) -> list[int]:
+def preimage_table(kind: BijectionKind, n: int) -> array:
     """Preimage values indexed by length-(n+1) value; -1 outside the ball.
 
     Building this table proves bijectivity onto the ball: a collision or a
     ball point with no preimage raises :class:`BijectivityError`.
     """
     fwd = image_table(kind, n)
-    inv = [-1] * (1 << (n + 1))
+    inv = array("i", [-1]) * (1 << (n + 1))
     for v, z in enumerate(fwd):
         if inv[z] != -1:
             raise BijectivityError(f"{kind.value} collides at image {z:0{n + 1}b}")
         inv[z] = v
-    for z in range(1 << (n + 1)):
-        if (2 * z.bit_count() > n) != (inv[z] >= 0):
-            raise BijectivityError(
-                f"{kind.value} image does not match the ball at {z:0{n + 1}b}"
-            )
+    # The 2^n images are distinct, and the ball {2|z| > n} has exactly 2^n
+    # points, so if every image lies in the ball the images fill it and the
+    # map is onto.  Only a failure scans {0,1}^(n+1), to name the smallest
+    # point where the images and the ball differ.
+    if 2 * min(map(int.bit_count, fwd)) <= n:
+        for z in range(1 << (n + 1)):
+            if (2 * z.bit_count() > n) != (inv[z] >= 0):
+                raise BijectivityError(
+                    f"{kind.value} image does not match the ball at {z:0{n + 1}b}"
+                )
     return inv
 
 
@@ -162,45 +184,115 @@ def _require_edge_cap(m: int, cap: int, what: str) -> None:
         raise EnumerationCapError(m * (1 << m), cap, what)
 
 
-def _edge_sweep(table: list[int], m: int) -> tuple[int, tuple[int, int], int, int]:
-    """Max, keep-first witness, sum and count of edge distances in a table.
+def _byte_column(table: array, k: int) -> bytes:
+    """Byte k (0 = least significant) of every entry of ``table``, last entry first."""
+    size = table.itemsize
+    # Reversing a chunk's bytes reverses its entries, and puts byte k of each
+    # at the same offset within the entry's ``size`` bytes.
+    off = size - 1 - k if sys.byteorder == "little" else k
+    return b"".join(
+        table[i : i + _CHUNK].tobytes()[::-1][off::size]
+        for i in reversed(range(0, len(table), _CHUNK))
+    )
 
-    ``table`` is indexed by the points of {0,1}^m, with -1 at the points left
-    out; the edges swept are those of the subgraph induced by the rest.
-    Each edge is visited once, from its endpoint with the 0 bit, in order of
-    that endpoint and then coordinate 1..m.  Every table passed here leaves
-    out a down-set (nothing, or the complement of the ball), so the other
-    endpoint of an edge from a kept point is kept too.
+
+def _bit_planes(table: array, bits: int) -> list[int]:
+    """Planes 0..bits-1 of ``table``: bit z of plane t is bit t of ``table[z]``.
+
+    Each byte column is read once and each plane parsed from it as a base-2
+    string; base 2 is exempt from the int-digits limit.
     """
-    best = -1
-    bw = (0, 1)
-    total = 0
+    planes = []
+    for k in range((bits + 7) >> 3):
+        col = _byte_column(table, k)
+        for b in range(min(8, bits - 8 * k)):
+            planes.append(int(col.translate(_DIGITS[b]), 2))
+    return planes
+
+
+def _low_mask(m: int, s: int) -> int:
+    """The points z of {0,1}^m with bit s clear, as a mask over 2^m bits."""
+    h = 1 << s
+    mask = (1 << h) - 1
+    span = 2 * h
+    while span < 1 << m:
+        mask |= mask << span
+        span *= 2
+    return mask
+
+
+def _edge_sweep(
+    table: array, m: int, width: int
+) -> tuple[int, tuple[int, int], list[int], int]:
+    """Max, keep-first witness, per-bit counts and count of edge distances.
+
+    ``table`` is an ``array('i')`` indexed by the points of {0,1}^m, holding
+    ``width``-bit values at the points kept and -1 at the points left out;
+    the edges swept are those of the subgraph induced by the kept points.
+    Every table passed here leaves out a down-set (nothing, or the
+    complement of the ball), so for a kept z with bit s clear, z | 2^s is
+    kept too, and the edges along coordinate m - s are the kept z with
+    bit s clear, named by that endpoint.
+
+    The sweep is bit-sliced: plane t holds bit t of every entry, and for
+    each coordinate the plane's XOR with itself shifted by 2^s marks the
+    edges whose images differ in bit t.  A ripple counter over those marks
+    holds every edge's distance, one bit plane per counter bit.  ``counts[t]``
+    is the number of edges whose images differ in bit t, so the distance
+    total is ``sum(counts)``.  The witness is the first edge of maximal
+    distance in order of its 0-bit endpoint and then coordinate 1..m.
+    """
+    planes = _bit_planes(table, width + 1)
+    # bit ``width`` is set only in the -1 entries
+    kept = ((1 << (1 << m)) - 1) ^ planes.pop()
+    counts = [0] * width
     edges = 0
-    for z in range(1 << m):
-        tz = table[z]
-        if tz < 0:
+    best = -1
+    bz, bs = 0, m - 1
+    for s in range(m - 1, -1, -1):
+        h = 1 << s
+        e = _low_mask(m, s) & kept
+        if not e:
             continue
-        edges += m - z.bit_count()
-        for s in range(m - 1, -1, -1):
-            bit = 1 << s
-            if not z & bit:
-                d = (tz ^ table[z | bit]).bit_count()
-                total += d
-                if d > best:
-                    best = d
-                    bw = (z, m - s)
-    return best, bw, total, edges
+        edges += e.bit_count()
+        counter: list[int] = []
+        for t, p in enumerate(planes):
+            d = (p ^ (p >> h)) & e
+            if not d:
+                continue
+            counts[t] += d.bit_count()
+            for j, c in enumerate(counter):
+                counter[j] = c ^ d
+                d &= c
+                if not d:
+                    break
+            else:
+                counter.append(d)
+        # Walk the counter from its top bit down, keeping the edges that can
+        # still reach the largest distance.
+        top = 0
+        at = e
+        for j in range(len(counter) - 1, -1, -1):
+            hit = at & counter[j]
+            if hit:
+                at = hit
+                top |= 1 << j
+        z = (at & -at).bit_length() - 1
+        if top > best or (top == best and z < bz):
+            best, bz, bs = top, z, s
+    return best, (bz, m - bs), counts, edges
 
 
 def _exhaustive_report(
     kind: BijectionKind,
     direction: Direction,
     n: int,
-    table: list[int],
+    table: array,
     m: int,
+    width: int,
     averaging: str,
 ) -> StretchReport:
-    best, (z, i), total, edges = _edge_sweep(table, m)
+    best, (z, i), counts, edges = _edge_sweep(table, m, width)
     return StretchReport(
         kind=kind,
         direction=direction,
@@ -208,7 +300,7 @@ def _exhaustive_report(
         mode=SweepMode.EXHAUSTIVE,
         max_stretch=best,
         max_witness=EdgeId(BitVector(m, z), i),
-        avg_stretch=Fraction(total, edges),
+        avg_stretch=Fraction(sum(counts), edges),
         edges_considered=edges,
         averaging=averaging,
     )
@@ -222,7 +314,7 @@ def forward_stretch_exhaustive(
     _require_dimension(n, kind.value)
     _require_edge_cap(n, cap, "(x, i) pairs")
     return _exhaustive_report(
-        kind, Direction.FORWARD, n, image_table(kind, n), n,
+        kind, Direction.FORWARD, n, image_table(kind, n), n, n + 1,
         "ordered (x,i) pairs, i uniform in [n]",
     )
 
@@ -235,7 +327,7 @@ def inverse_stretch_exhaustive(
     _require_dimension(n, kind.value)
     _require_edge_cap(n + 1, cap, "(z, i) pairs")
     return _exhaustive_report(
-        kind, Direction.INVERSE, n, preimage_table(kind, n), n + 1,
+        kind, Direction.INVERSE, n, preimage_table(kind, n), n + 1, n,
         "ordered induced (z,i) pairs on the ball subgraph",
     )
 
@@ -317,6 +409,18 @@ def pairwise_ratio_audit(
     )
 
 
+def _audit_endpoint(p: "BitVector | int", m: int) -> int:
+    """The value of a point of {0,1}^m, checked before it indexes a table."""
+    if isinstance(p, BitVector):
+        if p.n != m:
+            raise LengthMismatchError(f"audit endpoint {p} has length {p.n}, want {m}")
+        return p.value
+    v = int(p)
+    if not 0 <= v < 1 << m:
+        raise NotInBallError(f"audit endpoint {v} is not a point of {{0,1}}^{m}")
+    return v
+
+
 def transitivity_ratio_audit(
     x: "BitVector | int",
     y: "BitVector | int",
@@ -331,22 +435,22 @@ def transitivity_ratio_audit(
     (z, i) pairs swept.
     """
     _require_dimension(n, "transitivity audit")
-    xv = x.value if isinstance(x, BitVector) else int(x)
-    yv = y.value if isinstance(y, BitVector) else int(y)
     m = n + 1
+    xv = _audit_endpoint(x, m)
+    yv = _audit_endpoint(y, m)
     _require_edge_cap(m, cap, "(z, i) pairs")
     fwd = image_table(BijectionKind.PSI, n)
     inv = preimage_table(BijectionKind.PSI, n)
     if inv[xv] < 0 or inv[yv] < 0:
         raise BijectivityError("audit endpoints must lie inside the ball")
     delta = inv[xv] ^ inv[yv]
-    swap = [-1 if p < 0 else fwd[p ^ delta] for p in inv]
+    swap = array("i", [-1 if p < 0 else fwd[p ^ delta] for p in inv])
     # The ball is geodesic, so no pair ratio of g exceeds its largest
     # ball-edge stretch s.  g is an involution, so d(a, b) =
     # d(g(g(a)), g(g(b))) <= s * d(g(a), g(b)): no ratio falls below 1/s,
     # and (g(a), g(b)) attains it for an edge (a, b) stretched by s.  The
     # ratios span exactly [1/s, s].
-    s = _edge_sweep(swap, m)[0]
+    s = _edge_sweep(swap, m, m)[0]
     size = 1 << n
     return TransitivityAudit(
         n=n,

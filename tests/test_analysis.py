@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 
 from cubeball.bits import BitVector
-from cubeball.bijections import BijectionKind
+from cubeball.bijections import BijectionKind, forward_map
 from cubeball.chains import mark
 from cubeball.errors import (
     CoordinateRangeError,
@@ -185,6 +185,22 @@ def test_influence_identity(n):
     avg = metrics.forward_stretch_exhaustive(PSI, n).avg_stretch
     assert total == n * avg
     assert analysis.influence(PSI, 1, n) == profile[0]
+
+
+@pytest.mark.parametrize("kind", list(BijectionKind))
+@pytest.mark.parametrize("n", [2, 4, 6, 8])
+def test_influence_profile_matches_public_map_oracle(kind, n):
+    fwd = forward_map(kind)
+    counts = [0] * (n + 1)  # indexed by output coordinate - 1
+    for value in range(1 << n):
+        x = BitVector(n, value)
+        fx = fwd(x).vector
+        for j in range(1, n + 1):
+            fy = fwd(x.flip_at(j)).vector
+            for i in range(1, n + 2):
+                counts[i - 1] += fx.bit(i) != fy.bit(i)
+    expected = tuple(Fraction(c, 1 << n) for c in counts)
+    assert analysis.influence_profile(kind, n) == expected
 
 
 def test_influence_coordinate_check():

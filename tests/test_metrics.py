@@ -1,13 +1,23 @@
 import math
 import random
+from array import array
+from collections import Counter
 from fractions import Fraction
 from math import comb
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given
 
 from cubeball.bits import BitVector, distance
-from cubeball.bijections import BijectionKind, forward_map, inverse_map
-from cubeball.errors import DimensionError, EnumerationCapError
+from cubeball.bijections import _FORWARD_VALUE, BijectionKind, forward_map, inverse_map
+from cubeball.errors import (
+    BijectivityError,
+    DimensionError,
+    EnumerationCapError,
+    LengthMismatchError,
+    NotInBallError,
+)
 from cubeball import analysis, metrics
 
 PSI = BijectionKind.PSI
@@ -49,6 +59,115 @@ def _inverse_oracle(kind, n):
             edges += 1
             best = max(best, d)
     return best, Fraction(total, edges)
+
+
+def _scalar_edge_sweep(table, m, width):
+    """Reference for metrics._edge_sweep: the same sweep, one edge at a time.
+
+    Visits each edge of the kept points' induced subgraph from its endpoint
+    with the 0 bit, in order of that endpoint and then coordinate 1..m, and
+    keeps the first edge of maximal distance.
+    """
+    best = -1
+    bw = (0, 1)
+    total = 0
+    edges = 0
+    xors = Counter()
+    for z in range(1 << m):
+        tz = table[z]
+        if tz < 0:
+            continue
+        edges += m - z.bit_count()
+        for s in range(m - 1, -1, -1):
+            bit = 1 << s
+            if not z & bit:
+                x = tz ^ table[z | bit]
+                xors[x] += 1
+                d = x.bit_count()
+                total += d
+                if d > best:
+                    best = d
+                    bw = (z, m - s)
+    counts = [sum(c for x, c in xors.items() if x >> t & 1) for t in range(width)]
+    return best, bw, total, counts, edges
+
+
+def _assert_sweeps_agree(table, m, width):
+    best, witness, counts, edges = metrics._edge_sweep(table, m, width)
+    assert (best, witness, sum(counts), counts, edges) == _scalar_edge_sweep(table, m, width)
+
+
+@pytest.mark.parametrize("kind", [PSI, PHI, NAIVE])
+@pytest.mark.parametrize("n", range(2, 15, 2))
+def test_edge_sweep_matches_scalar_sweep_on_map_tables(kind, n):
+    _assert_sweeps_agree(metrics.image_table(kind, n), n, n + 1)
+    _assert_sweeps_agree(metrics.preimage_table(kind, n), n + 1, n)
+
+
+@pytest.mark.parametrize("n", [4, 6, 8, 10])
+def test_edge_sweep_matches_scalar_sweep_on_swap_tables(n):
+    fwd = metrics.image_table(PSI, n)
+    inv = metrics.preimage_table(PSI, n)
+    rng = random.Random(100 + n)
+    for _ in range(6):
+        delta = rng.randrange(1, 1 << n)
+        swap = array("i", [-1 if p < 0 else fwd[p ^ delta] for p in inv])
+        _assert_sweeps_agree(swap, n + 1, n + 1)
+
+
+@st.composite
+def _sweep_tables(draw):
+    """A table over {0,1}^m for m <= 8 that keeps an up-set of points.
+
+    The kept points hold values from a palette of at most four, so many
+    edges tie at the largest distance; -1 marks the points left out.
+    """
+    m = draw(st.integers(1, 8))
+    width = draw(st.integers(1, 30))
+    palette = draw(st.lists(st.integers(0, (1 << width) - 1), min_size=1, max_size=4))
+    gens = draw(st.lists(st.integers(0, (1 << m) - 1), max_size=3))
+    if draw(st.booleans()):
+        gens.append(0)  # keep every point
+    values = draw(st.lists(st.sampled_from(palette), min_size=1 << m, max_size=1 << m))
+    table = array("i", [
+        v if any(z & g == g for g in gens) else -1 for z, v in enumerate(values)
+    ])
+    return table, m, width
+
+
+@given(_sweep_tables())
+def test_edge_sweep_matches_scalar_sweep_on_arbitrary_tables(case):
+    _assert_sweeps_agree(*case)
+
+
+@pytest.fixture
+def fresh_tables():
+    metrics.image_table.cache_clear()
+    metrics.preimage_table.cache_clear()
+    yield
+    metrics.image_table.cache_clear()
+    metrics.preimage_table.cache_clear()
+
+
+@pytest.mark.parametrize(
+    "image_of_5,message",
+    [
+        # psi(0000) = 00111, so vertex 5 collides with vertex 0
+        (0b00111, "psi collides at image 00111"),
+        # 00011 has weight n/2 = 2, just outside the ball
+        (0b00011, "psi image does not match the ball at 00011"),
+    ],
+    ids=["collision", "outside-ball"],
+)
+def test_preimage_table_rejects_a_map_that_is_not_a_bijection(
+    monkeypatch, fresh_tables, image_of_5, message
+):
+    psi = _FORWARD_VALUE[PSI]
+    monkeypatch.setitem(
+        _FORWARD_VALUE, PSI, lambda n, v: image_of_5 if v == 5 else psi(n, v)
+    )
+    with pytest.raises(BijectivityError, match=f"^{message}$"):
+        metrics.preimage_table(PSI, 4)
 
 
 @pytest.mark.parametrize("kind", [PSI, PHI, NAIVE])
@@ -240,6 +359,13 @@ def test_transitivity_audit_swaps():
     assert aud.swaps_ok
     assert aud.min_ratio > 0
     assert aud.max_ratio >= aud.min_ratio
+    # endpoints that are not points of {0,1}^7 never index a table
+    for bad, error in ((-1, NotInBallError), (1 << 7, NotInBallError),
+                       (BitVector(5, 0b11111), LengthMismatchError)):
+        with pytest.raises(error):
+            metrics.transitivity_ratio_audit(bad, fwd[40], 6)
+        with pytest.raises(error):
+            metrics.transitivity_ratio_audit(fwd[5], bad, 6)
 
 
 def test_transitivity_audit_agrees_with_public_map():
