@@ -285,8 +285,8 @@ def influence_profile(
     """Exact total influence of every output bit, index 0 = coordinate 1.
 
     Counts, per output bit, the (x, j) pairs whose input flip changes that
-    bit.  This is the per-bit accounting dual to the distance sums in the
-    stretch sweeps.
+    bit.  Each cube edge gives two such pairs, so the counts are twice the
+    per-bit counts of the forward edge sweep.
     """
     kind = BijectionKind(kind)
     _require_dimension(n, kind.value)
@@ -294,8 +294,7 @@ def influence_profile(
         raise EnumerationCapError(n * (1 << n), cap, "(x, j) pairs")
     counts = _edge_sweep(image_table(kind, n), n, n + 1)[2]  # indexed by output shift
     size = 1 << n
-    # each edge is two ordered (x, j) pairs; output coordinate i sits at
-    # shift n+1-i
+    # output coordinate i sits at shift n+1-i
     return tuple(Fraction(2 * counts[n + 1 - i], size) for i in range(1, n + 2))
 
 

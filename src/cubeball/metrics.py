@@ -15,10 +15,16 @@ estimates draw (x, i) uniformly from Python's ``random.Random(seed)``
 (Mersenne twister; one ``getrandbits(n)`` then one ``randrange(n)`` per
 sample) and are byte-reproducible for a fixed seed.
 
-Both exhaustive sweeps run one loop, ``_edge_sweep``, and it is the only
-loop over a whole cube or ball here: the pair and swap ratio audits read
-their extremes off edge sweeps, because the cube and the ball are geodesic
-(see :class:`RatioAudit`).
+Whole-cube work runs on tables: ``image_table`` and ``preimage_table`` are
+``array('i')`` tables at 4 bytes per entry.  Both exhaustive sweeps, the
+swap audit and the influence profile share one sweep, ``_edge_sweep``, and
+it takes no Python step per edge.  It transposes a table into bit planes,
+one big int per output bit, and for each coordinate marks the edges whose
+images differ in a bit by XOR-ing a plane with itself shifted by the
+coordinate's stride; popcounts of the marks give per-bit counts, and a
+bit-sliced counter over them gives each edge's distance.  The pair and swap
+ratio audits read their extremes off edge sweeps, because the cube and the
+ball are geodesic (see :class:`RatioAudit`).
 """
 
 from __future__ import annotations
@@ -184,27 +190,21 @@ def _require_edge_cap(m: int, cap: int, what: str) -> None:
         raise EnumerationCapError(m * (1 << m), cap, what)
 
 
-def _byte_column(table: array, k: int) -> bytes:
-    """Byte k (0 = least significant) of every entry of ``table``, last entry first."""
-    size = table.itemsize
-    # Reversing a chunk's bytes reverses its entries, and puts byte k of each
-    # at the same offset within the entry's ``size`` bytes.
-    off = size - 1 - k if sys.byteorder == "little" else k
-    return b"".join(
-        table[i : i + _CHUNK].tobytes()[::-1][off::size]
-        for i in reversed(range(0, len(table), _CHUNK))
-    )
-
-
 def _bit_planes(table: array, bits: int) -> list[int]:
     """Planes 0..bits-1 of ``table``: bit z of plane t is bit t of ``table[z]``.
 
-    Each byte column is read once and each plane parsed from it as a base-2
-    string; base 2 is exempt from the int-digits limit.
+    Each byte column of the table is read once, in chunks and last entry
+    first, so that each plane parses from it as a base-2 string with bit 0
+    last; base 2 is exempt from the int-digits limit.
     """
+    size = table.itemsize
+    starts = range(0, len(table), _CHUNK)[::-1]
     planes = []
     for k in range((bits + 7) >> 3):
-        col = _byte_column(table, k)
+        # Reversing a chunk's bytes reverses its entries and puts byte k
+        # (0 = least significant) of each at offset ``off`` of its ``size``.
+        off = size - 1 - k if sys.byteorder == "little" else k
+        col = b"".join(table[i : i + _CHUNK].tobytes()[::-1][off::size] for i in starts)
         for b in range(min(8, bits - 8 * k)):
             planes.append(int(col.translate(_DIGITS[b]), 2))
     return planes
@@ -243,7 +243,7 @@ def _edge_sweep(
     distance in order of its 0-bit endpoint and then coordinate 1..m.
     """
     planes = _bit_planes(table, width + 1)
-    # bit ``width`` is set only in the -1 entries
+    # kept entries are below 2^width, so bit ``width`` is set only in the -1s
     kept = ((1 << (1 << m)) - 1) ^ planes.pop()
     counts = [0] * width
     edges = 0
