@@ -44,6 +44,9 @@ CASES = [
      ["verify", "--bijection", "naive", "--direction", "fwd", "--n", "12"]),
     ("verify_naive_inv_n12",
      ["verify", "--bijection", "naive", "--direction", "inv", "--n", "12"]),
+    ("verify_phi_fwd_n16", ["verify", "--bijection", "phi", "--n", "16"]),
+    ("verify_naive_inv_n14",
+     ["verify", "--bijection", "naive", "--direction", "inv", "--n", "14"]),
     ("verify_psi_sample_n12",
      ["verify", "--bijection", "psi", "--n", "12", "--mode", "sample",
       "--samples", "500", "--seed", "7"]),
@@ -64,12 +67,15 @@ CASES = [
     ("pairs_naive_n8", ["pairs-audit", "--bijection", "naive", "--n", "8"]),
     ("stats_chains", ["stats", "chains", "--n", "6"]),
     ("stats_chains_csv", ["stats", "chains", "--n", "5", "--format", "csv"]),
+    ("stats_chains_n16", ["stats", "chains", "--n", "16"]),
     ("stats_profile", ["stats", "profile", "--n", "6", "--a", "2", "--b", "0"]),
     ("stats_profile_csv",
      ["stats", "profile", "--n", "7", "--a", "1", "--b", "2", "--format", "csv"]),
     ("stats_flipprob_exact", ["stats", "flipprob", "--n", "8", "--mode", "exact"]),
     ("stats_flipprob_exhaustive_csv",
      ["stats", "flipprob", "--n", "6", "--mode", "exhaustive", "--format", "csv"]),
+    ("stats_flipprob_exhaustive_n14_csv",
+     ["stats", "flipprob", "--n", "14", "--mode", "exhaustive", "--format", "csv"]),
     ("stats_flipprob_bit", ["stats", "flipprob", "--n", "10", "--bit", "4"]),
     ("stats_influence_psi", ["stats", "influence", "--n", "6"]),
     ("stats_influence_phi_csv",
@@ -77,6 +83,7 @@ CASES = [
     ("stats_influence_naive", ["stats", "influence", "--n", "4", "--bijection", "naive"]),
     ("stats_influence_phi_n10", ["stats", "influence", "--n", "10", "--bijection", "phi"]),
     ("stats_influence_naive_n10", ["stats", "influence", "--n", "10", "--bijection", "naive"]),
+    ("stats_influence_phi_n14", ["stats", "influence", "--n", "14", "--bijection", "phi"]),
     ("reduce_majority", ["reduce-majority", "--input", "01101"]),
     ("reduce_majority_csv", ["reduce-majority", "--input", "100", "--format", "csv"]),
     ("error_dimension_pairs", ["pairs-audit", "--bijection", "psi", "--n", "0"]),
