@@ -29,16 +29,10 @@ from functools import lru_cache
 from math import comb
 
 from .bijections import _FORWARD_VALUE, BijectionKind, _psi_value, _require_dimension
-from .bits import DEFAULT_ENUMERATION_CAP, BitVector
-from .chains import _unmatched_zeros
-from .errors import (
-    CoordinateRangeError,
-    DimensionError,
-    EnumerationCapError,
-    OddLengthError,
-    ParityError,
-)
-from .metrics import _edge_sweep, image_table
+from .bits import DEFAULT_ENUMERATION_CAP, BitVector, _low_mask, require_cap
+from .chains import _cube_blocks, _equal, _unmatched_planes
+from .errors import CoordinateRangeError, DimensionError, OddLengthError, ParityError
+from .metrics import _bit_planes, _edge_sweep, image_table
 
 
 @dataclass(frozen=True, slots=True)
@@ -92,6 +86,30 @@ def chain_count_formula(n: int, t: int) -> int:
     return _binom(n, (n - t + 1) // 2) - _binom(n, (n - t - 1) // 2)
 
 
+def _profile_counts(n: int, cap: int, a_values: range) -> dict[tuple[int, int], int]:
+    """Vertices of {0,1}^n by (a unmatched 0s, b unmatched 1s), for a in ``a_values``.
+
+    Counted over the whole cube, a block at a time: the marking kernel
+    leaves a and b as bit-sliced counters, and each count is the popcount of
+    the lanes where both equal the pair.  Pairs that no vertex has are left
+    out.
+    """
+    require_cap(n, cap, "vertices")
+    counts: dict[tuple[int, int], int] = {}
+    for xs, full in _cube_blocks(n):
+        _, a, b = _unmatched_planes(xs, full)
+        by_b = [_equal(b, bv, full) for bv in range(n + 1)]
+        for av in a_values:
+            lanes = _equal(a, av, full)
+            if not lanes:
+                continue
+            for bv in range((n - av) % 2, n - av + 1, 2):  # a + b has n's parity
+                c = (lanes & by_b[bv]).bit_count()
+                if c:
+                    counts[av, bv] = counts.get((av, bv), 0) + c
+    return dict(sorted(counts.items()))
+
+
 def chain_count_enumerated(
     n: int, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> ChainCountTable:
@@ -101,13 +119,10 @@ def chain_count_enumerated(
     and a top vertex with b unmatched 1s heads a chain of length b + 1.
     """
     _require_cube(n, "chain count")
-    if (1 << n) > cap:
-        raise EnumerationCapError(1 << n, cap, "vertices")
+    tops = _profile_counts(n, cap, range(1))
     counts = {t: 0 for t in range(1, n + 2)}
-    for v in range(1 << n):
-        zeros, ones_count = _unmatched_zeros(n, v)
-        if not zeros:
-            counts[ones_count + 1] += 1
+    for (_, b), c in tops.items():
+        counts[b + 1] = c
     return ChainCountTable(n=n, entries=counts)
 
 
@@ -132,16 +147,9 @@ def unmarked_zeros_count(n: int, a: int) -> int:
 def unmarked_profile_histogram(
     n: int, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> dict[tuple[int, int], int]:
-    """Enumeration oracle for the profile counts."""
+    """Counted profiles of the whole cube, the check on the closed forms."""
     _require_cube(n, "profile histogram")
-    if (1 << n) > cap:
-        raise EnumerationCapError(1 << n, cap, "vertices")
-    hist: dict[tuple[int, int], int] = {}
-    for v in range(1 << n):
-        zeros, ones_count = _unmatched_zeros(n, v)
-        key = (len(zeros), ones_count)
-        hist[key] = hist.get(key, 0) + 1
-    return hist
+    return _profile_counts(n, cap, range(n + 1))
 
 
 def flip_probability_exact(n: int, i: int) -> Fraction:
@@ -173,19 +181,19 @@ def flip_probability_exact(n: int, i: int) -> Fraction:
 def flip_probability_exhaustive(
     n: int, i: int, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> BitAgreementStat:
-    """Enumeration oracle for :func:`flip_probability_exact`."""
+    """Counted over psi's image table: the check on :func:`flip_probability_exact`.
+
+    The vertices whose bit i flips are the lanes where the plane of input
+    bit i and the table's plane of output bit i differ.
+    """
     _require_flip_domain(n)
     if not 1 <= i <= n:
         raise CoordinateRangeError(f"coordinate {i} out of [1, {n}]")
-    if (1 << n) > cap:
-        raise EnumerationCapError(1 << n, cap, "vertices")
-    table = image_table(BijectionKind.PSI, n)
-    s_in = n - i
+    require_cap(n, cap, "vertices")
     s_out = n + 1 - i
-    count = 0
-    for v in range(1 << n):
-        if ((v >> s_in) ^ (table[v] >> s_out)) & 1:
-            count += 1
+    inputs = ((1 << (1 << n)) - 1) ^ _low_mask(n, n - i)
+    outputs = _bit_planes(image_table(BijectionKind.PSI, n), s_out + 1)[s_out]
+    count = (inputs ^ outputs).bit_count()
     return BitAgreementStat(
         n=n, i=i, disagree_count=count, probability=Fraction(count, 1 << n)
     )
@@ -290,8 +298,7 @@ def influence_profile(
     """
     kind = BijectionKind(kind)
     _require_dimension(n, kind.value)
-    if n * (1 << n) > cap:
-        raise EnumerationCapError(n * (1 << n), cap, "(x, j) pairs")
+    require_cap(n, cap, "(x, j) pairs", n)
     counts = _edge_sweep(image_table(kind, n), n, n + 1)[2]  # indexed by output shift
     size = 1 << n
     # output coordinate i sits at shift n+1-i

@@ -27,7 +27,14 @@ from enum import Enum
 from typing import Callable, Union
 
 from .bits import BitVector
-from .chains import _unmatched_shifts, _unmatched_zeros
+from .chains import (
+    _decrement,
+    _increment,
+    _nonzero,
+    _subtract,
+    _unmatched_shifts,
+    _unmatched_zeros,
+)
 from .errors import DimensionError, NotInBallError, NotInImageError, OddLengthError
 
 
@@ -84,6 +91,11 @@ def _as_ball_value(z: BallLike, who: str) -> tuple[int, int]:
 
 
 # integer-valued fast paths; coordinate i of an n-bit value sits at bit n-i
+#
+# Each forward map also has a plane rule, ``_*_planes(xs, full, zeros, a,
+# b)``, that maps a block of vertices at once (see chains._cube_blocks and
+# chains._unmatched_planes): it returns the image's bit planes, entry t
+# holding bit t of every lane's image.
 
 
 def _psi_value(n: int, v: int) -> int:
@@ -93,6 +105,31 @@ def _psi_value(n: int, v: int) -> int:
     for s in zeros[ell >> 1 :]:
         out |= 1 << s
     return (out << 1) | ((ell & 1) ^ 1)
+
+
+def _flip_last(xs: list[int], zeros: list[int], r: list[int]) -> list[int]:
+    """``xs`` with the last r unmatched 0s of each lane turned into 1s.
+
+    A right-to-left pass over the coordinates that decrements the bit-sliced
+    counter ``r`` wherever it is not 0 and the coordinate is an unmatched 0.
+    """
+    out = list(xs)
+    for s, z in enumerate(zeros):  # s = 0 is coordinate n
+        live = _nonzero(r)
+        if not live:
+            break
+        hit = z & live
+        if hit:
+            out[s] |= hit
+            _decrement(r, hit)
+    return out
+
+
+def _psi_planes(xs, full, zeros, a, b):
+    up = list(a)
+    _increment(up, full)
+    # bit 0 of a + 1 marks the lanes where a is even; the rest is ceil(a / 2)
+    return [up[0]] + _flip_last(xs, zeros, up[1:])
 
 
 def _psi_inverse_value(n: int, z: int) -> int:
@@ -120,6 +157,14 @@ def _phi_value(n: int, v: int) -> int:
     for s in zeros[j - k :]:
         out |= 1 << s
     return (out << 1) | 1
+
+
+def _phi_planes(xs, full, zeros, a, b):
+    # level j = k + b, so 2j <= n exactly where b <= a, and j - k = b of
+    # the a unmatched 0s stay
+    diff, above = _subtract(a, b)
+    low = full ^ above
+    return [low] + _flip_last(xs, zeros, [d & low for d in diff])
 
 
 def _phi_inverse_value(n: int, z: int) -> int:
@@ -150,6 +195,11 @@ def _naive_value(n: int, v: int) -> int:
     return v << 1
 
 
+def _naive_planes(xs, full, zeros, a, b):
+    low = full ^ _subtract(a, b)[1]  # 2|x| <= n exactly where b <= a
+    return [low] + [x ^ low for x in xs]
+
+
 def _naive_inverse_value(n: int, z: int) -> int:
     w = z >> 1
     if z & 1:
@@ -161,6 +211,12 @@ _FORWARD_VALUE: dict[BijectionKind, Callable[[int, int], int]] = {
     BijectionKind.PSI: _psi_value,
     BijectionKind.PHI: _phi_value,
     BijectionKind.NAIVE: _naive_value,
+}
+
+_FORWARD_PLANES: dict[BijectionKind, Callable[..., list[int]]] = {
+    BijectionKind.PSI: _psi_planes,
+    BijectionKind.PHI: _phi_planes,
+    BijectionKind.NAIVE: _naive_planes,
 }
 
 _INVERSE_VALUE: dict[BijectionKind, Callable[[int, int], int]] = {

@@ -137,6 +137,28 @@ def enumerate_cube(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Iterator[BitVe
     """
     if n < 1:
         raise ValueError(f"length must be >= 1, got {n}")
-    if (1 << n) > cap:
-        raise EnumerationCapError(1 << n, cap, "vertices")
+    require_cap(n, cap, "vertices")
     return (BitVector(n, v) for v in range(1 << n))
+
+
+def require_cap(n: int, cap: int, what: str, per: int = 1) -> None:
+    """Reject an enumeration of ``per * 2^n`` items that exceeds ``cap``.
+
+    Decides on n first, so a huge n is rejected without building 2^n: above
+    64 bits and above the cap's own width the count is named as a product.
+    """
+    if n > max(64, cap.bit_length()):
+        raise EnumerationCapError(f"2^{n}" if per == 1 else f"{per} * 2^{n}", cap, what)
+    if per << n > cap:
+        raise EnumerationCapError(per << n, cap, what)
+
+
+def _low_mask(m: int, s: int) -> int:
+    """The points z of {0,1}^m with bit s clear, as a mask over 2^m bits."""
+    h = 1 << s
+    mask = (1 << h) - 1
+    span = 2 * h
+    while span < 1 << m:
+        mask |= mask << span
+        span *= 2
+    return mask

@@ -38,11 +38,16 @@ against.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import zip_longest
+from typing import Iterator
 
-from .bits import BitVector
+from .bits import BitVector, _low_mask
 from .errors import CoordinateRangeError, LevelRangeError
 
 BLANK = "_"
+
+# Whole-cube scans take the cube in blocks of 2^_BLOCK_BITS vertices.
+_BLOCK_BITS = 16
 
 
 def _unmatched_shifts(n: int, v: int) -> tuple[list[int], list[int]]:
@@ -92,6 +97,99 @@ def _unmatched_zeros(n: int, v: int) -> tuple[list[int], int]:
             depth += b - a
         base -= 8
     return zeros, depth - pad
+
+
+def _increment(counter: list[int], mask: int) -> None:
+    """Add 1 to a bit-sliced counter in the lanes of ``mask``.
+
+    ``counter[j]`` holds bit j of every lane's count; a carry out of the top
+    plane appends a plane.
+    """
+    for j, c in enumerate(counter):
+        if not mask:
+            return
+        counter[j] = c ^ mask
+        mask &= c
+    if mask:
+        counter.append(mask)
+
+
+def _decrement(counter: list[int], mask: int) -> None:
+    """Subtract 1 in the lanes of ``mask``, each of which holds a count above 0."""
+    for j, c in enumerate(counter):
+        if not mask:
+            return
+        counter[j] = c ^ mask
+        mask &= ~c
+
+
+def _nonzero(counter: list[int]) -> int:
+    """The lanes whose count is not 0."""
+    lanes = 0
+    for c in counter:
+        lanes |= c
+    return lanes
+
+
+def _equal(counter: list[int], value: int, full: int) -> int:
+    """The lanes whose count is ``value``; ``full`` has every lane set."""
+    if value >> len(counter):
+        return 0
+    lanes = full
+    for j, c in enumerate(counter):
+        lanes &= c if value >> j & 1 else ~c
+    return lanes
+
+
+def _subtract(a: list[int], b: list[int]) -> tuple[list[int], int]:
+    """Lane-wise a - b: the difference's planes, and the lanes where b > a.
+
+    In the lanes where b > a the difference wraps and its planes mean nothing.
+    """
+    diff = []
+    borrow = 0
+    for x, y in zip_longest(a, b, fillvalue=0):
+        diff.append(x ^ y ^ borrow)
+        borrow = (~x & (y | borrow)) | (y & borrow)
+    return diff, borrow
+
+
+def _cube_blocks(n: int) -> Iterator[tuple[list[int], int]]:
+    """The cube {0,1}^n in blocks of consecutive vertices, as bit planes.
+
+    Yields ``(xs, full)`` per block, in vertex order.  Lane r of block h is
+    the vertex ``h * 2^low + r``; ``xs[s]`` has lane r set where bit s of
+    that vertex is, and ``full`` has all 2^low lanes set.  The planes of the
+    high bits are constant across a block.
+    """
+    low = min(n, _BLOCK_BITS)
+    full = (1 << (1 << low)) - 1
+    cycle = [full ^ _low_mask(low, s) for s in range(low)]
+    for high in range(1 << (n - low)):
+        yield cycle + [full if high >> t & 1 else 0 for t in range(n - low)], full
+
+
+def _unmatched_planes(xs: list[int], full: int) -> tuple[list[int], list[int], list[int]]:
+    """Marking of every lane at once, bit-sliced.
+
+    Scans coordinates 1..n, that is planes ``xs[n-1]`` down to ``xs[0]``,
+    keeping the depth (the 1s still open) as a bit-sliced counter: a 1
+    increments it, a 0 decrements it where it is not 0, and where it is 0
+    that 0 is unmatched.  Returns ``(zeros, a, b)``: ``zeros[s]`` holds the
+    lanes whose bit s is an unmatched 0, and ``a`` and ``b`` are bit-sliced
+    counts of the unmatched 0s and of the unmatched 1s (the final depth).
+    """
+    zeros = [0] * len(xs)
+    a: list[int] = []
+    depth: list[int] = []
+    for s in range(len(xs) - 1, -1, -1):
+        x = xs[s]
+        open_ = _nonzero(depth)
+        zeros[s] = z = full ^ (x | open_)
+        _increment(a, z)
+        _decrement(depth, open_ & ~x)
+        _increment(depth, x)
+    return zeros, a, depth
 
 
 @dataclass(frozen=True, slots=True)

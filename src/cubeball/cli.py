@@ -199,7 +199,7 @@ def _cmd_stats_profile(cfg: RunConfig) -> list[dict[str, str]]:
 
 def _cmd_stats_flipprob(cfg: RunConfig) -> list[dict[str, str]]:
     analysis._require_flip_domain(cfg.n)  # n < 2 would leave the loop empty
-    coords = [cfg.bit] if cfg.bit is not None else list(range(1, cfg.n + 1))
+    coords = [cfg.bit] if cfg.bit is not None else range(1, cfg.n + 1)
     records = []
     for i in coords:
         rec = _base("stats-flipprob")

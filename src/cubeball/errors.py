@@ -46,9 +46,13 @@ class BijectivityError(CubeballError, RuntimeError):
 
 
 class EnumerationCapError(CubeballError, RuntimeError):
-    """An enumeration would exceed the configured cap."""
+    """An enumeration would exceed the configured cap.
 
-    def __init__(self, needed: int, cap: int, what: str = "items"):
+    ``needed`` is the item count, or a product such as ``"n * 2^n"`` when the
+    count is too large to write out.
+    """
+
+    def __init__(self, needed: "int | str", cap: int, what: str = "items"):
         self.needed = needed
         self.cap = cap
         super().__init__(f"enumeration of {needed} {what} exceeds cap {cap}")

@@ -36,17 +36,12 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from itertools import repeat
 from typing import Optional
 
-from .bijections import _FORWARD_VALUE, BijectionKind, _require_dimension
-from .bits import DEFAULT_ENUMERATION_CAP, BitVector, EdgeId
-from .errors import (
-    BijectivityError,
-    EnumerationCapError,
-    LengthMismatchError,
-    NotInBallError,
-)
+from .bijections import _FORWARD_PLANES, _FORWARD_VALUE, BijectionKind, _require_dimension
+from .bits import DEFAULT_ENUMERATION_CAP, BitVector, EdgeId, _low_mask, require_cap
+from .chains import _cube_blocks, _increment, _unmatched_planes
+from .errors import BijectivityError, LengthMismatchError, NotInBallError
 
 # Above this domain size, sampled sweeps evaluate the map per draw instead of
 # building a full image table.
@@ -55,6 +50,10 @@ _TABLE_LIMIT = 1 << 20
 # _DIGITS[b] is a bytes.translate table sending a byte to ASCII "1" where its
 # bit b is set and to "0" where it is clear.
 _DIGITS = tuple(bytes(48 | (v >> b & 1) for v in range(256)) for b in range(8))
+
+# _SPREAD[b] is a bytes.translate table sending ASCII "0" and "1" to the
+# byte with bit b clear and set.
+_SPREAD = tuple(bytes.maketrans(b"01", bytes((0, 1 << b))) for b in range(8))
 
 # Table entries per tobytes() copy while a byte column is read.
 _CHUNK = 1 << 16
@@ -153,10 +152,17 @@ def image_table(kind: BijectionKind, n: int) -> array:
     """Integer image values for every cube vertex, indexed by vertex value.
 
     An ``array('i')``, 4 bytes per entry; the maps' images fit in n + 1 bits.
+    Built a block of vertices at a time from bit planes: the marking kernel
+    and the map's plane rule give the images' planes, which are transposed
+    into the table.
     """
     kind = BijectionKind(kind)
     _require_dimension(n, kind.value)
-    return array("i", map(_FORWARD_VALUE[kind], repeat(n), range(1 << n)))
+    rule = _FORWARD_PLANES[kind]
+    table = array("i")
+    for xs, full in _cube_blocks(n):
+        _append_planes(table, rule(xs, full, *_unmatched_planes(xs, full)), full.bit_length())
+    return table
 
 
 @lru_cache(maxsize=16)
@@ -185,11 +191,6 @@ def preimage_table(kind: BijectionKind, n: int) -> array:
     return inv
 
 
-def _require_edge_cap(m: int, cap: int, what: str) -> None:
-    if m * (1 << m) > cap:
-        raise EnumerationCapError(m * (1 << m), cap, what)
-
-
 def _bit_planes(table: array, bits: int) -> list[int]:
     """Planes 0..bits-1 of ``table``: bit z of plane t is bit t of ``table[z]``.
 
@@ -210,15 +211,23 @@ def _bit_planes(table: array, bits: int) -> list[int]:
     return planes
 
 
-def _low_mask(m: int, s: int) -> int:
-    """The points z of {0,1}^m with bit s clear, as a mask over 2^m bits."""
-    h = 1 << s
-    mask = (1 << h) - 1
-    span = 2 * h
-    while span < 1 << m:
-        mask |= mask << span
-        span *= 2
-    return mask
+def _append_planes(table: array, planes: list[int], lanes: int) -> None:
+    """Append ``lanes`` entries to ``table``: bit t of entry r is bit r of ``planes[t]``.
+
+    The inverse of :func:`_bit_planes`.  Each plane is written as a base-2
+    string, lane 0 last, and translated to one byte per lane holding its
+    bit at the plane's place in the byte; eight of them OR into a byte
+    column, which is interleaved into the entries' bytes.
+    """
+    size = table.itemsize
+    out = bytearray(lanes * size)
+    for k in range(0, len(planes), 8):
+        col = 0
+        for b, p in enumerate(planes[k : k + 8]):
+            col |= int.from_bytes(format(p, f"0{lanes}b").encode().translate(_SPREAD[b]), "big")
+        off = k >> 3 if sys.byteorder == "little" else size - 1 - (k >> 3)
+        out[off::size] = col.to_bytes(lanes, "little")
+    table.frombytes(out)
 
 
 def _edge_sweep(
@@ -261,13 +270,7 @@ def _edge_sweep(
             if not d:
                 continue
             counts[t] += d.bit_count()
-            for j, c in enumerate(counter):
-                counter[j] = c ^ d
-                d &= c
-                if not d:
-                    break
-            else:
-                counter.append(d)
+            _increment(counter, d)
         # Walk the counter from its top bit down, keeping the edges that can
         # still reach the largest distance.
         top = 0
@@ -312,7 +315,7 @@ def forward_stretch_exhaustive(
     """Exact max and average stretch over every cube edge."""
     kind = BijectionKind(kind)
     _require_dimension(n, kind.value)
-    _require_edge_cap(n, cap, "(x, i) pairs")
+    require_cap(n, cap, "(x, i) pairs", n)
     return _exhaustive_report(
         kind, Direction.FORWARD, n, image_table(kind, n), n, n + 1,
         "ordered (x,i) pairs, i uniform in [n]",
@@ -325,7 +328,7 @@ def inverse_stretch_exhaustive(
     """Exact max and average inverse stretch over ball-induced edges."""
     kind = BijectionKind(kind)
     _require_dimension(n, kind.value)
-    _require_edge_cap(n + 1, cap, "(z, i) pairs")
+    require_cap(n + 1, cap, "(z, i) pairs", n + 1)
     return _exhaustive_report(
         kind, Direction.INVERSE, n, preimage_table(kind, n), n + 1, n,
         "ordered induced (z,i) pairs on the ball subgraph",
@@ -347,7 +350,7 @@ def forward_stretch_sampled(
     if seed is None:
         raise ValueError("sampled mode requires an explicit seed")
     rng = random.Random(seed)
-    table = image_table(kind, n) if (1 << n) <= _TABLE_LIMIT else None
+    table = image_table(kind, n) if n < _TABLE_LIMIT.bit_length() else None
     f = _FORWARD_VALUE[kind]
     best = -1
     bw = (0, 1)
@@ -416,7 +419,7 @@ def _audit_endpoint(p: "BitVector | int", m: int) -> int:
             raise LengthMismatchError(f"audit endpoint {p} has length {p.n}, want {m}")
         return p.value
     v = int(p)
-    if not 0 <= v < 1 << m:
+    if v < 0 or v.bit_length() > m:
         raise NotInBallError(f"audit endpoint {v} is not a point of {{0,1}}^{m}")
     return v
 
@@ -438,7 +441,7 @@ def transitivity_ratio_audit(
     m = n + 1
     xv = _audit_endpoint(x, m)
     yv = _audit_endpoint(y, m)
-    _require_edge_cap(m, cap, "(z, i) pairs")
+    require_cap(m, cap, "(z, i) pairs", m)
     fwd = image_table(BijectionKind.PSI, n)
     inv = preimage_table(BijectionKind.PSI, n)
     if inv[xv] < 0 or inv[yv] < 0:

@@ -6,14 +6,14 @@ from hypothesis import given
 
 from cubeball.bits import BitVector
 from cubeball.bijections import BijectionKind, forward_map
-from cubeball.chains import mark
+from cubeball.chains import _unmatched_zeros, mark
 from cubeball.errors import (
     CoordinateRangeError,
     EnumerationCapError,
     OddLengthError,
     ParityError,
 )
-from cubeball import analysis, metrics
+from cubeball import analysis, chains, metrics
 
 from strategies import bit_vectors
 
@@ -36,6 +36,35 @@ def test_chain_count_formula_matches_enumeration(n):
     for t in range(1, n + 2):
         assert table.entries[t] == analysis.chain_count_formula(n, t)
     assert table.total_vertices() == 1 << n
+
+
+def _enumerated_profiles(n):
+    """Oracle: chain counts and profile histogram, one marking scan per vertex."""
+    counts = {t: 0 for t in range(1, n + 2)}
+    hist = {}
+    for v in range(1 << n):
+        zeros, ones_count = _unmatched_zeros(n, v)
+        if not zeros:
+            counts[ones_count + 1] += 1
+        key = (len(zeros), ones_count)
+        hist[key] = hist.get(key, 0) + 1
+    return counts, hist
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_counts_match_per_vertex_enumeration(n):
+    counts, hist = _enumerated_profiles(n)
+    assert analysis.chain_count_enumerated(n).entries == counts
+    assert analysis.unmarked_profile_histogram(n) == hist
+
+
+def test_counts_match_per_vertex_enumeration_across_blocks(monkeypatch):
+    # blocks of 8 vertices: the counts add up over several blocks from n = 4 on
+    monkeypatch.setattr(chains, "_BLOCK_BITS", 3)
+    for n in range(1, 11):
+        counts, hist = _enumerated_profiles(n)
+        assert analysis.chain_count_enumerated(n).entries == counts
+        assert analysis.unmarked_profile_histogram(n) == hist
 
 
 @pytest.mark.parametrize(

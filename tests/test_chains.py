@@ -2,9 +2,12 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
+from cubeball import chains
 from cubeball.bits import BitVector, distance
 from cubeball.chains import (
     ChainCode,
+    _cube_blocks,
+    _unmatched_planes,
     _unmatched_shifts,
     _unmatched_zeros,
     chain_code,
@@ -173,3 +176,24 @@ def test_unmatched_zeros_matches_stack_scan_large_n(residue, data):
     v = data.draw(st.integers(0, (1 << n) - 1))
     zeros, ones = _unmatched_shifts(n, v)
     assert _unmatched_zeros(n, v) == (zeros, len(ones))
+
+
+def _lane_count(counter, r):
+    return sum((c >> r & 1) << j for j, c in enumerate(counter))
+
+
+@pytest.mark.parametrize("block_bits", [3, 16])
+@pytest.mark.parametrize("n", range(1, 11))
+def test_unmatched_planes_match_stack_scan_exhaustive(monkeypatch, n, block_bits):
+    # 3 block bits split every n > 3 into several blocks with constant high planes
+    monkeypatch.setattr(chains, "_BLOCK_BITS", block_bits)
+    v = 0
+    for xs, full in _cube_blocks(n):
+        zeros, a, b = _unmatched_planes(xs, full)
+        for r in range(full.bit_length()):
+            want_zeros, want_ones = _unmatched_shifts(n, v)
+            assert [s for s in range(n) if xs[s] >> r & 1] == [s for s in range(n) if v >> s & 1]
+            assert [s for s in range(n - 1, -1, -1) if zeros[s] >> r & 1] == want_zeros
+            assert (_lane_count(a, r), _lane_count(b, r)) == (len(want_zeros), len(want_ones))
+            v += 1
+    assert v == 1 << n

@@ -158,6 +158,23 @@ def test_cap_error_without_allow_large():
 @pytest.mark.parametrize(
     "argv",
     [
+        ["verify", "--bijection", "psi", "--n", "1000000"],
+        ["stats", "chains", "--n", "1000000"],
+        ["pairs-audit", "--bijection", "psi", "--n", "1000000"],
+        ["stats", "flipprob", "--n", "1000000", "--mode", "exhaustive"],
+    ],
+)
+def test_cap_error_for_huge_n_is_a_one_line_error(argv):
+    code, out = _run(argv)
+    assert code == 1
+    assert len(out.splitlines()) == 1
+    assert _fields(out)["error"] == "EnumerationCapError"
+    assert "2^1000000 " in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ["pairs-audit", "--bijection", "psi", "--n", "0"],
         ["verify", "--bijection", "psi", "--n", "-2"],
         ["verify", "--bijection", "psi", "--n", "0", "--mode", "sample", "--seed", "1"],

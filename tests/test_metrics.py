@@ -1,15 +1,17 @@
 import math
 import random
+import tracemalloc
 from array import array
 from collections import Counter
 from fractions import Fraction
+from itertools import repeat
 from math import comb
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
-from cubeball.bits import BitVector, distance
+from cubeball.bits import BitVector, distance, enumerate_cube
 from cubeball.bijections import _FORWARD_VALUE, BijectionKind, forward_map, inverse_map
 from cubeball.errors import (
     BijectivityError,
@@ -18,7 +20,7 @@ from cubeball.errors import (
     LengthMismatchError,
     NotInBallError,
 )
-from cubeball import analysis, metrics
+from cubeball import analysis, chains, metrics
 
 PSI = BijectionKind.PSI
 PHI = BijectionKind.PHI
@@ -140,6 +142,22 @@ def test_edge_sweep_matches_scalar_sweep_on_arbitrary_tables(case):
     _assert_sweeps_agree(*case)
 
 
+@pytest.mark.parametrize("kind", [PSI, PHI, NAIVE])
+@pytest.mark.parametrize("n", range(2, 17, 2))
+def test_image_table_matches_scalar_map(kind, n):
+    want = array("i", map(_FORWARD_VALUE[kind], repeat(n), range(1 << n)))
+    assert metrics.image_table(kind, n) == want
+
+
+@pytest.mark.parametrize("kind", [PSI, PHI, NAIVE])
+def test_image_table_matches_scalar_map_across_blocks(monkeypatch, fresh_tables, kind):
+    # blocks of 8 vertices: every table from n = 4 on is built in several
+    monkeypatch.setattr(chains, "_BLOCK_BITS", 3)
+    for n in range(2, 11, 2):
+        want = array("i", map(_FORWARD_VALUE[kind], repeat(n), range(1 << n)))
+        assert metrics.image_table(kind, n) == want
+
+
 @pytest.fixture
 def fresh_tables():
     metrics.image_table.cache_clear()
@@ -160,12 +178,11 @@ def fresh_tables():
     ids=["collision", "outside-ball"],
 )
 def test_preimage_table_rejects_a_map_that_is_not_a_bijection(
-    monkeypatch, fresh_tables, image_of_5, message
+    fresh_tables, monkeypatch, image_of_5, message
 ):
-    psi = _FORWARD_VALUE[PSI]
-    monkeypatch.setitem(
-        _FORWARD_VALUE, PSI, lambda n, v: image_of_5 if v == 5 else psi(n, v)
-    )
+    faulty = array("i", metrics.image_table(PSI, 4))
+    faulty[5] = image_of_5
+    monkeypatch.setattr(metrics, "image_table", lambda kind, n: faulty)
     with pytest.raises(BijectivityError, match=f"^{message}$"):
         metrics.preimage_table(PSI, 4)
 
@@ -392,6 +409,34 @@ def test_enumeration_caps():
     fwd = metrics.image_table(PSI, 6)
     with pytest.raises(EnumerationCapError):
         metrics.transitivity_ratio_audit(fwd[5], fwd[40], 6, cap=100)
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda n: metrics.forward_stretch_exhaustive(PSI, n),
+        lambda n: metrics.inverse_stretch_exhaustive(PSI, n),
+        lambda n: metrics.pairwise_ratio_audit(PSI, n),
+        lambda n: metrics.transitivity_ratio_audit(0, 1, n),
+        lambda n: analysis.influence_profile(PSI, n),
+        lambda n: analysis.chain_count_enumerated(n),
+        lambda n: analysis.unmarked_profile_histogram(n),
+        lambda n: analysis.flip_probability_exhaustive(n, 1),
+        lambda n: enumerate_cube(n),
+    ],
+    ids=["forward", "inverse", "pairwise", "transitivity", "influence", "chains",
+         "histogram", "flip-exhaustive", "enumerate-cube"],
+)
+def test_cap_rejects_huge_n_before_building_two_to_the_n(entry):
+    # 2^(10^8) alone would take 12 MiB
+    tracemalloc.start()
+    try:
+        with pytest.raises(EnumerationCapError, match=r"\b2\^10000000[01] "):
+            entry(10**8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_preimage_table_inverts_image_table():
