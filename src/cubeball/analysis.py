@@ -17,6 +17,15 @@ turns the probability into an exact double sum over the two profile counts;
 it decays like 1/sqrt(n), so every output bit except the appended one is
 essentially a copy of its input bit.
 
+Counting over the whole cube.  ``chain_count_enumerated`` and
+``unmarked_profile_histogram`` check the closed forms above against counts
+taken over every vertex, but with no Python step per vertex: the bit-sliced
+marking kernel (see ``chains``) leaves a and b as bit-sliced counters, and
+each count is the popcount of the lanes where both take the given values.
+``flip_probability_exhaustive`` likewise counts the vertices whose bit i
+flips as the popcount of an input bit plane XOR an output bit plane of
+psi's image table.
+
 All counts are arbitrary-precision integers and all probabilities exact
 ``Fraction`` values; the verification suite compares them by equality.
 """
@@ -29,7 +38,7 @@ from functools import lru_cache
 from math import comb
 
 from .bijections import _FORWARD_VALUE, BijectionKind, _psi_value, _require_dimension
-from .bits import DEFAULT_ENUMERATION_CAP, BitVector, _low_mask, require_cap
+from .bits import DEFAULT_ENUMERATION_CAP, BitVector, _low_mask, _require_cap
 from .chains import _cube_blocks, _equal, _unmatched_planes
 from .errors import CoordinateRangeError, DimensionError, OddLengthError, ParityError
 from .metrics import _bit_planes, _edge_sweep, image_table
@@ -94,7 +103,7 @@ def _profile_counts(n: int, cap: int, a_values: range) -> dict[tuple[int, int], 
     the lanes where both equal the pair.  Pairs that no vertex has are left
     out.
     """
-    require_cap(n, cap, "vertices")
+    _require_cap(n, cap, "vertices")
     counts: dict[tuple[int, int], int] = {}
     for xs, full in _cube_blocks(n):
         _, a, b = _unmatched_planes(xs, full)
@@ -189,7 +198,7 @@ def flip_probability_exhaustive(
     _require_flip_domain(n)
     if not 1 <= i <= n:
         raise CoordinateRangeError(f"coordinate {i} out of [1, {n}]")
-    require_cap(n, cap, "vertices")
+    _require_cap(n, cap, "vertices")
     s_out = n + 1 - i
     inputs = ((1 << (1 << n)) - 1) ^ _low_mask(n, n - i)
     outputs = _bit_planes(image_table(BijectionKind.PSI, n), s_out + 1)[s_out]
@@ -298,7 +307,7 @@ def influence_profile(
     """
     kind = BijectionKind(kind)
     _require_dimension(n, kind.value)
-    require_cap(n, cap, "(x, j) pairs", n)
+    _require_cap(n, cap, "(x, j) pairs", n)
     counts = _edge_sweep(image_table(kind, n), n, n + 1)[2]  # indexed by output shift
     size = 1 << n
     # output coordinate i sits at shift n+1-i

@@ -125,7 +125,9 @@ def _flip_last(xs: list[int], zeros: list[int], r: list[int]) -> list[int]:
     return out
 
 
-def _psi_planes(xs, full, zeros, a, b):
+def _psi_planes(
+    xs: list[int], full: int, zeros: list[int], a: list[int], b: list[int]
+) -> list[int]:
     up = list(a)
     _increment(up, full)
     # bit 0 of a + 1 marks the lanes where a is even; the rest is ceil(a / 2)
@@ -159,9 +161,11 @@ def _phi_value(n: int, v: int) -> int:
     return (out << 1) | 1
 
 
-def _phi_planes(xs, full, zeros, a, b):
-    # level j = k + b, so 2j <= n exactly where b <= a, and j - k = b of
-    # the a unmatched 0s stay
+def _phi_planes(
+    xs: list[int], full: int, zeros: list[int], a: list[int], b: list[int]
+) -> list[int]:
+    # level j = k + b, so 2j <= n exactly where b <= a; there the last
+    # a - (j - k) = a - b unmatched 0s flip
     diff, above = _subtract(a, b)
     low = full ^ above
     return [low] + _flip_last(xs, zeros, [d & low for d in diff])
@@ -195,7 +199,9 @@ def _naive_value(n: int, v: int) -> int:
     return v << 1
 
 
-def _naive_planes(xs, full, zeros, a, b):
+def _naive_planes(
+    xs: list[int], full: int, zeros: list[int], a: list[int], b: list[int]
+) -> list[int]:
     low = full ^ _subtract(a, b)[1]  # 2|x| <= n exactly where b <= a
     return [low] + [x ^ low for x in xs]
 

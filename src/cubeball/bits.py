@@ -137,11 +137,11 @@ def enumerate_cube(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Iterator[BitVe
     """
     if n < 1:
         raise ValueError(f"length must be >= 1, got {n}")
-    require_cap(n, cap, "vertices")
+    _require_cap(n, cap, "vertices")
     return (BitVector(n, v) for v in range(1 << n))
 
 
-def require_cap(n: int, cap: int, what: str, per: int = 1) -> None:
+def _require_cap(n: int, cap: int, what: str, per: int = 1) -> None:
     """Reject an enumeration of ``per * 2^n`` items that exceeds ``cap``.
 
     Decides on n first, so a huge n is rejected without building 2^n: above

@@ -29,10 +29,22 @@ time.  A 256-entry table, built once at import, holds ``(a, b, shifts of
 the unmatched 0s)`` for every byte; the input is padded on the right with
 1s up to a whole number of bytes, which changes nothing because trailing 1s
 never match.  The kernel reports the unmatched 0s and only the number of
-unmatched 1s, which is all psi, phi and the counting routines need;
+unmatched 1s, which is all a single evaluation of psi or phi needs;
 :func:`_unmatched_shifts`, the bit-at-a-time stack scan, also gives the
 positions of the unmatched 1s and is the oracle the kernel is tested
 against.
+
+Whole-cube work marks every vertex at once, bit-sliced.
+:func:`_cube_blocks` cuts {0,1}^n into blocks of 2^16 consecutive vertices
+and gives, per block, one big int per coordinate with one bit (a lane) per
+vertex.  :func:`_unmatched_planes` runs the stack scan on all lanes
+together: the depth is a bit-sliced counter, one int per counter bit, that
+a 1 increments and a 0 decrements where it is not 0, and a 0 meeting depth
+0 is unmatched.  A coordinate costs O(log n) big-int operations per block
+and no Python step per vertex.  The result, a mask of unmatched 0s per
+coordinate and the counts a and b as bit-sliced counters, is the fixed
+counting circuit that puts psi in TC0; the maps' plane rules in
+``bijections`` and the counting routines in ``analysis`` read it.
 """
 
 from __future__ import annotations

@@ -16,15 +16,22 @@ estimates draw (x, i) uniformly from Python's ``random.Random(seed)``
 sample) and are byte-reproducible for a fixed seed.
 
 Whole-cube work runs on tables: ``image_table`` and ``preimage_table`` are
-``array('i')`` tables at 4 bytes per entry.  Both exhaustive sweeps, the
-swap audit and the influence profile share one sweep, ``_edge_sweep``, and
-it takes no Python step per edge.  It transposes a table into bit planes,
-one big int per output bit, and for each coordinate marks the edges whose
-images differ in a bit by XOR-ing a plane with itself shifted by the
-coordinate's stride; popcounts of the marks give per-bit counts, and a
-bit-sliced counter over them gives each edge's distance.  The pair and swap
-ratio audits read their extremes off edge sweeps, because the cube and the
-ball are geodesic (see :class:`RatioAudit`).
+``array('i')`` tables at 4 bytes per entry.  ``image_table`` makes no call
+of the map per vertex: for each block of vertices the bit-sliced marking
+kernel (see ``chains``) and the map's plane rule give the images as bit
+planes, and ``_set_planes``, the inverse of ``_bit_planes``, transposes
+them into the table.  ``preimage_table`` still proves by counting, on its
+own, that the table is a bijection onto the ball.
+
+Both exhaustive sweeps, the swap audit and the influence profile share one
+sweep, ``_edge_sweep``, and it takes no Python step per edge.  It transposes
+a table into bit planes, one big int per output bit, and for each
+coordinate marks the edges whose images differ in a bit by XOR-ing a plane
+with itself shifted by the coordinate's stride; popcounts of the marks give
+per-bit counts, and a bit-sliced counter over them gives each edge's
+distance.  The pair and swap ratio audits read their extremes off edge
+sweeps, because the cube and the ball are geodesic (see
+:class:`RatioAudit`).
 """
 
 from __future__ import annotations
@@ -39,7 +46,7 @@ from functools import lru_cache
 from typing import Optional
 
 from .bijections import _FORWARD_PLANES, _FORWARD_VALUE, BijectionKind, _require_dimension
-from .bits import DEFAULT_ENUMERATION_CAP, BitVector, EdgeId, _low_mask, require_cap
+from .bits import DEFAULT_ENUMERATION_CAP, BitVector, EdgeId, _low_mask, _require_cap
 from .chains import _cube_blocks, _increment, _unmatched_planes
 from .errors import BijectivityError, LengthMismatchError, NotInBallError
 
@@ -159,9 +166,12 @@ def image_table(kind: BijectionKind, n: int) -> array:
     kind = BijectionKind(kind)
     _require_dimension(n, kind.value)
     rule = _FORWARD_PLANES[kind]
-    table = array("i")
+    table = array("i", [0]) * (1 << n)
+    start = 0
     for xs, full in _cube_blocks(n):
-        _append_planes(table, rule(xs, full, *_unmatched_planes(xs, full)), full.bit_length())
+        lanes = full.bit_length()
+        _set_planes(table, start, rule(xs, full, *_unmatched_planes(xs, full)), lanes)
+        start += lanes
     return table
 
 
@@ -211,13 +221,14 @@ def _bit_planes(table: array, bits: int) -> list[int]:
     return planes
 
 
-def _append_planes(table: array, planes: list[int], lanes: int) -> None:
-    """Append ``lanes`` entries to ``table``: bit t of entry r is bit r of ``planes[t]``.
+def _set_planes(table: array, start: int, planes: list[int], lanes: int) -> None:
+    """Write entries ``start`` on: bit t of ``table[start + r]`` is bit r of ``planes[t]``.
 
-    The inverse of :func:`_bit_planes`.  Each plane is written as a base-2
-    string, lane 0 last, and translated to one byte per lane holding its
-    bit at the plane's place in the byte; eight of them OR into a byte
-    column, which is interleaved into the entries' bytes.
+    The inverse of :func:`_bit_planes`, for ``lanes`` entries whose bits
+    above the planes are 0.  Each plane is written as a base-2 string, lane
+    0 last, and translated to one byte per lane holding its bit at the
+    plane's place in the byte; eight of them OR into a byte column, which
+    is written straight into the table's bytes.
     """
     size = table.itemsize
     out = bytearray(lanes * size)
@@ -227,7 +238,8 @@ def _append_planes(table: array, planes: list[int], lanes: int) -> None:
             col |= int.from_bytes(format(p, f"0{lanes}b").encode().translate(_SPREAD[b]), "big")
         off = k >> 3 if sys.byteorder == "little" else size - 1 - (k >> 3)
         out[off::size] = col.to_bytes(lanes, "little")
-    table.frombytes(out)
+    with memoryview(table) as view, view.cast("B") as raw:
+        raw[start * size : (start + lanes) * size] = out
 
 
 def _edge_sweep(
@@ -315,7 +327,7 @@ def forward_stretch_exhaustive(
     """Exact max and average stretch over every cube edge."""
     kind = BijectionKind(kind)
     _require_dimension(n, kind.value)
-    require_cap(n, cap, "(x, i) pairs", n)
+    _require_cap(n, cap, "(x, i) pairs", n)
     return _exhaustive_report(
         kind, Direction.FORWARD, n, image_table(kind, n), n, n + 1,
         "ordered (x,i) pairs, i uniform in [n]",
@@ -328,7 +340,7 @@ def inverse_stretch_exhaustive(
     """Exact max and average inverse stretch over ball-induced edges."""
     kind = BijectionKind(kind)
     _require_dimension(n, kind.value)
-    require_cap(n + 1, cap, "(z, i) pairs", n + 1)
+    _require_cap(n + 1, cap, "(z, i) pairs", n + 1)
     return _exhaustive_report(
         kind, Direction.INVERSE, n, preimage_table(kind, n), n + 1, n,
         "ordered induced (z,i) pairs on the ball subgraph",
@@ -441,7 +453,7 @@ def transitivity_ratio_audit(
     m = n + 1
     xv = _audit_endpoint(x, m)
     yv = _audit_endpoint(y, m)
-    require_cap(m, cap, "(z, i) pairs", m)
+    _require_cap(m, cap, "(z, i) pairs", m)
     fwd = image_table(BijectionKind.PSI, n)
     inv = preimage_table(BijectionKind.PSI, n)
     if inv[xv] < 0 or inv[yv] < 0:
