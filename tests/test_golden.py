@@ -22,7 +22,15 @@ CASES = [
     ("invmap_psi", ["invmap", "--bijection", "psi", "--input", "01110"]),
     ("invmap_phi_csv", ["invmap", "--bijection", "phi", "--input", "01110", "--format", "csv"]),
     ("invmap_naive", ["invmap", "--bijection", "naive", "--input", "11001"]),
+    # large n with n % 8 != 0; each marked input leaves unmatched 0s and 1s
+    ("invmap_psi_n1026",
+     ["invmap", "--bijection", "psi", "--input", "0001" + "1101001" * 146 + "1"]),
+    ("invmap_phi_n66",
+     ["invmap", "--bijection", "phi", "--input", "000" + "1101001" * 9 + "1"]),
+    ("invmap_naive_n1030",
+     ["invmap", "--bijection", "naive", "--input", "01" * 4 + "1101001" * 146 + "1"]),
     ("chain_full", ["chain", "--input", "01100110", "--full"]),
+    ("chain_full_n22", ["chain", "--input", "0010" + "1101001" * 2 + "1001", "--full"]),
     ("chain_csv", ["chain", "--input", "0011", "--format", "csv"]),
     ("verify_psi_fwd", ["verify", "--bijection", "psi", "--n", "10"]),
     ("verify_psi_inv_csv",
