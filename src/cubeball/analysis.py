@@ -199,12 +199,20 @@ def flip_probability_exhaustive(
     if not 1 <= i <= n:
         raise CoordinateRangeError(f"coordinate {i} out of [1, {n}]")
     _require_cap(n, cap, "vertices")
-    s_out = n + 1 - i
-    inputs = ((1 << (1 << n)) - 1) ^ _low_mask(n, n - i)
-    outputs = _bit_planes(image_table(BijectionKind.PSI, n), s_out + 1)[s_out]
-    count = (inputs ^ outputs).bit_count()
+    count = _flip_counts(n)[i - 1]
     return BitAgreementStat(
         n=n, i=i, disagree_count=count, probability=Fraction(count, 1 << n)
+    )
+
+
+@lru_cache(maxsize=8)
+def _flip_counts(n: int) -> tuple[int, ...]:
+    """The disagree counts of coordinates 1..n, from one transpose of psi's table."""
+    full = (1 << (1 << n)) - 1
+    planes = _bit_planes(image_table(BijectionKind.PSI, n), n + 1)
+    # input coordinate i is plane n - i, output coordinate i is plane n + 1 - i
+    return tuple(
+        (full ^ _low_mask(n, n - i) ^ planes[n + 1 - i]).bit_count() for i in range(1, n + 1)
     )
 
 

@@ -32,7 +32,7 @@ from .chains import (
     _increment,
     _nonzero,
     _subtract,
-    _unmatched_shifts,
+    _unmatched,
     _unmatched_zeros,
 )
 from .errors import DimensionError, NotInBallError, NotInImageError, OddLengthError
@@ -137,15 +137,15 @@ def _psi_planes(
 def _psi_inverse_value(n: int, z: int) -> int:
     tail = z & 1
     x = z >> 1
-    zeros, ones = _unmatched_shifts(n, x)
-    ell = len(zeros)
-    new_ell = 2 * ell + (tail ^ 1)
-    unmarked = zeros + ones
-    if new_ell > len(unmarked):
+    zeros, ones = _unmatched(n, x)
+    # x is ell = len(zeros) below its chain top and the preimage 2 ell + (tail ^ 1):
+    # the leftmost ell + (tail ^ 1) unmatched 1s go back to 0
+    drop = len(zeros) + (tail ^ 1)
+    if drop > len(ones):
         raise NotInBallError(f"value {z:b} is not reached from the cube")
     out = x
-    for s in unmarked[ell:new_ell]:
-        out &= ~(1 << s)
+    for s in ones[:drop]:
+        out ^= 1 << s
     return out
 
 
@@ -183,13 +183,12 @@ def _phi_inverse_value(n: int, z: int) -> int:
         return x
     if 2 * j < n:
         raise NotInImageError(f"{z:0{n + 1}b} ends in 1 but has level {j} < {n}/2")
-    zeros, ones = _unmatched_shifts(n, x)
-    ell = len(zeros)
-    k = (n - len(zeros) - len(ones)) // 2
-    unmarked = zeros + ones
+    zeros, ones = _unmatched(n, x)
+    # level j = k + b goes back to n - j = k + a: the leftmost b - a
+    # unmatched 1s turn into 0s
     out = x
-    for s in unmarked[ell : j - k]:
-        out &= ~(1 << s)
+    for s in ones[: len(ones) - len(zeros)]:
+        out ^= 1 << s
     return out
 
 

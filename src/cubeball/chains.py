@@ -24,15 +24,17 @@ Marking is reduction in the bicyclic monoid: any segment leaves a pair
 adjacent segments combine as
 ``(a1, b1) . (a2, b2) = (a1 + max(0, a2 - b1), b2 + max(0, b1 - a2))``:
 the first ``min(a2, b1)`` unmatched 0s of the right segment close open 1s
-of the left one.  :func:`_unmatched_zeros` applies this combine a byte at a
-time.  A 256-entry table, built once at import, holds ``(a, b, shifts of
-the unmatched 0s)`` for every byte; the input is padded on the right with
-1s up to a whole number of bytes, which changes nothing because trailing 1s
-never match.  The kernel reports the unmatched 0s and only the number of
-unmatched 1s, which is all a single evaluation of psi or phi needs;
-:func:`_unmatched_shifts`, the bit-at-a-time stack scan, also gives the
-positions of the unmatched 1s and is the oracle the kernel is tested
-against.
+of the left one.  :func:`_scan` applies this combine a byte at a time to a
+byte stream.  A 256-entry table, built once at import from the bit-sliced
+kernel below, holds ``(a, b, shifts of the unmatched 0s)`` for every byte.
+:func:`_unmatched_zeros` scans the input padded on the right with 1s up to
+a whole number of bytes, which changes nothing because trailing 1s never
+match; it gives the unmatched 0s and the number of unmatched 1s, which is
+all a single evaluation of psi or phi needs.  Marking is also symmetric:
+the unmatched 1s of x are the unmatched 0s of x reversed and complemented.
+So :func:`_unmatched` finds the unmatched 1s, when there are any, with the
+same scan over the mirrored bytes of x, whose high zero padding mirrors to
+trailing 1s.
 
 Whole-cube work marks every vertex at once, bit-sliced.
 :func:`_cube_blocks` cuts {0,1}^n into blocks of 2^16 consecutive vertices
@@ -60,55 +62,6 @@ BLANK = "_"
 
 # Whole-cube scans take the cube in blocks of 2^_BLOCK_BITS vertices.
 _BLOCK_BITS = 16
-
-
-def _unmatched_shifts(n: int, v: int) -> tuple[list[int], list[int]]:
-    """Shift amounts (n - coordinate) of unmatched 0s and 1s, leftmost first.
-
-    The concatenation zeros + ones lists all unmarked coordinates in
-    left-to-right order, because every unmarked 0 precedes every unmarked 1.
-    """
-    zeros: list[int] = []
-    ones: list[int] = []  # doubles as the matching stack; leftovers are unmarked
-    for s in range(n - 1, -1, -1):
-        if (v >> s) & 1:
-            ones.append(s)
-        elif ones:
-            ones.pop()
-        else:
-            zeros.append(s)
-    return zeros, ones
-
-
-def _chunk_profile(byte: int) -> tuple[int, int, tuple[int, ...]]:
-    zeros, ones = _unmatched_shifts(8, byte)
-    return len(zeros), len(ones), tuple(zeros)
-
-
-_CHUNKS = tuple(_chunk_profile(byte) for byte in range(256))
-_ONES = tuple((1 << pad) - 1 for pad in range(8))
-
-
-def _unmatched_zeros(n: int, v: int) -> tuple[list[int], int]:
-    """Shifts of the unmatched 0s, leftmost first, and the number of unmatched 1s.
-
-    Agrees with :func:`_unmatched_shifts` on the zeros and on the count of
-    ones, reading eight bits per step through the chunk table.  Needs n >= 1.
-    """
-    pad = -n & 7
-    zeros: list[int] = []
-    depth = 0  # unmatched 1s so far
-    base = n - 8  # shift in v of the chunk's lowest bit; negative inside the padding
-    for byte in ((v << pad) | _ONES[pad]).to_bytes((n + pad) >> 3, "big"):
-        a, b, chunk_zeros = _CHUNKS[byte]
-        if a > depth:
-            for z in chunk_zeros[depth:]:
-                zeros.append(base + z)
-            depth = b
-        else:
-            depth += b - a
-        base -= 8
-    return zeros, depth - pad
 
 
 def _increment(counter: list[int], mask: int) -> None:
@@ -204,6 +157,61 @@ def _unmatched_planes(xs: list[int], full: int) -> tuple[list[int], list[int], l
     return zeros, a, depth
 
 
+def _chunk_table() -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+    """``(a, b, shifts of the unmatched 0s)`` for every byte, from the planes."""
+    ((xs, full),) = _cube_blocks(8)
+    zeros = _unmatched_planes(xs, full)[0]
+    chunks = [tuple(s for s in range(7, -1, -1) if zeros[s] >> byte & 1) for byte in range(256)]
+    # a + b + 2 * (matched pairs) = 8, and the byte has b + (matched pairs) 1s
+    return tuple((len(c), 2 * byte.bit_count() - 8 + len(c), c) for byte, c in enumerate(chunks))
+
+
+_CHUNKS = _chunk_table()
+# each byte reversed and complemented
+_MIRROR = bytes(int(f"{byte:08b}"[::-1], 2) ^ 0xFF for byte in range(256))
+
+
+def _scan(stream: bytes, n: int) -> tuple[list[int], int]:
+    """Unmatched 0s of a byte stream read left to right, and the final depth.
+
+    A 0 at coordinate t of the stream gets the shift n - t.
+    """
+    zeros: list[int] = []
+    depth = 0  # unmatched 1s so far
+    base = n - 8  # shift of the byte's lowest bit
+    for byte in stream:
+        a, b, chunk_zeros = _CHUNKS[byte]
+        if a > depth:
+            for z in chunk_zeros[depth:]:
+                zeros.append(base + z)
+            depth = b
+        else:
+            depth += b - a
+        base -= 8
+    return zeros, depth
+
+
+def _unmatched_zeros(n: int, v: int) -> tuple[list[int], int]:
+    """Shifts (n - coordinate) of the unmatched 0s, leftmost first, and the
+    number of unmatched 1s.  Needs n >= 1.
+    """
+    pad = -n & 7
+    zeros, depth = _scan((((v + 1) << pad) - 1).to_bytes((n + pad) >> 3, "big"), n)
+    return zeros, depth - pad
+
+
+def _unmatched(n: int, v: int) -> tuple[list[int], list[int]]:
+    """Shifts of the unmatched 0s and of the unmatched 1s, leftmost first;
+    zeros + ones lists every unmarked coordinate from left to right."""
+    zeros, ones_count = _unmatched_zeros(n, v)
+    if not ones_count:
+        return zeros, []
+    # The unmatched 0s of the mirrored stream, from coordinate n back to 1,
+    # are the unmatched 1s of v; v's high zero bits mirror to trailing 1s.
+    mirrored, _ = _scan(v.to_bytes((n + 7) >> 3, "little").translate(_MIRROR), n)
+    return zeros, [n - 1 - s for s in reversed(mirrored)]
+
+
 @dataclass(frozen=True, slots=True)
 class MarkedString:
     """Per-coordinate (bit, marked) pairs produced by the marking stage."""
@@ -290,15 +298,13 @@ class ChainPosition:
 
 
 def mark(x: BitVector) -> MarkedString:
-    """Run the marking stage (single stack pass, O(n))."""
-    n, v = x.n, x.value
-    zeros, ones = _unmatched_shifts(n, v)
-    unmarked = [False] * n
-    for s in zeros:
-        unmarked[n - 1 - s] = True
-    for s in ones:
-        unmarked[n - 1 - s] = True
-    return MarkedString(x.bits(), tuple(not u for u in unmarked))
+    """Run the marking stage (one byte-table scan, two when 1s stay unmatched)."""
+    n = x.n
+    zeros, ones = _unmatched(n, x.value)
+    marked = [True] * n
+    for s in zeros + ones:
+        marked[n - 1 - s] = False
+    return MarkedString(x.bits(), tuple(marked))
 
 
 def mark_reference(x: BitVector, rightmost_first: bool = False) -> MarkedString:
@@ -352,43 +358,29 @@ def mark_via_split(x: BitVector, i: int) -> MarkedString:
     return MarkedString(x.bits(), tuple(marked[1:]))
 
 
-def _chain_code(n: int, v: int, zeros: list[int], ones: list[int]) -> ChainCode:
-    symbols = list(format(v, f"0{n}b"))
-    for s in zeros + ones:
-        symbols[n - 1 - s] = BLANK
-    return ChainCode("".join(symbols))
-
-
 def chain_code(x: BitVector) -> ChainCode:
     """The code of the chain containing x: marked bits kept, blanks elsewhere."""
-    return _chain_code(x.n, x.value, *_unmatched_shifts(x.n, x.value))
+    return position(x).code
 
 
 def position(x: BitVector) -> ChainPosition:
     """Locate x on its chain: code, bottom level k, level j, distance ell."""
-    zeros, ones = _unmatched_shifts(x.n, x.value)
-    code = _chain_code(x.n, x.value, zeros, ones)
+    n = x.n
+    zeros, ones = _unmatched(n, x.value)
+    symbols = list(x.render())
+    for s in zeros + ones:
+        symbols[n - 1 - s] = BLANK
+    code = ChainCode("".join(symbols))
     return ChainPosition(code=code, k=code.k, j=x.weight(), ell=len(zeros))
 
 
 def chain_member(code: ChainCode, j: int) -> BitVector:
     """The unique member of weight j: leftmost blanks become 0, the rest 1."""
-    k = code.k
-    n = code.n
+    k, n = code.k, code.n
     if not k <= j <= n - k:
         raise LevelRangeError(f"level {j} out of [{k}, {n - k}] for code {code}")
-    blanks = code.blank_coordinates()
-    ones_from = len(blanks) - (j - k)  # blanks[ones_from:] are set to 1
-    value = 0
-    bi = 0
-    for c in code.symbols:
-        if c == BLANK:
-            b = 1 if bi >= ones_from else 0
-            bi += 1
-        else:
-            b = int(c)
-        value = (value << 1) | b
-    return BitVector(n, value)
+    fill = iter("0" * (n - k - j) + "1" * (j - k))  # the n - 2k blanks, left to right
+    return BitVector(n, int("".join(next(fill) if c == BLANK else c for c in code.symbols), 2))
 
 
 def chain_members(code: ChainCode) -> list[BitVector]:

@@ -1,3 +1,4 @@
+import io
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -6,7 +7,8 @@ from hypothesis import given
 
 from cubeball.bits import BitVector
 from cubeball.bijections import BijectionKind, forward_map
-from cubeball.chains import _unmatched_zeros, mark
+from cubeball.chains import mark
+from cubeball.cli import run
 from cubeball.errors import (
     CoordinateRangeError,
     EnumerationCapError,
@@ -15,6 +17,7 @@ from cubeball.errors import (
 )
 from cubeball import analysis, chains, metrics
 
+from marking_oracle import unmatched_shifts
 from strategies import bit_vectors
 
 PSI = BijectionKind.PSI
@@ -43,10 +46,10 @@ def _enumerated_profiles(n):
     counts = {t: 0 for t in range(1, n + 2)}
     hist = {}
     for v in range(1 << n):
-        zeros, ones_count = _unmatched_zeros(n, v)
+        zeros, ones = unmatched_shifts(n, v)
         if not zeros:
-            counts[ones_count + 1] += 1
-        key = (len(zeros), ones_count)
+            counts[len(ones) + 1] += 1
+        key = (len(zeros), len(ones))
         hist[key] = hist.get(key, 0) + 1
     return counts, hist
 
@@ -108,6 +111,21 @@ def test_flip_probability_exact_matches_enumeration(n):
         assert exact == stat.probability
         assert stat.disagree_count == exact * (1 << n)
         assert exact <= Fraction(1, 2)
+
+
+def test_exhaustive_flipprob_transposes_the_table_once(monkeypatch):
+    calls = []
+
+    def counting(table, bits):
+        calls.append(bits)
+        return metrics._bit_planes(table, bits)
+
+    monkeypatch.setattr(analysis, "_bit_planes", counting)
+    analysis._flip_counts.cache_clear()
+    out = io.StringIO()
+    assert run(["stats", "flipprob", "--n", "10", "--mode", "exhaustive"], stdout=out) == 0
+    assert len(out.getvalue().splitlines()) == 10
+    assert len(calls) == 1
 
 
 def test_flip_probability_argument_checks():

@@ -19,7 +19,7 @@ from cubeball.bijections import (
 from cubeball.chains import chain_member, mark, position
 from cubeball.errors import NotInBallError, NotInImageError, OddLengthError
 
-from strategies import bit_vectors
+from strategies import bit_vectors, lengths_with_residue
 
 KINDS = list(BijectionKind)
 
@@ -125,6 +125,23 @@ def test_roundtrip_pointwise(kind, v):
     z = fwd(v)
     assert 2 * z.vector.weight() > v.n
     assert inv(z) == v
+
+
+@pytest.mark.parametrize("residue", [0, 2, 4, 6])
+@pytest.mark.parametrize("kind", KINDS)
+@given(st.data())
+def test_roundtrip_both_ways_large_n(kind, residue, data):
+    # n % 8 sets the padding of both byte streams the marking kernel reads
+    n = data.draw(lengths_with_residue(residue))
+    fwd = forward_map(kind)
+    inv = inverse_map(kind)
+    x = BitVector(n, data.draw(st.integers(0, (1 << n) - 1)))
+    assert inv(fwd(x)) == x
+    zv = data.draw(st.integers(0, (1 << (n + 1)) - 1))
+    if 2 * zv.bit_count() <= n:
+        zv ^= (1 << (n + 1)) - 1  # the complement of a point outside the ball is inside
+    z = BitVector(n + 1, zv)
+    assert fwd(inv(z)).vector == z
 
 
 @pytest.mark.parametrize("n", [2, 4, 6, 8, 10, 12])

@@ -7,8 +7,9 @@ from cubeball.bits import BitVector, distance
 from cubeball.chains import (
     ChainCode,
     _cube_blocks,
+    _CHUNKS,
+    _unmatched,
     _unmatched_planes,
-    _unmatched_shifts,
     _unmatched_zeros,
     chain_code,
     chain_member,
@@ -20,7 +21,8 @@ from cubeball.chains import (
 )
 from cubeball.errors import LevelRangeError
 
-from strategies import bit_vectors
+from marking_oracle import chunk_table, unmatched_shifts
+from strategies import bit_vectors, lengths_with_residue
 
 
 def test_mark_worked_example():
@@ -164,18 +166,46 @@ def test_chains_partition_the_cube(n):
 @pytest.mark.parametrize("n", range(1, 15))
 def test_unmatched_zeros_matches_stack_scan_exhaustive(n):
     for v in range(1 << n):
-        zeros, ones = _unmatched_shifts(n, v)
+        zeros, ones = unmatched_shifts(n, v)
         assert _unmatched_zeros(n, v) == (zeros, len(ones))
+        assert _unmatched(n, v) == (zeros, ones)
 
 
 @pytest.mark.parametrize("residue", range(8))
 @given(st.data())
 def test_unmatched_zeros_matches_stack_scan_large_n(residue, data):
-    # every residue of n mod 8 exercises a different right padding
-    n = 8 * data.draw(st.integers(1 if residue == 0 else 0, (2050 - residue) // 8)) + residue
+    # every residue of n mod 8 exercises a different right padding, and a
+    # different run of high zero bytes in the mirrored stream
+    n = data.draw(lengths_with_residue(residue))
     v = data.draw(st.integers(0, (1 << n) - 1))
-    zeros, ones = _unmatched_shifts(n, v)
+    zeros, ones = unmatched_shifts(n, v)
     assert _unmatched_zeros(n, v) == (zeros, len(ones))
+    assert _unmatched(n, v) == (zeros, ones)
+
+
+def test_chunk_table_matches_stack_scan():
+    assert _CHUNKS == chunk_table()
+
+
+def _oracle_code(n, v):
+    zeros, ones = unmatched_shifts(n, v)
+    symbols = list(format(v, f"0{n}b"))
+    for s in zeros + ones:
+        symbols[n - 1 - s] = "_"
+    return "".join(symbols), len(zeros)
+
+
+@pytest.mark.parametrize("residue", range(8))
+@given(st.data())
+def test_position_and_chain_code_match_stack_scan_large_n(residue, data):
+    n = data.draw(lengths_with_residue(residue))
+    x = BitVector(n, data.draw(st.integers(0, (1 << n) - 1)))
+    code, ell = _oracle_code(n, x.value)
+    assert str(chain_code(x)) == code
+    pos = position(x)
+    assert (str(pos.code), pos.ell, pos.j) == (code, ell, x.weight())
+    unmarked = [c == "_" for c in code]
+    assert mark(x).marked == tuple(not u for u in unmarked)
 
 
 def _lane_count(counter, r):
@@ -191,7 +221,7 @@ def test_unmatched_planes_match_stack_scan_exhaustive(monkeypatch, n, block_bits
     for xs, full in _cube_blocks(n):
         zeros, a, b = _unmatched_planes(xs, full)
         for r in range(full.bit_length()):
-            want_zeros, want_ones = _unmatched_shifts(n, v)
+            want_zeros, want_ones = unmatched_shifts(n, v)
             assert [s for s in range(n) if xs[s] >> r & 1] == [s for s in range(n) if v >> s & 1]
             assert [s for s in range(n - 1, -1, -1) if zeros[s] >> r & 1] == want_zeros
             assert (_lane_count(a, r), _lane_count(b, r)) == (len(want_zeros), len(want_ones))
