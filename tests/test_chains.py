@@ -174,8 +174,8 @@ def test_unmatched_zeros_matches_stack_scan_exhaustive(n):
 @pytest.mark.parametrize("residue", range(8))
 @given(st.data())
 def test_unmatched_zeros_matches_stack_scan_large_n(residue, data):
-    # every residue of n mod 8 exercises a different right padding, and a
-    # different run of high zero bytes in the mirrored stream
+    # every residue of n mod 8 pads both byte streams, the input and its
+    # mirror, with a different number of trailing 1s
     n = data.draw(lengths_with_residue(residue))
     v = data.draw(st.integers(0, (1 << n) - 1))
     zeros, ones = unmatched_shifts(n, v)
@@ -204,8 +204,7 @@ def test_position_and_chain_code_match_stack_scan_large_n(residue, data):
     assert str(chain_code(x)) == code
     pos = position(x)
     assert (str(pos.code), pos.ell, pos.j) == (code, ell, x.weight())
-    unmarked = [c == "_" for c in code]
-    assert mark(x).marked == tuple(not u for u in unmarked)
+    assert mark(x).marked == tuple(c != "_" for c in code)
 
 
 def _lane_count(counter, r):
