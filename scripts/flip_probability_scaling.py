@@ -10,6 +10,8 @@ sqrt(n) scaling.  The scaling column should stay below 0.4 (it creeps toward
 
 import argparse
 import math
+import os
+import sys
 
 from cubeball.analysis import flip_probability_exact
 
@@ -31,4 +33,11 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left early; point stdout at devnull so that the flush
+        # at exit does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)

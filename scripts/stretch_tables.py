@@ -9,6 +9,7 @@ plotting.  Example:
 
 import argparse
 import csv
+import os
 import sys
 
 from cubeball.bijections import BijectionKind
@@ -41,4 +42,11 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left early; point stdout at devnull so that the flush
+        # at exit does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)

@@ -39,10 +39,6 @@ NAIVE_RATIO_HI = Fraction(107, 100)
 # 0.3750 (n=4) to 0.3919 (n=14); 2/5 leaves margin and must also hold at 16.
 FLIP_SCALING_BOUND = Fraction(2, 5)
 
-# Extreme pairwise ratios of the chain-climbing map at n=4.
-PAIRWISE_N4_MIN = Fraction(1, 3)
-PAIRWISE_N4_MAX = Fraction(4)
-
 
 @dataclass(frozen=True, slots=True)
 class CriterionResult:
@@ -213,8 +209,9 @@ def _c11_dyck_equivalence() -> tuple[bool, str]:
         for v in range(1 << n):
             x = BitVector(n, v)
             marked = mark(x).marked
+            covered = analysis.dyck_marked_coordinates(x)
             for i in range(1, n + 1):
-                if analysis.dyck_is_marked(x, i) != marked[i - 1]:
+                if (i in covered) != marked[i - 1]:
                     return False, f"disagreement at x={x}, i={i}"
     return True, "balanced-substring criterion equals the marking on every (x, i), n <= 14"
 

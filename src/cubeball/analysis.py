@@ -12,10 +12,13 @@ parity of n), and ``C(n, floor((n-a)/2))`` leave exactly a unmarked zeros.
 Per-bit flip probability.  For the chain-climbing map, output bit i differs
 from input bit i exactly when x_i = 0, the length-(i-1) prefix marks down to
 zeros only (no unmarked ones), and its unmarked-zero count a is at least the
-suffix's unmarked-zero count c.  Prefix and suffix mark independently, which
-turns the probability into an exact double sum over the two profile counts;
-it decays like 1/sqrt(n), so every output bit except the appended one is
-essentially a copy of its input bit.
+suffix's unmarked-zero count c.  Prefix and suffix mark independently, so
+the probability is a sum over c of (suffixes with c unmarked zeros) times
+(prefixes with no unmarked ones and at least c unmarked zeros).  The profile
+counts of the second factor telescope to ``C(i-1, floor((i-1-c)/2))``, so
+the sum is single and exact.  It is symmetric under i <-> n+1-i and decays
+like 1/sqrt(n), so every output bit except the appended one is essentially
+a copy of its input bit.
 
 Counting over the whole cube.  ``chain_count_enumerated`` and
 ``unmarked_profile_histogram`` check the closed forms above against counts
@@ -164,27 +167,20 @@ def unmarked_profile_histogram(
 def flip_probability_exact(n: int, i: int) -> Fraction:
     """Exact Pr over uniform x of output bit i differing from input bit i.
 
-    Evaluates the double sum over prefix profiles (a unmarked zeros, no
-    unmarked ones) and suffix unmarked-zero counts c, restricted to a >= c,
-    with a final factor 1/2 for x_i = 0.
+    Sums, over the suffix's unmarked-zero count c, the C(n-i, floor((n-i-c)/2))
+    suffixes with c unmarked zeros times the C(i-1, floor((i-1-c)/2)) prefixes
+    with no unmarked ones and at least c unmarked zeros, with a final factor
+    1/2 for x_i = 0.
     """
     _require_flip_domain(n)
     if not 1 <= i <= n:
         raise CoordinateRangeError(f"coordinate {i} out of [1, {n}]")
     pre = i - 1
     suf = n - i
-    total = 0  # counts weighted by 2^(pre + suf)
-    for k in range(suf + 1):
-        c_ways = _binom(suf, (suf - k) // 2)
-        if c_ways == 0:
-            continue
-        a_ways = 0
-        for j in range(k, pre + 1):
-            if (j - pre) % 2:
-                continue
-            a_ways += _binom(pre, (pre - j) // 2) - _binom(pre, (pre - j - 2) // 2)
-        total += c_ways * a_ways
-    return Fraction(total, 1 << (pre + suf + 1))
+    total = sum(
+        comb(pre, (pre - c) // 2) * comb(suf, (suf - c) // 2) for c in range(min(pre, suf) + 1)
+    )
+    return Fraction(total, 1 << n)
 
 
 def flip_probability_exhaustive(
@@ -217,51 +213,37 @@ def _flip_counts(n: int) -> tuple[int, ...]:
 
 
 def dyck_is_marked(x: BitVector, i: int) -> bool:
-    """Marking criterion via balanced substrings (1 = open, 0 = close).
-
-    Coordinate i is marked iff some window [s, e] containing i has equally
-    many ones and zeros and no prefix with more zeros than ones.  Naive
-    O(n^2) scan; kept simple because it serves as a cross-check, not a hot
-    path.
-    """
-    n, v = x.n, x.value
-    if not 1 <= i <= n:
-        raise CoordinateRangeError(f"coordinate {i} out of [1, {n}]")
-    for s in range(i, 0, -1):
-        if not (v >> (n - s)) & 1:
-            continue  # a window starting with 0 dips negative immediately
-        bal = 0
-        for e in range(s, n + 1):
-            bal += 1 if (v >> (n - e)) & 1 else -1
-            if bal < 0:
-                break
-            if bal == 0 and e >= i:
-                return True
-    return False
+    """Whether coordinate i meets the balanced-substring criterion, that is,
+    lies in :func:`dyck_marked_coordinates`."""
+    if not 1 <= i <= x.n:
+        raise CoordinateRangeError(f"coordinate {i} out of [1, {x.n}]")
+    return i in dyck_marked_coordinates(x)
 
 
 def dyck_marked_coordinates(x: BitVector) -> frozenset[int]:
-    """All coordinates covered by some balanced window, in one O(n^2) pass.
+    """The coordinates that the balanced-substring criterion marks.
 
-    For each start s the union of its balanced windows is [s, e_max(s)], so
-    unioning those intervals reproduces {i : dyck_is_marked(x, i)}.
+    Coordinate i is marked iff some window [s, e] containing i has equally
+    many ones and zeros and no prefix with more zeros than ones (1 = open,
+    0 = close).  For each start s the union of its balanced windows is
+    [s, e_max(s)], so one O(n^2) pass unions those intervals.  It shares no
+    code with the marking kernel, because it serves as a cross-check of it.
     """
-    n, v = x.n, x.value
-    covered = [False] * (n + 2)
-    for s in range(1, n + 1):
-        if not (v >> (n - s)) & 1:
-            continue
+    bits = x.bits()
+    covered: set[int] = set()
+    for s in range(1, x.n + 1):
+        if not bits[s - 1]:
+            continue  # a window starting with 0 dips negative immediately
         bal = 0
-        e_max = 0
-        for e in range(s, n + 1):
-            bal += 1 if (v >> (n - e)) & 1 else -1
+        e_max = s - 1
+        for e, bit in enumerate(bits[s - 1 :], s):
+            bal += 1 if bit else -1
             if bal < 0:
                 break
             if bal == 0:
                 e_max = e
-        for p in range(s, e_max + 1):
-            covered[p] = True
-    return frozenset(p for p in range(1, n + 1) if covered[p])
+        covered.update(range(s, e_max + 1))
+    return frozenset(covered)
 
 
 def majority(x: BitVector) -> int:

@@ -32,7 +32,7 @@ from .chains import (
     _increment,
     _nonzero,
     _subtract,
-    _unmatched,
+    _unmatched_ones,
     _unmatched_zeros,
 )
 from .errors import DimensionError, NotInBallError, NotInImageError, OddLengthError
@@ -137,10 +137,10 @@ def _psi_planes(
 def _psi_inverse_value(n: int, z: int) -> int:
     tail = z & 1
     x = z >> 1
-    zeros, ones = _unmatched(n, x)
-    # x is ell = len(zeros) below its chain top and the preimage 2 ell + (tail ^ 1):
+    ones, ell = _unmatched_ones(n, x)
+    # x is ell below its chain top and the preimage 2 ell + (tail ^ 1):
     # the leftmost ell + (tail ^ 1) unmatched 1s go back to 0
-    drop = len(zeros) + (tail ^ 1)
+    drop = ell + (tail ^ 1)
     if drop > len(ones):
         raise NotInBallError(f"value {z:b} is not reached from the cube")
     out = x
@@ -183,11 +183,11 @@ def _phi_inverse_value(n: int, z: int) -> int:
         return x
     if 2 * j < n:
         raise NotInImageError(f"{z:0{n + 1}b} ends in 1 but has level {j} < {n}/2")
-    zeros, ones = _unmatched(n, x)
+    ones, a = _unmatched_ones(n, x)
     # level j = k + b goes back to n - j = k + a: the leftmost b - a
     # unmatched 1s turn into 0s
     out = x
-    for s in ones[: len(ones) - len(zeros)]:
+    for s in ones[: len(ones) - a]:
         out ^= 1 << s
     return out
 
@@ -223,13 +223,6 @@ _FORWARD_PLANES: dict[BijectionKind, Callable[..., list[int]]] = {
     BijectionKind.PHI: _phi_planes,
     BijectionKind.NAIVE: _naive_planes,
 }
-
-_INVERSE_VALUE: dict[BijectionKind, Callable[[int, int], int]] = {
-    BijectionKind.PSI: _psi_inverse_value,
-    BijectionKind.PHI: _phi_inverse_value,
-    BijectionKind.NAIVE: _naive_inverse_value,
-}
-
 
 def psi(x: BitVector) -> BallVector:
     """Map a cube vertex into the ball by climbing half way up its chain."""

@@ -32,9 +32,11 @@ a whole number of bytes, which changes nothing because trailing 1s never
 match; it gives the unmatched 0s and the number of unmatched 1s, which is
 all a single evaluation of psi or phi needs.  Marking is also symmetric:
 the unmatched 1s of x are the unmatched 0s of x reversed and complemented.
-So :func:`_unmatched` finds the unmatched 1s, when there are any, with the
-same scan over the mirrored bytes of x, whose high zero padding mirrors to
-trailing 1s.
+So :func:`_unmatched_ones` runs the same scan over the mirrored bytes of x,
+whose high zero padding mirrors to trailing 1s; it gives the unmatched 1s,
+and its final depth less that padding is the number of unmatched 0s, which
+is all an inverse map needs.  :func:`_unmatched` runs both scans, the second
+only when the first counts unmatched 1s, to list every unmarked coordinate.
 
 Whole-cube work marks every vertex at once, bit-sliced.
 :func:`_cube_blocks` cuts {0,1}^n into blocks of 2^16 consecutive vertices
@@ -200,16 +202,21 @@ def _unmatched_zeros(n: int, v: int) -> tuple[list[int], int]:
     return zeros, depth - pad
 
 
+def _unmatched_ones(n: int, v: int) -> tuple[list[int], int]:
+    """Shifts of the unmatched 1s, leftmost first, and the number of
+    unmatched 0s.  Needs n >= 1.
+    """
+    # The unmatched 0s of the mirrored stream, from coordinate n back to 1,
+    # are the unmatched 1s of v; v's high zero bits mirror to trailing 1s.
+    mirrored, depth = _scan(v.to_bytes((n + 7) >> 3, "little").translate(_MIRROR), n)
+    return [n - 1 - s for s in reversed(mirrored)], depth - (-n & 7)
+
+
 def _unmatched(n: int, v: int) -> tuple[list[int], list[int]]:
     """Shifts of the unmatched 0s and of the unmatched 1s, leftmost first;
     zeros + ones lists every unmarked coordinate from left to right."""
     zeros, ones_count = _unmatched_zeros(n, v)
-    if not ones_count:
-        return zeros, []
-    # The unmatched 0s of the mirrored stream, from coordinate n back to 1,
-    # are the unmatched 1s of v; v's high zero bits mirror to trailing 1s.
-    mirrored, _ = _scan(v.to_bytes((n + 7) >> 3, "little").translate(_MIRROR), n)
-    return zeros, [n - 1 - s for s in reversed(mirrored)]
+    return zeros, _unmatched_ones(n, v)[0] if ones_count else []
 
 
 @dataclass(frozen=True, slots=True)
@@ -254,16 +261,9 @@ class ChainCode:
             raise ValueError(
                 f"blank count {m} must have the parity of the length {self.n}"
             )
-        # the fixed symbols must form a fully matched 1/0 sequence
-        depth = 0
-        for c in self.symbols:
-            if c == "1":
-                depth += 1
-            elif c == "0":
-                depth -= 1
-                if depth < 0:
-                    raise ValueError(f"unbalanced fixed symbols in {self.symbols!r}")
-        if depth != 0:
+        # the fixed symbols must mark completely: no unmatched 0 or 1
+        fixed = self.symbols.replace(BLANK, "")
+        if fixed and _unmatched_zeros(len(fixed), int(fixed, 2)) != ([], 0):
             raise ValueError(f"unbalanced fixed symbols in {self.symbols!r}")
 
     @property

@@ -1,5 +1,6 @@
 import io
 from fractions import Fraction
+from math import comb
 
 import hypothesis.strategies as st
 import pytest
@@ -113,6 +114,38 @@ def test_flip_probability_exact_matches_enumeration(n):
         assert exact <= Fraction(1, 2)
 
 
+def _binom(n, k):
+    return comb(n, k) if 0 <= k <= n else 0
+
+
+def _flip_probability_double_sum(n, i):
+    # suffixes with exactly c unmarked zeros times prefixes with no unmarked
+    # ones and a >= c unmarked zeros, the latter summed profile by profile
+    pre, suf = i - 1, n - i
+    total = 0
+    for c in range(suf + 1):
+        prefixes = sum(
+            _binom(pre, (pre - a) // 2) - _binom(pre, (pre - a - 2) // 2)
+            for a in range(c, pre + 1)
+            if (a - pre) % 2 == 0
+        )
+        total += _binom(suf, (suf - c) // 2) * prefixes
+    return Fraction(total, 1 << n)
+
+
+@pytest.mark.parametrize("n", range(2, 61, 2))
+def test_flip_probability_single_sum_equals_double_sum(n):
+    for i in range(1, n + 1):
+        assert analysis.flip_probability_exact(n, i) == _flip_probability_double_sum(n, i)
+
+
+@pytest.mark.parametrize("n", range(2, 41, 2))
+def test_flip_probability_symmetric_under_reversal(n):
+    for i in range(1, n + 1):
+        mirrored = analysis.flip_probability_exact(n, n + 1 - i)
+        assert analysis.flip_probability_exact(n, i) == mirrored
+
+
 def test_exhaustive_flipprob_transposes_the_table_once(monkeypatch):
     calls = []
 
@@ -154,6 +187,12 @@ def test_marked_bits_never_flip():
 )
 def test_dyck_is_marked_examples(text, i, expected):
     assert analysis.dyck_is_marked(BitVector.parse(text), i) is expected
+
+
+def test_dyck_is_marked_coordinate_check():
+    for i in (0, 5):
+        with pytest.raises(CoordinateRangeError):
+            analysis.dyck_is_marked(BitVector.parse("1010"), i)
 
 
 @pytest.mark.parametrize("n", range(1, 11))

@@ -1,3 +1,5 @@
+from itertools import product
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given
@@ -9,6 +11,7 @@ from cubeball.chains import (
     _cube_blocks,
     _CHUNKS,
     _unmatched,
+    _unmatched_ones,
     _unmatched_planes,
     _unmatched_zeros,
     chain_code,
@@ -87,11 +90,32 @@ def test_chain_members_examples():
     ]
 
 
-@pytest.mark.parametrize("bad", ["", "01x", "_0", "1___", "0110"])
+@pytest.mark.parametrize("bad", ["", "01x", "_0", "1___", "0110", "1_10"])
 def test_chain_code_rejects_invalid(bad):
     # wrong alphabet, blank-count parity, or unbalanced fixed symbols
     with pytest.raises(ValueError):
         ChainCode(bad)
+
+
+@pytest.mark.parametrize("bad", ["11__", "1_1_", "_0_0", "1000__", "_0_1", "0110", "10_01_"])
+def test_chain_code_rejects_unbalanced_fixed_symbols(bad):
+    # the blank count has the right parity, but the fixed symbols leave
+    # unmatched 1s only, unmatched 0s only, or both
+    with pytest.raises(ValueError, match=f"unbalanced fixed symbols in {bad!r}"):
+        ChainCode(bad)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_chain_code_accepts_exactly_the_balanced_codes(n):
+    for symbols in map("".join, product("01_", repeat=n)):
+        fixed = symbols.replace("_", "")
+        balanced = unmatched_shifts(len(fixed), int(fixed or "0", 2)) == ([], [])
+        try:
+            ChainCode(symbols)
+        except ValueError:
+            assert not balanced, symbols
+        else:
+            assert balanced, symbols
 
 
 @given(bit_vectors(max_n=48))
@@ -168,6 +192,7 @@ def test_unmatched_zeros_matches_stack_scan_exhaustive(n):
     for v in range(1 << n):
         zeros, ones = unmatched_shifts(n, v)
         assert _unmatched_zeros(n, v) == (zeros, len(ones))
+        assert _unmatched_ones(n, v) == (ones, len(zeros))
         assert _unmatched(n, v) == (zeros, ones)
 
 
@@ -180,6 +205,7 @@ def test_unmatched_zeros_matches_stack_scan_large_n(residue, data):
     v = data.draw(st.integers(0, (1 << n) - 1))
     zeros, ones = unmatched_shifts(n, v)
     assert _unmatched_zeros(n, v) == (zeros, len(ones))
+    assert _unmatched_ones(n, v) == (ones, len(zeros))
     assert _unmatched(n, v) == (zeros, ones)
 
 

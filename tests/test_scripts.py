@@ -2,11 +2,15 @@
 breaks them fails here."""
 
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
 
 
 def _main_output(name, argv, monkeypatch, capsys):
@@ -32,3 +36,22 @@ def test_flip_probability_scaling(monkeypatch, capsys, argv, rows):
     assert lines[0].split() == ["n", "worst_i", "probability", "p*sqrt(n)"]
     assert len(lines) == 1 + rows
     assert lines[-1].split()[0] == "4"
+
+
+@pytest.mark.parametrize("name", ["stretch_tables", "flip_probability_scaling"])
+def test_closed_stdout_exits_without_traceback(name):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # no reader, so every write to the pipe fails
+    path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
+    try:
+        proc = subprocess.run(
+            [sys.executable, str(SCRIPTS / f"{name}.py"), "--max-n", "4"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": path},
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert "Traceback" not in proc.stderr.decode()
+    assert proc.returncode == 1
