@@ -224,6 +224,7 @@ _FORWARD_PLANES: dict[BijectionKind, Callable[..., list[int]]] = {
     BijectionKind.NAIVE: _naive_planes,
 }
 
+
 def psi(x: BitVector) -> BallVector:
     """Map a cube vertex into the ball by climbing half way up its chain."""
     _require_dimension(x.n, "psi")
