@@ -4,20 +4,43 @@ Each criterion is a self-contained function returning (passed, detail).
 Exact quantities are compared as integers or ``Fraction`` values with no
 tolerance.  Regression constants pinned from the first exhaustive sweeps
 are collected at the top of the module.
+
+Criteria 11 and 12 check the public ``mark`` on every vertex against three
+oracles that share no code with the marking kernels: the balanced-window
+criterion, repeated deletion of the leftmost or rightmost ``10`` pair, and
+the three-scan split marking.  Each oracle runs lane-parallel, one lane per
+vertex, on the bit planes of the whole cube (``analysis._dyck_planes``,
+``chains._reference_planes``, ``chains._split_planes``).  ``mark`` itself
+runs once per vertex; its marks are transposed into planes that both
+criteria share, and the criteria compare plane against plane.  A
+disagreement is reported at the first (x, i) that a per-vertex loop would
+meet.  The per-vertex forms of the oracles (``dyck_marked_coordinates``,
+``mark_reference``, ``mark_via_split``) stay public, and the tests check the
+lane forms against them.
 """
 
 from __future__ import annotations
 
 import io
 import random
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable
 
 from . import analysis, metrics
 from .bijections import BijectionKind
 from .bits import BitVector
-from .chains import mark, mark_reference, mark_via_split, chain_code, chain_members, position
+from .chains import (
+    _cube_blocks,
+    _reference_planes,
+    _split_planes,
+    chain_code,
+    chain_members,
+    mark,
+    position,
+)
 
 PSI = BijectionKind.PSI
 PHI = BijectionKind.PHI
@@ -38,6 +61,9 @@ NAIVE_RATIO_HI = Fraction(107, 100)
 # max_i Pr[output bit i differs from input bit i] * sqrt(n) grows from
 # 0.3750 (n=4) to 0.3919 (n=14); 2/5 leaves margin and must also hold at 16.
 FLIP_SCALING_BOUND = Fraction(2, 5)
+
+# bytes.translate table sending the bytes 0 and 1 to ASCII "0" and "1"
+_ASCII_BITS = bytes.maketrans(b"\0\1", b"01")
 
 
 @dataclass(frozen=True, slots=True)
@@ -204,32 +230,65 @@ def _c10_majority_reduction() -> tuple[bool, str]:
     return True, "majority equals the first output bit of the blown-up input for odd n <= 13"
 
 
+@lru_cache(maxsize=16)
+def _marked_planes(n: int) -> tuple[int, ...]:
+    """The public ``mark`` run on every vertex of {0,1}^n, as planes indexed
+    by shift like ``chains._cube_blocks``.
+
+    Each vertex's marks are packed into an ``array('i')`` table (coordinate
+    i at bit n - i) as it is marked, so no ``MarkedString`` outlives its
+    row, and the table is transposed once.
+    """
+    table = array("i", (int(bytes(mark(BitVector(n, v)).marked).translate(_ASCII_BITS), 2)
+                        for v in range(1 << n)))
+    return tuple(metrics._bit_planes(table, n))
+
+
+def _differing_lanes(got: list[int], want: tuple[int, ...]) -> int:
+    """The lanes in which two sets of planes differ in some coordinate."""
+    lanes = 0
+    for g, w in zip(got, want, strict=True):
+        lanes |= g ^ w
+    return lanes
+
+
+def _first_lane(lanes: int) -> int:
+    """The lowest lane set, that is the first vertex in enumeration order."""
+    return (lanes & -lanes).bit_length() - 1
+
+
 def _c11_dyck_equivalence() -> tuple[bool, str]:
     for n in range(1, 15):
-        for v in range(1 << n):
-            x = BitVector(n, v)
-            marked = mark(x).marked
-            covered = analysis.dyck_marked_coordinates(x)
-            for i in range(1, n + 1):
-                if (i in covered) != marked[i - 1]:
-                    return False, f"disagreement at x={x}, i={i}"
+        ((xs, full),) = _cube_blocks(n)
+        covered = analysis._dyck_planes(xs, full)
+        marked = _marked_planes(n)
+        lanes = _differing_lanes(covered, marked)
+        if lanes:
+            v = _first_lane(lanes)
+            i = next(i for i in range(1, n + 1) if (covered[n - i] ^ marked[n - i]) >> v & 1)
+            return False, f"disagreement at x={BitVector(n, v)}, i={i}"
     return True, "balanced-substring criterion equals the marking on every (x, i), n <= 14"
 
 
 def _c12_marking_order_independence() -> tuple[bool, str]:
     for n in range(1, 15):
-        for v in range(1 << n):
-            x = BitVector(n, v)
-            base = mark(x)
-            if mark_reference(x) != base or mark_reference(x, rightmost_first=True) != base:
-                return False, f"pair-choice order changes the marking of {x}"
+        ((xs, full),) = _cube_blocks(n)
+        base = _marked_planes(n)
+        lanes = _differing_lanes(_reference_planes(xs, full), base)
+        lanes |= _differing_lanes(_reference_planes(xs, full, rightmost_first=True), base)
+        if lanes:
+            x = BitVector(n, _first_lane(lanes))
+            return False, f"pair-choice order changes the marking of {x}"
     for n in range(1, 13):
-        for v in range(1 << n):
-            x = BitVector(n, v)
-            base = mark(x)
-            for i in range(1, n + 1):
-                if mark_via_split(x, i) != base:
-                    return False, f"three-step marking differs at x={x}, i={i}"
+        ((xs, full),) = _cube_blocks(n)
+        base = _marked_planes(n)
+        misses = [  # (first vertex, i) per disagreeing i; a loop over x, then i, meets the least
+            (_first_lane(lanes), i) for i in range(1, n + 1)
+            if (lanes := _differing_lanes(_split_planes(xs, full, i), base))
+        ]
+        if misses:
+            v, i = min(misses)
+            return False, f"three-step marking differs at x={BitVector(n, v)}, i={i}"
     return True, "leftmost, rightmost and split marking all agree (n <= 14, split n <= 12)"
 
 

@@ -228,6 +228,8 @@ def dyck_marked_coordinates(x: BitVector) -> frozenset[int]:
     0 = close).  For each start s the union of its balanced windows is
     [s, e_max(s)], so one O(n^2) pass unions those intervals.  It shares no
     code with the marking kernel, because it serves as a cross-check of it.
+    It is the per-vertex oracle of :func:`_dyck_planes`, which criterion 11
+    of the acceptance checklist runs in its place.
     """
     bits = x.bits()
     covered: set[int] = set()
@@ -244,6 +246,36 @@ def dyck_marked_coordinates(x: BitVector) -> frozenset[int]:
                 e_max = e
         covered.update(range(s, e_max + 1))
     return frozenset(covered)
+
+
+def _dyck_planes(xs: list[int], full: int) -> list[int]:
+    """:func:`dyck_marked_coordinates` on every lane of a block at once.
+
+    ``xs`` and ``full`` are a block of ``chains._cube_blocks``; the result
+    holds the covered lanes per coordinate, indexed by shift like ``xs``.
+    For each start s the balance is one-hot: ``level[k]`` holds the lanes
+    whose window from s has balance k so far.  A 0 at balance 0 ends a
+    lane's windows from s, and the lanes back at balance 0 after coordinate
+    e have the balanced window [s, e].  Coordinate p is covered in the lanes
+    with such a window ending at some e >= p, for some s <= p.
+    """
+    n = len(xs)
+    covered = [0] * n
+    for s in range(1, n + 1):
+        level = [full]
+        ends = []  # ends[e - s]: the lanes where [s, e] is balanced
+        for e in range(s, n + 1):
+            one = xs[n - e]
+            down = [lanes & ~one for lanes in level[1:]]  # a 0 lowers every balance above 0
+            level = [0] + [lanes & one for lanes in level]  # a 1 raises every balance
+            for k, lanes in enumerate(down):
+                level[k] |= lanes
+            ends.append(level[0])
+        reach = 0
+        for e in range(n, s - 1, -1):
+            reach |= ends[e - s]
+            covered[n - e] |= reach
+    return covered
 
 
 def majority(x: BitVector) -> int:

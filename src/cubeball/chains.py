@@ -308,10 +308,12 @@ def mark(x: BitVector) -> MarkedString:
 
 
 def mark_reference(x: BitVector, rightmost_first: bool = False) -> MarkedString:
-    """Quadratic repeated-scan marking, kept as an independent test oracle.
+    """Quadratic repeated-scan marking, one vertex at a time.
 
     Each round finds one consecutive ``10`` pair in the current string
     (leftmost by default, rightmost when requested), marks it and deletes it.
+    It is the per-vertex oracle of :func:`_reference_planes`, which
+    criterion 12 of the acceptance checklist runs in its place.
     """
     bits = x.bits()
     active = list(range(x.n))  # indices into bits, still unmarked
@@ -330,12 +332,52 @@ def mark_reference(x: BitVector, rightmost_first: bool = False) -> MarkedString:
     return MarkedString(bits, tuple(marked))
 
 
+def _reference_planes(xs: list[int], full: int, rightmost_first: bool = False) -> list[int]:
+    """:func:`mark_reference` on every lane of a block at once.
+
+    ``xs`` and ``full`` are a block of :func:`_cube_blocks`; the result holds
+    the marked lanes per coordinate, indexed by shift like ``xs``.
+    ``active[s]`` holds the lanes in which the coordinate at shift s is not
+    yet deleted.  Each round scans the coordinates in pair-choice order, left
+    to right (right to left when ``rightmost_first``), keeping ``last[q]``,
+    the lanes whose previous active coordinate in that order is q, and
+    deletes in each lane the first adjacent active ``10`` pair it meets.
+    Rounds go on until no lane finds a pair; the deleted coordinates are the
+    marked ones.  It shares no code with the marking kernels.
+    """
+    n = len(xs)
+    zeros = [full ^ x for x in xs]
+    # the bit the pair needs at the coordinate met first and at the one met second
+    first, second = (zeros, xs) if rightmost_first else (xs, zeros)
+    order = range(n) if rightmost_first else range(n - 1, -1, -1)
+    active = [full] * n
+    while True:
+        found = 0  # lanes that have deleted their pair this round
+        last: dict[int, int] = {}
+        for s in order:
+            here = active[s] & ~found
+            if not here:
+                continue
+            ends = here & second[s]
+            for q, lanes in last.items():
+                pair = lanes & ends & first[q]
+                if pair:
+                    active[q] ^= pair
+                    active[s] ^= pair
+                    found |= pair
+            last = {q: rest for q, lanes in last.items() if (rest := lanes & ~here)}
+            last[s] = here & ~found
+        if not found:
+            return [full ^ lanes for lanes in active]
+
+
 def mark_via_split(x: BitVector, i: int) -> MarkedString:
     """Mark in three steps: first the prefix of length i-1, then the suffix of
     length n-i, then finish on the combined partially marked string.
 
     Agrees with :func:`mark` for every (x, i) because the marking result is
-    order-independent.
+    order-independent.  It is the per-vertex oracle of :func:`_split_planes`,
+    which criterion 12 of the acceptance checklist runs in its place.
     """
     n, v = x.n, x.value
     if not 1 <= i <= n:
@@ -356,6 +398,42 @@ def mark_via_split(x: BitVector, i: int) -> MarkedString:
     stage(range(i + 1, n + 1))
     stage(p for p in range(1, n + 1) if not marked[p])
     return MarkedString(x.bits(), tuple(marked[1:]))
+
+
+def _split_planes(xs: list[int], full: int, i: int) -> list[int]:
+    """:func:`mark_via_split` at coordinate i on every lane of a block at once.
+
+    ``xs``, ``full`` and the result are indexed by shift as in
+    :func:`_reference_planes`.  The three stack scans run on all lanes
+    together: the stack is a set of masks, ``open_[q]`` holding the lanes in
+    which coordinate q is an open 1, and a 0 pops, lane by lane, the nearest
+    open 1 to its left.  A coordinate takes part in a scan only in the lanes
+    where it is still unmarked, which in the first two scans is every lane.
+    """
+    n = len(xs)
+    marked = [0] * (n + 1)  # by coordinate, 1-based
+
+    def stage(coords: range) -> None:
+        open_ = [0] * (n + 1)
+        for p in coords:
+            lanes = full ^ marked[p]
+            one = xs[n - p]
+            close = lanes & ~one
+            for q in range(p - 1, coords.start - 1, -1):
+                if not close:
+                    break
+                take = close & open_[q]
+                if take:
+                    open_[q] ^= take
+                    marked[q] |= take
+                    marked[p] |= take
+                    close ^= take
+            open_[p] = lanes & one
+
+    stage(range(1, i))
+    stage(range(i + 1, n + 1))
+    stage(range(1, n + 1))
+    return [marked[n - s] for s in range(n)]
 
 
 def chain_code(x: BitVector) -> ChainCode:

@@ -6,7 +6,8 @@ failure); the same checklist backs the ``cubeball selftest`` command.
 
 import pytest
 
-from cubeball import acceptance
+from cubeball import acceptance, analysis, chains
+from cubeball.chains import MarkedString
 
 _IDS = [f"{num:02d}_{name.replace(' ', '_').replace('-', '_')}"
         for num, name, _ in acceptance.CRITERIA]
@@ -22,3 +23,72 @@ def test_criterion(number, name):
     status = "PASS" if result.passed else "FAIL"
     print(f"ACCEPTANCE {result.number:02d} {result.name}: {status} ({result.detail})")
     assert result.passed, f"criterion {number} ({name}): {result.detail}"
+
+
+@pytest.fixture
+def fresh_marks():
+    """Criteria 11 and 12 share the cached planes of ``mark``; a test that
+    patches ``mark`` must neither read nor leave behind another's."""
+    acceptance._marked_planes.cache_clear()
+    yield
+    acceptance._marked_planes.cache_clear()
+
+
+def test_dropped_mark_is_named_by_criteria_11_and_12(monkeypatch, fresh_marks):
+    real = acceptance.mark
+
+    def dropping(x):  # forgets that coordinate 9 of 000000010 is marked
+        ms = real(x)
+        if (x.n, x.value) == (9, 0b000000010):
+            return MarkedString(ms.bits, ms.marked[:8] + (False,))
+        return ms
+
+    monkeypatch.setattr(acceptance, "mark", dropping)
+    c11, c12 = acceptance.run_criterion(11), acceptance.run_criterion(12)
+    assert not c11.passed and c11.detail == "disagreement at x=000000010, i=9"
+    assert not c12.passed and c12.detail == "pair-choice order changes the marking of 000000010"
+
+
+def test_dyck_disagreement_is_named_at_the_first_vertex_then_coordinate(monkeypatch):
+    real = analysis._dyck_planes
+
+    def faulty(xs, full):  # wrong at (x=00110, i=4), (00110, 2) and (01001, 1)
+        planes = real(xs, full)
+        if len(xs) == 5:
+            for v, i in ((6, 4), (6, 2), (9, 1)):
+                planes[5 - i] ^= 1 << v
+        return planes
+
+    monkeypatch.setattr(analysis, "_dyck_planes", faulty)
+    result = acceptance.run_criterion(11)
+    assert not result.passed and result.detail == "disagreement at x=00110, i=2"
+
+
+def test_split_disagreement_is_named_at_the_first_vertex_then_coordinate(monkeypatch):
+    real = acceptance._split_planes
+
+    def faulty(xs, full, i):  # wrong at (x=000101, i=4), (000101, 2) and (001001, 1)
+        planes = real(xs, full, i)
+        if len(xs) == 6 and i in (4, 2, 1):
+            planes[0] ^= 1 << (9 if i == 1 else 5)
+        return planes
+
+    monkeypatch.setattr(acceptance, "_split_planes", faulty)
+    result = acceptance.run_criterion(12)
+    assert not result.passed and result.detail == "three-step marking differs at x=000101, i=2"
+
+
+def test_criteria_11_and_12_mark_each_vertex_once(monkeypatch, fresh_marks):
+    # like the flip probabilities' one-transpose test: the shared planes
+    # are built once per n, and no per-vertex oracle runs
+    marked = []
+    real = acceptance.mark
+    monkeypatch.setattr(acceptance, "mark", lambda x: marked.append(x.n) or real(x))
+    oracle_calls = []
+    for module, name in ((chains, "mark_reference"), (chains, "mark_via_split"),
+                         (analysis, "dyck_marked_coordinates")):
+        monkeypatch.setattr(module, name, lambda *args, name=name: oracle_calls.append(name))
+    assert acceptance.run_criterion(11).passed
+    assert acceptance.run_criterion(12).passed
+    assert len(marked) == sum(1 << n for n in range(1, 15)) == 32766
+    assert oracle_calls == []

@@ -206,6 +206,20 @@ def test_dyck_criterion_matches_marking_exhaustive(n):
             assert (i in covered) == marked[i - 1]
 
 
+@pytest.mark.parametrize("block_bits", [3, 16])
+@pytest.mark.parametrize("n", range(1, 11))
+def test_dyck_planes_match_dyck_marked_coordinates_exhaustive(monkeypatch, n, block_bits):
+    monkeypatch.setattr(chains, "_BLOCK_BITS", block_bits)
+    v = 0
+    for xs, full in chains._cube_blocks(n):
+        covered = analysis._dyck_planes(xs, full)
+        for r in range(full.bit_length()):
+            want = analysis.dyck_marked_coordinates(BitVector(n, v))
+            assert {i for i in range(1, n + 1) if covered[n - i] >> r & 1} == want
+            v += 1
+    assert v == 1 << n
+
+
 @given(bit_vectors(max_n=40), st.data())
 def test_dyck_criterion_matches_marking_random(v, data):
     i = data.draw(st.integers(1, v.n))

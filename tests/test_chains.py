@@ -10,6 +10,8 @@ from cubeball.chains import (
     ChainCode,
     _cube_blocks,
     _CHUNKS,
+    _reference_planes,
+    _split_planes,
     _unmatched,
     _unmatched_ones,
     _unmatched_planes,
@@ -252,3 +254,40 @@ def test_unmatched_planes_match_stack_scan_exhaustive(monkeypatch, n, block_bits
             assert (_lane_count(a, r), _lane_count(b, r)) == (len(want_zeros), len(want_ones))
             v += 1
     assert v == 1 << n
+
+
+def _lane_marks(planes, n, r):
+    """Lane r of per-shift planes, as marked flags from coordinate 1 on."""
+    return tuple(bool(planes[n - i] >> r & 1) for i in range(1, n + 1))
+
+
+@pytest.mark.parametrize("block_bits", [3, 16])
+@pytest.mark.parametrize("n", range(1, 11))
+def test_reference_planes_match_mark_reference_exhaustive(monkeypatch, n, block_bits):
+    monkeypatch.setattr(chains, "_BLOCK_BITS", block_bits)
+    v = 0
+    for xs, full in _cube_blocks(n):
+        leftmost = _reference_planes(xs, full)
+        rightmost = _reference_planes(xs, full, rightmost_first=True)
+        for r in range(full.bit_length()):
+            x = BitVector(n, v)
+            assert _lane_marks(leftmost, n, r) == mark_reference(x).marked
+            assert _lane_marks(rightmost, n, r) == mark_reference(x, rightmost_first=True).marked
+            v += 1
+    assert v == 1 << n
+
+
+@pytest.mark.parametrize("block_bits", [3, 16])
+@pytest.mark.parametrize("n", range(1, 11))
+def test_split_planes_match_mark_via_split_exhaustive(monkeypatch, n, block_bits):
+    monkeypatch.setattr(chains, "_BLOCK_BITS", block_bits)
+    start = 0
+    for xs, full in _cube_blocks(n):
+        lanes = full.bit_length()
+        for i in range(1, n + 1):
+            planes = _split_planes(xs, full, i)
+            for r in range(lanes):
+                want = mark_via_split(BitVector(n, start + r), i).marked
+                assert _lane_marks(planes, n, r) == want
+        start += lanes
+    assert start == 1 << n

@@ -4,7 +4,7 @@ import tracemalloc
 from array import array
 from collections import Counter
 from fractions import Fraction
-from itertools import repeat
+from itertools import combinations, repeat
 from math import comb
 
 import hypothesis.strategies as st
@@ -383,6 +383,16 @@ def test_transitivity_audit_swaps():
             metrics.transitivity_ratio_audit(bad, fwd[40], 6)
         with pytest.raises(error):
             metrics.transitivity_ratio_audit(fwd[5], bad, 6)
+
+
+@pytest.mark.parametrize("n,extreme", [(4, 4), (6, 6)])
+def test_every_swap_at_small_n(n, extreme):
+    points = sorted(metrics.image_table(PSI, n))  # the 2^n points of the ball
+    audits = [metrics.transitivity_ratio_audit(x, y, n) for x, y in combinations(points, 2)]
+    assert len(audits) == comb(1 << n, 2)  # 120 and 2016 pairs
+    assert all(aud.swaps_ok for aud in audits)
+    assert min(aud.min_ratio for aud in audits) == Fraction(1, extreme)
+    assert max(aud.max_ratio for aud in audits) == extreme
 
 
 def test_transitivity_audit_agrees_with_public_map():
