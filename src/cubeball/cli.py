@@ -4,7 +4,14 @@ Every command prints one flat key=value record per result line (or CSV with
 ``--format csv``), embedding the tool version and the configuration that
 produced it.  Identical invocations, including the seed, give byte-identical
 output.  Exit codes: 0 success, 1 computation or domain error (reported as a
-one-line ``error=...`` record on stdout), 2 usage error.
+one-line ``error=...`` record on stdout) or a failed selftest criterion, 2
+usage error.
+
+Each flag is declared once, on the subparser that reads it, and each
+subparser names its handler and its record name through ``set_defaults``;
+handlers take the parsed ``argparse.Namespace``.  ``--allow-large`` sits on
+a parent parser shared by the enumerating commands only, and stores the
+enumeration cap itself as ``cap``.
 """
 
 from __future__ import annotations
@@ -14,7 +21,6 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, TextIO
 
@@ -35,51 +41,14 @@ class UsageError(Exception):
     """Flag combinations rejected before any computation starts."""
 
 
-@dataclass(frozen=True, slots=True)
-class RunConfig:
-    """Validated flags for one invocation."""
-
-    command: str
-    format: str = "text"
-    out: Optional[str] = None
-    allow_large: bool = False
-    bijection: Optional[str] = None
-    input: Optional[str] = None
-    n: Optional[int] = None
-    direction: str = "fwd"
-    mode: Optional[str] = None
-    samples: Optional[int] = None
-    seed: Optional[int] = None
-    full: bool = False
-    a: Optional[int] = None
-    b: Optional[int] = None
-    bit: Optional[int] = None
-
-    @classmethod
-    def from_namespace(cls, ns: argparse.Namespace) -> "RunConfig":
-        command = ns.command
-        if command == "stats":
-            command = f"stats-{ns.stats_command}"
-        fields = {
-            name: getattr(ns, name)
-            for name in cls.__dataclass_fields__
-            if name != "command" and hasattr(ns, name)
-        }
-        return cls(command=command, **fields)
-
-    def validate(self) -> None:
-        if self.command == "verify":
-            if self.mode == "sample":
-                if self.seed is None:
-                    raise UsageError("sampled mode requires an explicit --seed")
-                if self.direction == "inv":
-                    raise UsageError("sampled sweeps are forward only")
-                if self.samples is None or self.samples < 1:
-                    raise UsageError("--samples must be >= 1")
-
-    @property
-    def cap(self) -> int:
-        return DEFAULT_ENUMERATION_CAP if self.allow_large else CLI_ENUMERATION_CAP
+def _check_sampled(ns: argparse.Namespace) -> None:
+    if ns.mode == "sample":
+        if ns.seed is None:
+            raise UsageError("sampled mode requires an explicit --seed")
+        if ns.direction == "inv":
+            raise UsageError("sampled sweeps are forward only")
+        if ns.samples < 1:
+            raise UsageError("--samples must be >= 1")
 
 
 def _frac(f: Fraction) -> str:
@@ -121,54 +90,55 @@ def _position_fields(x: BitVector) -> dict[str, str]:
     }
 
 
-def _cmd_map(cfg: RunConfig) -> list[dict[str, str]]:
-    x = BitVector.parse(cfg.input)
-    z = forward_map(BijectionKind(cfg.bijection))(x)
+def _cmd_map(ns: argparse.Namespace) -> list[dict[str, str]]:
+    x = BitVector.parse(ns.input)
+    z = forward_map(BijectionKind(ns.bijection))(x)
     rec = _base("map")
-    rec.update(bijection=cfg.bijection, input=x.render(), n=str(x.n), output=z.render())
+    rec.update(bijection=ns.bijection, input=x.render(), n=str(x.n), output=z.render())
     rec.update(_position_fields(x))
     return [rec]
 
 
-def _cmd_invmap(cfg: RunConfig) -> list[dict[str, str]]:
-    z = BitVector.parse(cfg.input)
-    x = inverse_map(BijectionKind(cfg.bijection))(z)
+def _cmd_invmap(ns: argparse.Namespace) -> list[dict[str, str]]:
+    z = BitVector.parse(ns.input)
+    x = inverse_map(BijectionKind(ns.bijection))(z)
     rec = _base("invmap")
-    rec.update(bijection=cfg.bijection, input=z.render(), n=str(x.n), output=x.render())
+    rec.update(bijection=ns.bijection, input=z.render(), n=str(x.n), output=x.render())
     rec.update(_position_fields(x))
     return [rec]
 
 
-def _cmd_chain(cfg: RunConfig) -> list[dict[str, str]]:
-    x = BitVector.parse(cfg.input)
+def _cmd_chain(ns: argparse.Namespace) -> list[dict[str, str]]:
+    x = BitVector.parse(ns.input)
     rec = _base("chain")
     rec.update(input=x.render(), n=str(x.n))
     rec.update(_position_fields(x))
-    if cfg.full:
+    if ns.full:
         pos = position(x)
         rec["members"] = "|".join(m.render() for m in chain_members(pos.code))
     return [rec]
 
 
-def _cmd_verify(cfg: RunConfig) -> list[dict[str, str]]:
-    kind = BijectionKind(cfg.bijection)
-    if cfg.mode == "sample":
-        report = metrics.forward_stretch_sampled(kind, cfg.n, cfg.samples, cfg.seed)
-    elif cfg.direction == "fwd":
-        report = metrics.forward_stretch_exhaustive(kind, cfg.n, cap=cfg.cap)
+def _cmd_verify(ns: argparse.Namespace) -> list[dict[str, str]]:
+    _check_sampled(ns)
+    kind = BijectionKind(ns.bijection)
+    if ns.mode == "sample":
+        report = metrics.forward_stretch_sampled(kind, ns.n, ns.samples, ns.seed)
+    elif ns.direction == "fwd":
+        report = metrics.forward_stretch_exhaustive(kind, ns.n, cap=ns.cap)
     else:
-        report = metrics.inverse_stretch_exhaustive(kind, cfg.n, cap=cfg.cap)
+        report = metrics.inverse_stretch_exhaustive(kind, ns.n, cap=ns.cap)
     rec = _base("verify")
     rec.update(report.to_record())
     return [rec]
 
 
-def _cmd_pairs_audit(cfg: RunConfig) -> list[dict[str, str]]:
-    aud = metrics.pairwise_ratio_audit(BijectionKind(cfg.bijection), cfg.n, cap=cfg.cap)
+def _cmd_pairs_audit(ns: argparse.Namespace) -> list[dict[str, str]]:
+    aud = metrics.pairwise_ratio_audit(BijectionKind(ns.bijection), ns.n, cap=ns.cap)
     rec = _base("pairs-audit")
     rec.update(
-        bijection=cfg.bijection,
-        n=str(cfg.n),
+        bijection=ns.bijection,
+        n=str(ns.n),
         pairs=str(aud.pairs),
         min_ratio=_frac(aud.min_ratio),
         max_ratio=_frac(aud.max_ratio),
@@ -180,55 +150,55 @@ def _cmd_pairs_audit(cfg: RunConfig) -> list[dict[str, str]]:
     return [rec]
 
 
-def _cmd_stats_chains(cfg: RunConfig) -> list[dict[str, str]]:
-    table = analysis.chain_count_enumerated(cfg.n, cap=cfg.cap)
+def _cmd_stats_chains(ns: argparse.Namespace) -> list[dict[str, str]]:
+    table = analysis.chain_count_enumerated(ns.n, cap=ns.cap)
     records = []
-    for t in range(1, cfg.n + 2):
+    for t in range(1, ns.n + 2):
         rec = _base("stats-chains")
-        rec.update(n=str(cfg.n), t=str(t), count=str(table.entries[t]))
+        rec.update(n=str(ns.n), t=str(t), count=str(table.entries[t]))
         records.append(rec)
     return records
 
 
-def _cmd_stats_profile(cfg: RunConfig) -> list[dict[str, str]]:
-    count = analysis.unmarked_profile_count(cfg.n, cfg.a, cfg.b)
+def _cmd_stats_profile(ns: argparse.Namespace) -> list[dict[str, str]]:
+    count = analysis.unmarked_profile_count(ns.n, ns.a, ns.b)
     rec = _base("stats-profile")
-    rec.update(n=str(cfg.n), a=str(cfg.a), b=str(cfg.b), count=str(count))
+    rec.update(n=str(ns.n), a=str(ns.a), b=str(ns.b), count=str(count))
     return [rec]
 
 
-def _cmd_stats_flipprob(cfg: RunConfig) -> list[dict[str, str]]:
-    analysis._require_flip_domain(cfg.n)  # n < 2 would leave the loop empty
-    coords = [cfg.bit] if cfg.bit is not None else range(1, cfg.n + 1)
+def _cmd_stats_flipprob(ns: argparse.Namespace) -> list[dict[str, str]]:
+    analysis._require_flip_domain(ns.n)  # n < 2 would leave the loop empty
+    coords = [ns.bit] if ns.bit is not None else range(1, ns.n + 1)
     records = []
     for i in coords:
         rec = _base("stats-flipprob")
-        if cfg.mode == "exact":
-            p = analysis.flip_probability_exact(cfg.n, i)
-            rec.update(n=str(cfg.n), i=str(i), mode="exact",
+        if ns.mode == "exact":
+            p = analysis.flip_probability_exact(ns.n, i)
+            rec.update(n=str(ns.n), i=str(i), mode="exact",
                        probability=_frac(p), disagree_count="-")
         else:
-            stat = analysis.flip_probability_exhaustive(cfg.n, i, cap=cfg.cap)
-            rec.update(n=str(cfg.n), i=str(i), mode="exhaustive",
+            stat = analysis.flip_probability_exhaustive(ns.n, i, cap=ns.cap)
+            rec.update(n=str(ns.n), i=str(i), mode="exhaustive",
                        probability=_frac(stat.probability),
                        disagree_count=str(stat.disagree_count))
         records.append(rec)
     return records
 
 
-def _cmd_stats_influence(cfg: RunConfig) -> list[dict[str, str]]:
-    profile = analysis.influence_profile(BijectionKind(cfg.bijection), cfg.n, cfg.cap)
+def _cmd_stats_influence(ns: argparse.Namespace) -> list[dict[str, str]]:
+    profile = analysis.influence_profile(BijectionKind(ns.bijection), ns.n, ns.cap)
     records = []
     for i, inf in enumerate(profile, start=1):
         rec = _base("stats-influence")
-        rec.update(bijection=cfg.bijection, n=str(cfg.n), i=str(i),
+        rec.update(bijection=ns.bijection, n=str(ns.n), i=str(i),
                    influence=_frac(inf))
         records.append(rec)
     return records
 
 
-def _cmd_reduce_majority(cfg: RunConfig) -> list[dict[str, str]]:
-    x = BitVector.parse(cfg.input)
+def _cmd_reduce_majority(ns: argparse.Namespace) -> list[dict[str, str]]:
+    x = BitVector.parse(ns.input)
     r = analysis.majority_reduction(x)
     maj = analysis.majority(x)
     first = analysis.first_output_bit_of_reduction(x)
@@ -245,7 +215,7 @@ def _cmd_reduce_majority(cfg: RunConfig) -> list[dict[str, str]]:
     return [rec]
 
 
-def _cmd_selftest(cfg: RunConfig) -> tuple[list[dict[str, str]], int]:
+def _cmd_selftest(ns: argparse.Namespace) -> list[dict[str, str]]:
     from . import acceptance
 
     results = acceptance.run_all()
@@ -268,21 +238,7 @@ def _cmd_selftest(cfg: RunConfig) -> tuple[list[dict[str, str]], int]:
         detail=f"{passed}/{len(results)} criteria passed",
     )
     records.append(summary)
-    return records, 0 if passed == len(results) else 1
-
-
-_HANDLERS = {
-    "map": _cmd_map,
-    "invmap": _cmd_invmap,
-    "chain": _cmd_chain,
-    "verify": _cmd_verify,
-    "pairs-audit": _cmd_pairs_audit,
-    "stats-chains": _cmd_stats_chains,
-    "stats-profile": _cmd_stats_profile,
-    "stats-flipprob": _cmd_stats_flipprob,
-    "stats-influence": _cmd_stats_influence,
-    "reduce-majority": _cmd_reduce_majority,
-}
+    return records
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -290,7 +246,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=["text", "csv"], default="text")
     common.add_argument("--out", metavar="PATH", default=None,
                         help="also write the report to this file")
-    common.add_argument("--allow-large", action="store_true",
+    capped = argparse.ArgumentParser(add_help=False, parents=[common])
+    capped.add_argument("--allow-large", dest="cap", action="store_const",
+                        const=DEFAULT_ENUMERATION_CAP, default=CLI_ENUMERATION_CAP,
                         help="lift the enumeration cap from 2^24 to 2^28")
 
     parser = argparse.ArgumentParser(
@@ -301,18 +259,22 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("map", parents=[common], help="apply a bijection")
+    p.set_defaults(handler=_cmd_map)
     p.add_argument("--bijection", choices=_KINDS, required=True)
     p.add_argument("--input", required=True, metavar="BITS")
 
     p = sub.add_parser("invmap", parents=[common], help="apply an inverse bijection")
+    p.set_defaults(handler=_cmd_invmap)
     p.add_argument("--bijection", choices=_KINDS, required=True)
     p.add_argument("--input", required=True, metavar="BITS")
 
     p = sub.add_parser("chain", parents=[common], help="locate a vertex on its chain")
+    p.set_defaults(handler=_cmd_chain)
     p.add_argument("--input", required=True, metavar="BITS")
     p.add_argument("--full", action="store_true", help="also list the whole chain")
 
-    p = sub.add_parser("verify", parents=[common], help="stretch sweep")
+    p = sub.add_parser("verify", parents=[capped], help="stretch sweep")
+    p.set_defaults(handler=_cmd_verify)
     p.add_argument("--bijection", choices=_KINDS, required=True)
     p.add_argument("--direction", choices=["fwd", "inv"], default="fwd")
     p.add_argument("--n", type=int, required=True)
@@ -320,39 +282,46 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=100000)
     p.add_argument("--seed", type=int, default=None)
 
-    p = sub.add_parser("pairs-audit", parents=[common],
+    p = sub.add_parser("pairs-audit", parents=[capped],
                        help="extreme pairwise distance ratios")
+    p.set_defaults(handler=_cmd_pairs_audit)
     p.add_argument("--bijection", choices=_KINDS, required=True)
     p.add_argument("--n", type=int, required=True)
 
     stats = sub.add_parser("stats", help="exact counting statistics")
     stats_sub = stats.add_subparsers(dest="stats_command", required=True)
 
-    p = stats_sub.add_parser("chains", parents=[common], help="chain counts by length")
+    p = stats_sub.add_parser("chains", parents=[capped], help="chain counts by length")
+    p.set_defaults(handler=_cmd_stats_chains, command="stats-chains")
     p.add_argument("--n", type=int, required=True)
 
     p = stats_sub.add_parser("profile", parents=[common],
                              help="count vertices by unmarked profile")
+    p.set_defaults(handler=_cmd_stats_profile, command="stats-profile")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--a", type=int, required=True, help="unmarked zeros")
     p.add_argument("--b", type=int, required=True, help="unmarked ones")
 
-    p = stats_sub.add_parser("flipprob", parents=[common],
+    p = stats_sub.add_parser("flipprob", parents=[capped],
                              help="per-bit disagreement probability")
+    p.set_defaults(handler=_cmd_stats_flipprob, command="stats-flipprob")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--bit", type=int, default=None, metavar="I")
     p.add_argument("--mode", choices=["exact", "exhaustive"], default="exact")
 
-    p = stats_sub.add_parser("influence", parents=[common],
+    p = stats_sub.add_parser("influence", parents=[capped],
                              help="total influence of each output bit")
+    p.set_defaults(handler=_cmd_stats_influence, command="stats-influence")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--bijection", choices=_KINDS, default="psi")
 
     p = sub.add_parser("reduce-majority", parents=[common],
                        help="blow a vector up so bit 1 of its image is majority")
+    p.set_defaults(handler=_cmd_reduce_majority)
     p.add_argument("--input", required=True, metavar="BITS")
 
-    sub.add_parser("selftest", parents=[common], help="run the acceptance checklist")
+    p = sub.add_parser("selftest", parents=[common], help="run the acceptance checklist")
+    p.set_defaults(handler=_cmd_selftest)
 
     return parser
 
@@ -363,32 +332,26 @@ def run(argv: list[str], stdout: Optional[TextIO] = None) -> int:
         ns = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse already printed the message
         return int(exc.code or 0)
-    cfg = RunConfig.from_namespace(ns)
+
     try:
-        cfg.validate()
+        records = ns.handler(ns)
     except UsageError as exc:
         print(f"cubeball: usage error: {exc}", file=sys.stderr)
         return 2
-
-    status = 0
-    try:
-        if cfg.command == "selftest":
-            records, status = _cmd_selftest(cfg)
-        else:
-            records = _HANDLERS[cfg.command](cfg)
     except (CubeballError, ValueError) as exc:
-        rec = _base(cfg.command)
+        rec = _base(ns.command)
         rec.update(error=type(exc).__name__, detail=str(exc))
-        _emit([rec], cfg.format, stream)
+        _emit([rec], ns.format, stream)
         return 1
 
     buf = io.StringIO()
-    _emit(records, cfg.format, buf)
+    _emit(records, ns.format, buf)
     stream.write(buf.getvalue())
-    if cfg.out:
-        with open(cfg.out, "w") as fh:
+    if ns.out:
+        with open(ns.out, "w") as fh:
             fh.write(buf.getvalue())
-    return status
+    # only selftest records carry a status; one FAIL makes the exit code 1
+    return int(any(rec.get("status") == "FAIL" for rec in records))
 
 
 def main() -> None:
