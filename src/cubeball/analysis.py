@@ -138,14 +138,32 @@ def chain_count_enumerated(
     return ChainCountTable(n=n, entries=counts)
 
 
-def unmarked_profile_count(n: int, a: int, b: int) -> int:
-    """Vertices whose marking leaves exactly a unmarked zeros and b ones."""
+def _profile_level(n: int, a: int, b: int) -> int:
+    """m = (n-a-b)/2 of a valid profile: its count is C(n, m) - C(n, m-1)."""
     _require_cube(n, "profile count")
     if a < 0 or b < 0 or a + b > n:
         raise ValueError(f"profile ({a}, {b}) out of range for n={n}")
     if (a + b - n) % 2:
         raise ParityError(f"a+b={a + b} must have the parity of n={n}")
-    return _binom(n, (n - a - b) // 2) - _binom(n, (n - a - b - 2) // 2)
+    return (n - a - b) // 2
+
+
+def unmarked_profile_count(n: int, a: int, b: int) -> int:
+    """Vertices whose marking leaves exactly a unmarked zeros and b ones."""
+    m = _profile_level(n, a, b)
+    return _binom(n, m) - _binom(n, m - 1)
+
+
+def unmarked_profile_count_bits(n: int, a: int, b: int) -> int:
+    """An e with ``unmarked_profile_count(n, a, b) >= 2^e``, found without the count.
+
+    The count is C(n, m) (a+b+1)/(n-m+1) >= C(n, m)/(n+1), and with
+    j = min(m, n-m), C(n, m) >= (n/j)^j >= 2^j.  Integer arithmetic only, so
+    it stays cheap and exact for any n.
+    """
+    m = _profile_level(n, a, b)
+    j = min(m, n - m)
+    return max(j, j * (n.bit_length() - 1 - j.bit_length())) - (n + 1).bit_length()
 
 
 def unmarked_zeros_count(n: int, a: int) -> int:

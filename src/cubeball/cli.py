@@ -10,8 +10,9 @@ usage error.
 Each flag is declared once, on the subparser that reads it, and each
 subparser names its handler and its record name through ``set_defaults``;
 handlers take the parsed ``argparse.Namespace``.  ``--allow-large`` sits on
-a parent parser shared by the enumerating commands only, and stores the
-enumeration cap itself as ``cap``.
+a parent parser shared by the commands whose work the cap bounds (the
+enumerating ones, and ``chain`` for the size of ``--full``), and stores the
+cap itself as ``cap``.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from fractions import Fraction
 from typing import Optional, TextIO
@@ -27,14 +29,18 @@ from typing import Optional, TextIO
 from . import __version__, analysis, metrics
 from .bijections import BijectionKind, forward_map, inverse_map
 from .bits import DEFAULT_ENUMERATION_CAP, BitVector
-from .chains import chain_members, position
-from .errors import CubeballError
+from .chains import ChainPosition, chain_members, position
+from .errors import CubeballError, DigitLimitError, EnumerationCapError
 
 # The CLI enumerates at most 2^24 items unless --allow-large lifts the cap
 # to the library ceiling.
 CLI_ENUMERATION_CAP = 1 << 24
 
 _KINDS = [k.value for k in BijectionKind]
+
+# Python refuses to print an int with more decimal digits than this; 0 means
+# no limit, as on interpreters older than the limit itself.
+_digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
 
 
 class UsageError(Exception):
@@ -51,8 +57,28 @@ def _check_sampled(ns: argparse.Namespace) -> None:
             raise UsageError("--samples must be >= 1")
 
 
+def _require_digits(bits: int, what: str) -> None:
+    """Refuse an answer known to be at least 2^bits when it is past the digit limit."""
+    limit = _digit_limit()
+    if limit and 1000 * bits >= 3322 * limit:  # 2^3.322 > 10
+        digits = 30102 * bits // 100000 + 1  # log10(2) > 0.30102
+        raise DigitLimitError(
+            f"{what} has at least {digits} decimal digits, over the limit of {limit}")
+
+
+def _decimal(x: int, what: str) -> str:
+    """x in decimal, or a DigitLimitError naming its size past the digit limit."""
+    limit = _digit_limit()
+    if limit and x.bit_length() > 3 * limit and x >= 10 ** limit:
+        digits = int(math.log10(x))  # floor(log10 x), give or take one
+        digits += (10 ** digits <= x) + (10 ** (digits + 1) <= x)
+        raise DigitLimitError(
+            f"{what} has {digits} decimal digits, over the limit of {limit}")
+    return str(x)
+
+
 def _frac(f: Fraction) -> str:
-    return f"{f.numerator}/{f.denominator}"
+    return f"{_decimal(f.numerator, 'numerator')}/{_decimal(f.denominator, 'denominator')}"
 
 
 def _fmt(value) -> str:
@@ -80,8 +106,7 @@ def _base(command: str) -> dict[str, str]:
     return {"tool": "cubeball", "version": __version__, "command": command}
 
 
-def _position_fields(x: BitVector) -> dict[str, str]:
-    pos = position(x)
+def _position_fields(pos: ChainPosition) -> dict[str, str]:
     return {
         "chain_code": str(pos.code),
         "k": str(pos.k),
@@ -95,7 +120,7 @@ def _cmd_map(ns: argparse.Namespace) -> list[dict[str, str]]:
     z = forward_map(BijectionKind(ns.bijection))(x)
     rec = _base("map")
     rec.update(bijection=ns.bijection, input=x.render(), n=str(x.n), output=z.render())
-    rec.update(_position_fields(x))
+    rec.update(_position_fields(position(x)))
     return [rec]
 
 
@@ -104,17 +129,21 @@ def _cmd_invmap(ns: argparse.Namespace) -> list[dict[str, str]]:
     x = inverse_map(BijectionKind(ns.bijection))(z)
     rec = _base("invmap")
     rec.update(bijection=ns.bijection, input=z.render(), n=str(x.n), output=x.render())
-    rec.update(_position_fields(x))
+    rec.update(_position_fields(position(x)))
     return [rec]
 
 
 def _cmd_chain(ns: argparse.Namespace) -> list[dict[str, str]]:
     x = BitVector.parse(ns.input)
+    pos = position(x)
     rec = _base("chain")
     rec.update(input=x.render(), n=str(x.n))
-    rec.update(_position_fields(x))
+    rec.update(_position_fields(pos))
     if ns.full:
-        pos = position(x)
+        # the members hold length * n bits, n + 1 members of n bits at worst
+        bits = pos.code.length() * x.n
+        if bits > ns.cap:
+            raise EnumerationCapError(bits, ns.cap, "member bits")
         rec["members"] = "|".join(m.render() for m in chain_members(pos.code))
     return [rec]
 
@@ -161,9 +190,11 @@ def _cmd_stats_chains(ns: argparse.Namespace) -> list[dict[str, str]]:
 
 
 def _cmd_stats_profile(ns: argparse.Namespace) -> list[dict[str, str]]:
+    # far past the digit limit, refuse before computing the binomials
+    _require_digits(analysis.unmarked_profile_count_bits(ns.n, ns.a, ns.b), "count")
     count = analysis.unmarked_profile_count(ns.n, ns.a, ns.b)
     rec = _base("stats-profile")
-    rec.update(n=str(ns.n), a=str(ns.a), b=str(ns.b), count=str(count))
+    rec.update(n=str(ns.n), a=str(ns.a), b=str(ns.b), count=_decimal(count, "count"))
     return [rec]
 
 
@@ -268,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bijection", choices=_KINDS, required=True)
     p.add_argument("--input", required=True, metavar="BITS")
 
-    p = sub.add_parser("chain", parents=[common], help="locate a vertex on its chain")
+    p = sub.add_parser("chain", parents=[capped], help="locate a vertex on its chain")
     p.set_defaults(handler=_cmd_chain)
     p.add_argument("--input", required=True, metavar="BITS")
     p.add_argument("--full", action="store_true", help="also list the whole chain")

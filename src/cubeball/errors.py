@@ -56,3 +56,10 @@ class EnumerationCapError(CubeballError, RuntimeError):
         self.needed = needed
         self.cap = cap
         super().__init__(f"enumeration of {needed} {what} exceeds cap {cap}")
+
+
+class DigitLimitError(CubeballError, RuntimeError):
+    """An exact answer has more decimal digits than the interpreter prints.
+
+    The limit is ``sys.get_int_max_str_digits()``, 4300 by default.
+    """

@@ -83,6 +83,33 @@ def test_unmarked_profile_count_parity_error():
         analysis.unmarked_profile_count(4, 1, 0)
 
 
+def test_profile_count_bits_bound_every_small_profile():
+    for n in range(1, 80):
+        for a in range(n + 1):
+            for b in range(n - a + 1):
+                if (a + b - n) % 2 == 0:
+                    count = analysis.unmarked_profile_count(n, a, b)
+                    assert count >= 2 ** analysis.unmarked_profile_count_bits(n, a, b)
+
+
+@given(st.integers(2, 6000), st.data())
+def test_profile_count_bits_bound_large_profiles(n, data):
+    a = data.draw(st.integers(0, n))
+    b = data.draw(st.integers(0, n - a).filter(lambda b: (a + b - n) % 2 == 0))
+    count = analysis.unmarked_profile_count(n, a, b)
+    bits = analysis.unmarked_profile_count_bits(n, a, b)
+    assert count >= 2 ** bits
+    if a + b <= 2:  # near the middle level the bound is within a factor 2 + log2(n+1)
+        assert 2 * bits + 2 * n.bit_length() + 4 >= count.bit_length()
+
+
+def test_profile_count_bits_validates_like_the_count():
+    with pytest.raises(ParityError):
+        analysis.unmarked_profile_count_bits(4, 1, 0)
+    with pytest.raises(ValueError):
+        analysis.unmarked_profile_count_bits(4, 5, 0)
+
+
 @pytest.mark.parametrize("n", range(1, 13))
 def test_profile_counts_match_enumeration_and_sum(n):
     hist = analysis.unmarked_profile_histogram(n)

@@ -1,11 +1,16 @@
+import argparse
 import csv
 import io
+import shlex
 import subprocess
 import sys
 
 import pytest
 
-from cubeball.cli import run
+from cubeball import cli
+from cubeball.bits import DEFAULT_ENUMERATION_CAP
+from cubeball.cli import CLI_ENUMERATION_CAP, build_parser, run
+from cubeball.errors import DigitLimitError
 
 
 def _run(argv):
@@ -15,11 +20,7 @@ def _run(argv):
 
 
 def _fields(line):
-    out = {}
-    for part in line.strip().split(" "):
-        k, _, v = part.partition("=")
-        out[k] = v.strip('"')
-    return out
+    return dict(part.split("=", 1) for part in shlex.split(line))
 
 
 def test_map_example():
@@ -222,3 +223,178 @@ def test_module_entry_point_subprocess():
     )
     assert proc.returncode == 0
     assert "output=00111" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "extra,message",
+    [
+        (["--direction", "inv", "--seed", "1"], "sampled sweeps are forward only"),
+        (["--seed", "1", "--samples", "0"], "--samples must be >= 1"),
+        ([], "sampled mode requires an explicit --seed"),
+    ],
+)
+def test_sampled_mode_usage_errors(capsys, extra, message):
+    code, out = _run(["verify", "--bijection", "psi", "--n", "8", "--mode", "sample"] + extra)
+    assert code == 2
+    assert out == ""
+    assert capsys.readouterr().err == f"cubeball: usage error: {message}\n"
+
+
+def test_selftest_failed_criterion_exits_1(monkeypatch):
+    from cubeball import acceptance
+
+    monkeypatch.setattr(acceptance, "CRITERIA", (
+        (1, "holds", lambda: (True, "fine")),
+        (2, "broken", lambda: (False, "patched to fail")),
+    ))
+    code, out = _run(["selftest"])
+    assert code == 1
+    recs = [_fields(line) for line in out.splitlines()]
+    assert [r["status"] for r in recs] == ["PASS", "FAIL", "FAIL"]
+    assert recs[-1]["criterion"] == "summary"
+    assert recs[-1]["detail"] == "1/2 criteria passed"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["map", "--bijection", "psi", "--input", "0000"],
+        ["invmap", "--bijection", "psi", "--input", "01110"],
+        ["stats", "profile", "--n", "4", "--a", "0", "--b", "0"],
+        ["reduce-majority", "--input", "01101"],
+        ["selftest"],
+    ],
+)
+def test_allow_large_is_a_usage_error_where_no_cap_applies(capsys, argv):
+    code, out = _run(argv + ["--allow-large"])
+    assert code == 2
+    assert out == ""
+    assert "unrecognized arguments: --allow-large" in capsys.readouterr().err
+
+
+def _subparsers(parser, prefix=()):
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _subparsers(sub, prefix + (name,))
+            return
+    yield " ".join(prefix), parser
+
+
+COMMON = ["-h", "--help", "--format", "--out"]
+CAPPED = COMMON + ["--allow-large"]
+
+OPTIONS = {
+    "map": COMMON + ["--bijection", "--input"],
+    "invmap": COMMON + ["--bijection", "--input"],
+    "chain": CAPPED + ["--input", "--full"],
+    "verify": CAPPED + ["--bijection", "--direction", "--n", "--mode", "--samples", "--seed"],
+    "pairs-audit": CAPPED + ["--bijection", "--n"],
+    "stats chains": CAPPED + ["--n"],
+    "stats profile": COMMON + ["--n", "--a", "--b"],
+    "stats flipprob": CAPPED + ["--n", "--bit", "--mode"],
+    "stats influence": CAPPED + ["--n", "--bijection"],
+    "reduce-majority": COMMON + ["--input"],
+    "selftest": COMMON,
+}
+
+
+def test_option_strings_of_each_subcommand():
+    got = {
+        name: sorted(s for a in p._actions for s in a.option_strings)
+        for name, p in _subparsers(build_parser())
+    }
+    assert got == {name: sorted(opts) for name, opts in OPTIONS.items()}
+
+
+def test_allow_large_sets_the_cap():
+    ns = build_parser().parse_args(["stats", "chains", "--n", "4"])
+    assert ns.cap == CLI_ENUMERATION_CAP == 1 << 24
+    ns = build_parser().parse_args(["stats", "chains", "--n", "4", "--allow-large"])
+    assert ns.cap == DEFAULT_ENUMERATION_CAP == 1 << 28
+    assert (ns.command, ns.handler.__name__) == ("stats-chains", "_cmd_stats_chains")
+
+
+def test_chain_full_over_the_cap_is_a_one_line_error():
+    # the all-blank code at n = 4096 lists 4097 members of 4096 bits
+    code, out = _run(["chain", "--input", "0" * 4096, "--full"])
+    assert code == 1
+    assert len(out.splitlines()) == 1
+    rec = _fields(out)
+    assert rec["error"] == "EnumerationCapError"
+    assert "16781312 member bits" in out
+    # without --full nothing is listed, so nothing is capped
+    assert _run(["chain", "--input", "0" * 4096])[0] == 0
+
+
+def test_chain_full_cap_boundary_and_allow_large(monkeypatch):
+    # 01100110 sits on a chain of 3 members of 8 bits: 24 member bits
+    argv = ["chain", "--input", "01100110", "--full"]
+    expected = _run(argv)
+    monkeypatch.setattr(cli, "CLI_ENUMERATION_CAP", 24)
+    assert _run(argv) == expected
+    monkeypatch.setattr(cli, "CLI_ENUMERATION_CAP", 23)
+    code, out = _run(argv)
+    assert code == 1
+    assert _fields(out)["detail"] == "enumeration of 24 member bits exceeds cap 23"
+    assert _run(argv + ["--allow-large"]) == expected
+
+
+def test_chain_locates_its_input_once(monkeypatch):
+    calls = []
+    real = cli.position
+    monkeypatch.setattr(cli, "position", lambda x: calls.append(x) or real(x))
+    assert _run(["chain", "--input", "01100110", "--full"])[0] == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "argv,digits",
+    [
+        (["stats", "profile", "--n", "14306", "--a", "0", "--b", "0"], "4301"),
+        (["stats", "flipprob", "--n", "14294", "--bit", "1"], "4301"),
+    ],
+)
+def test_answer_past_the_digit_limit_is_a_one_line_error(argv, digits):
+    code, out = _run(argv)
+    assert code == 1
+    assert len(out.splitlines()) == 1
+    rec = _fields(out)
+    assert rec["error"] == "DigitLimitError"
+    assert f" has {digits} decimal digits, over the limit of 4300" in rec["detail"]
+
+
+def test_profile_far_past_the_digit_limit_is_refused_before_computing(monkeypatch):
+    def computed(*args):
+        raise AssertionError("the count was computed")
+
+    monkeypatch.setattr(cli.analysis, "unmarked_profile_count", computed)
+    code, out = _run(["stats", "profile", "--n", "4000000", "--a", "0", "--b", "0"])
+    assert code == 1
+    rec = _fields(out)
+    assert rec["error"] == "DigitLimitError"
+    assert rec["detail"].startswith("count has at least ")
+
+
+@pytest.mark.parametrize(
+    "argv,count_digits",
+    [
+        (["stats", "profile", "--n", "14304", "--a", "0", "--b", "0"], 4300),
+        (["stats", "profile", "--n", "20000", "--a", "20000", "--b", "0"], 1),
+        (["stats", "profile", "--n", "20000", "--a", "19998", "--b", "0"], 5),
+    ],
+)
+def test_answers_within_the_digit_limit_still_print(argv, count_digits):
+    code, out = _run(argv)
+    assert code == 0
+    assert len(_fields(out)["count"]) == count_digits
+
+
+@pytest.mark.parametrize("k", [700, 1024, 2048])
+def test_digit_count_at_powers_of_ten(monkeypatch, k):
+    # float log10 is one low at 10^1024 and one high at 10^k - 1
+    monkeypatch.setattr(cli, "_digit_limit", lambda: 640)
+    assert cli._decimal(10**640 - 1, "x") == "9" * 640
+    for x, digits in ((10**k - 1, k), (10**k, k + 1)):
+        with pytest.raises(DigitLimitError, match=f"^x has {digits} decimal digits"):
+            cli._decimal(x, "x")
