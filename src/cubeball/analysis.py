@@ -39,6 +39,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
+from operator import mul
+from typing import Iterator
 
 from .bijections import _FORWARD_VALUE, BijectionKind, _psi_value, _require_dimension
 from .bits import DEFAULT_ENUMERATION_CAP, BitVector, _low_mask, _require_cap
@@ -193,12 +195,23 @@ def flip_probability_exact(n: int, i: int) -> Fraction:
     _require_flip_domain(n)
     if not 1 <= i <= n:
         raise CoordinateRangeError(f"coordinate {i} out of [1, {n}]")
-    pre = i - 1
-    suf = n - i
-    total = sum(
-        comb(pre, (pre - c) // 2) * comb(suf, (suf - c) // 2) for c in range(min(pre, suf) + 1)
-    )
+    total = sum(map(mul, _floor_half_binomials(i - 1), _floor_half_binomials(n - i)))
     return Fraction(total, 1 << n)
+
+
+def _floor_half_binomials(m: int) -> Iterator[int]:
+    """C(m, floor((m - c) / 2)) for c = 0, 1, ..., m, each from the one before.
+
+    The lower index drops by one after each c with m - c even, and
+    C(m, k - 1) = C(m, k) * k / (m - k + 1) exactly.
+    """
+    k = m >> 1
+    value = comb(m, k)
+    for c in range(m + 1):
+        yield value
+        if (m - c) & 1 == 0:
+            value = value * k // (m - k + 1)
+            k -= 1
 
 
 def flip_probability_exhaustive(

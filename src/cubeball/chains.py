@@ -30,7 +30,9 @@ kernel below, holds ``(a, b, shifts of the unmatched 0s)`` for every byte.
 :func:`_unmatched_zeros` scans the input padded on the right with 1s up to
 a whole number of bytes, which changes nothing because trailing 1s never
 match; it gives the unmatched 0s and the number of unmatched 1s, which is
-all a single evaluation of psi or phi needs.  Marking is also symmetric:
+all a single evaluation of psi or phi needs.  :func:`_profile` folds the
+same stream through the counts alone and gives just (a, b), which is all
+the edge-distance rules in ``bijections`` need.  Marking is also symmetric:
 the unmatched 1s of x are the unmatched 0s of x reversed and complemented.
 So :func:`_unmatched_ones` runs the same scan over the mirrored bytes of x,
 whose high zero padding mirrors to trailing 1s; it gives the unmatched 1s,
@@ -193,9 +195,28 @@ def _scan(stream: bytes, n: int) -> tuple[list[int], int]:
     return zeros, depth
 
 
+def _profile(n: int, v: int) -> tuple[int, int]:
+    """The marking profile (a, b): the numbers of unmatched 0s and 1s.
+
+    The count-only form of :func:`_unmatched_zeros`: the same padded byte
+    stream, folded through the (a, b) fields of the byte table alone.
+    """
+    pad = -n & 7
+    zeros = 0
+    depth = 0
+    for byte in (((v + 1) << pad) - 1).to_bytes((n + pad) >> 3, "big"):
+        a, b, _ = _CHUNKS[byte]
+        if a > depth:
+            zeros += a - depth
+            depth = b
+        else:
+            depth += b - a
+    return zeros, depth - pad
+
+
 def _unmatched_zeros(n: int, v: int) -> tuple[list[int], int]:
     """Shifts (n - coordinate) of the unmatched 0s, leftmost first, and the
-    number of unmatched 1s.  Needs n >= 1.
+    number of unmatched 1s.
     """
     pad = -n & 7
     zeros, depth = _scan((((v + 1) << pad) - 1).to_bytes((n + pad) >> 3, "big"), n)
@@ -204,7 +225,7 @@ def _unmatched_zeros(n: int, v: int) -> tuple[list[int], int]:
 
 def _unmatched_ones(n: int, v: int) -> tuple[list[int], int]:
     """Shifts of the unmatched 1s, leftmost first, and the number of
-    unmatched 0s.  Needs n >= 1.
+    unmatched 0s.
     """
     # The unmatched 0s of the mirrored stream, from coordinate n back to 1,
     # are the unmatched 1s of v; v's high zero bits mirror to trailing 1s.
@@ -263,7 +284,7 @@ class ChainCode:
             )
         # the fixed symbols must mark completely: no unmatched 0 or 1
         fixed = self.symbols.replace(BLANK, "")
-        if fixed and _unmatched_zeros(len(fixed), int(fixed, 2)) != ([], 0):
+        if fixed and _profile(len(fixed), int(fixed, 2)) != (0, 0):
             raise ValueError(f"unbalanced fixed symbols in {self.symbols!r}")
 
     @property

@@ -10,10 +10,17 @@ ball (both endpoints inside).  The average is over ordered induced (z, i)
 pairs; this convention is recorded in the report's ``averaging`` field.
 
 Averages are exact rationals: integer distance sums with a single final
-division, so exhaustive reports carry no floating-point drift.  Sampled
-estimates draw (x, i) uniformly from Python's ``random.Random(seed)``
+division, so exhaustive reports carry no floating-point drift.
+
+Sampled estimates draw (x, i) uniformly from Python's ``random.Random(seed)``
 (Mersenne twister; one ``getrandbits(n)`` then one ``randrange(n)`` per
-sample) and are byte-reproducible for a fixed seed.
+sample) and are byte-reproducible for a fixed seed.  Up to n = 20 a draw's
+distance is read off the image table.  Above that no table is built and the
+map is not evaluated: the distance depends only on the marking profiles
+(a1, b1) of x_1..x_{i-1} and (a2, b2) of x_{i+1}..x_n, so a draw folds the
+prefix and the suffix through the marking byte table's counts
+(``chains._profile``) and hands the four counts to the map's edge-distance
+rule (``bijections._EDGE_DISTANCE``), a few integer operations.
 
 Whole-cube work runs on tables: ``image_table`` and ``preimage_table`` are
 ``array('i')`` tables at 4 bytes per entry.  ``image_table`` makes no call
@@ -45,13 +52,13 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
-from .bijections import _FORWARD_PLANES, _FORWARD_VALUE, BijectionKind, _require_dimension
+from .bijections import _EDGE_DISTANCE, _FORWARD_PLANES, BijectionKind, _require_dimension
 from .bits import DEFAULT_ENUMERATION_CAP, BitVector, EdgeId, _low_mask, _require_cap
-from .chains import _cube_blocks, _increment, _unmatched_planes
+from .chains import _cube_blocks, _increment, _profile, _unmatched_planes
 from .errors import BijectivityError, LengthMismatchError, NotInBallError
 
-# Above this domain size, sampled sweeps evaluate the map per draw instead of
-# building a full image table.
+# Above this domain size, sampled sweeps find each draw's distance from its
+# marking profiles instead of building a full image table.
 _TABLE_LIMIT = 1 << 20
 
 # _DIGITS[b] is a bytes.translate table sending a byte to ASCII "1" where its
@@ -363,7 +370,7 @@ def forward_stretch_sampled(
         raise ValueError("sampled mode requires an explicit seed")
     rng = random.Random(seed)
     table = image_table(kind, n) if n < _TABLE_LIMIT.bit_length() else None
-    f = _FORWARD_VALUE[kind]
+    rule = _EDGE_DISTANCE[kind]
     best = -1
     bw = (0, 1)
     total = 0
@@ -371,11 +378,11 @@ def forward_stretch_sampled(
     for _ in range(samples):
         v = rng.getrandbits(n)
         i = rng.randrange(n) + 1
-        w = v ^ (1 << (n - i))
         if table is not None:
-            d = (table[v] ^ table[w]).bit_count()
+            d = (table[v] ^ table[v ^ (1 << (n - i))]).bit_count()
         else:
-            d = (f(n, v) ^ f(n, w)).bit_count()
+            low = n - i  # the suffix's length
+            d = rule(n, *_profile(i - 1, v >> (low + 1)), *_profile(low, v & ((1 << low) - 1)))
         total += d
         total_sq += d * d
         if d > best:

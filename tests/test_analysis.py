@@ -166,6 +166,21 @@ def test_flip_probability_single_sum_equals_double_sum(n):
         assert analysis.flip_probability_exact(n, i) == _flip_probability_double_sum(n, i)
 
 
+def _flip_probability_comb_per_term(n, i):
+    # the single sum with both binomials of each term computed afresh
+    pre, suf = i - 1, n - i
+    total = sum(
+        comb(pre, (pre - c) // 2) * comb(suf, (suf - c) // 2) for c in range(min(pre, suf) + 1)
+    )
+    return Fraction(total, 1 << n)
+
+
+@pytest.mark.parametrize("n", [2, 4, 62, 100, 256, 258])
+def test_flip_probability_stepped_binomials_equal_comb_per_term(n):
+    for i in range(1, n + 1):
+        assert analysis.flip_probability_exact(n, i) == _flip_probability_comb_per_term(n, i)
+
+
 @pytest.mark.parametrize("n", range(2, 41, 2))
 def test_flip_probability_symmetric_under_reversal(n):
     for i in range(1, n + 1):

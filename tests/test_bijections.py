@@ -4,6 +4,8 @@ from hypothesis import given
 
 from cubeball.bits import BitVector, distance
 from cubeball.bijections import (
+    _EDGE_DISTANCE,
+    _FORWARD_VALUE,
     BallVector,
     BijectionKind,
     forward_map,
@@ -19,6 +21,7 @@ from cubeball.bijections import (
 from cubeball.chains import chain_member, mark, position
 from cubeball.errors import NotInBallError, NotInImageError, OddLengthError
 
+from marking_oracle import unmatched_shifts
 from strategies import bit_vectors, lengths_with_residue
 
 KINDS = list(BijectionKind)
@@ -191,6 +194,46 @@ def test_edge_images_depend_only_on_unmarked_profiles(data):
     assert distance(psi(x).vector, psi(y).vector) == distance(
         psi(w0).vector, psi(w1).vector
     )
+
+
+def _oracle_profile(n, v):
+    zeros, ones = unmatched_shifts(n, v)
+    return len(zeros), len(ones)
+
+
+@pytest.mark.parametrize("n", range(2, 15, 2))
+@pytest.mark.parametrize("kind", KINDS)
+def test_edge_distance_rule_matches_map_exhaustive(kind, n):
+    f = _FORWARD_VALUE[kind]
+    rule = _EDGE_DISTANCE[kind]
+    images = [f(n, v) for v in range(1 << n)]
+    # profiles[m][u]: the oracle's profile of the m-bit string u
+    profiles = [[_oracle_profile(m, u) for u in range(1 << m)] for m in range(n)]
+    for v in range(1 << n):
+        for i in range(1, n + 1):
+            low = n - i
+            if v >> low & 1:
+                continue  # each edge once, from its endpoint with x_i = 0
+            want = (images[v] ^ images[v | 1 << low]).bit_count()
+            prefix = profiles[i - 1][v >> (low + 1)]
+            suffix = profiles[low][v & ((1 << low) - 1)]
+            assert rule(n, *prefix, *suffix) == want, (v, i)
+
+
+@pytest.mark.parametrize("residue", [0, 2, 4, 6])
+@pytest.mark.parametrize("kind", KINDS)
+@given(st.data())
+def test_edge_distance_rule_matches_map_large_n(kind, residue, data):
+    n = data.draw(lengths_with_residue(residue))
+    v = data.draw(st.integers(0, (1 << n) - 1))
+    # coordinates 1 and n leave an empty prefix or suffix
+    i = data.draw(st.one_of(st.just(1), st.just(n), st.integers(1, n)))
+    f = _FORWARD_VALUE[kind]
+    want = (f(n, v) ^ f(n, v ^ (1 << (n - i)))).bit_count()
+    low = n - i
+    prefix = _oracle_profile(i - 1, v >> (low + 1))
+    suffix = _oracle_profile(low, v & ((1 << low) - 1))
+    assert _EDGE_DISTANCE[kind](n, *prefix, *suffix) == want
 
 
 def test_transitivity_map_swaps_and_cancels():

@@ -10,6 +10,7 @@ from cubeball.chains import (
     ChainCode,
     _cube_blocks,
     _CHUNKS,
+    _profile,
     _reference_planes,
     _split_planes,
     _unmatched,
@@ -189,10 +190,12 @@ def test_chains_partition_the_cube(n):
     assert total == 1 << n
 
 
-@pytest.mark.parametrize("n", range(1, 15))
+@pytest.mark.parametrize("n", range(15))
 def test_unmatched_zeros_matches_stack_scan_exhaustive(n):
+    # n = 0 is the empty prefix or suffix of an edge at coordinate 1 or n
     for v in range(1 << n):
         zeros, ones = unmatched_shifts(n, v)
+        assert _profile(n, v) == (len(zeros), len(ones))
         assert _unmatched_zeros(n, v) == (zeros, len(ones))
         assert _unmatched_ones(n, v) == (ones, len(zeros))
         assert _unmatched(n, v) == (zeros, ones)
@@ -206,6 +209,7 @@ def test_unmatched_zeros_matches_stack_scan_large_n(residue, data):
     n = data.draw(lengths_with_residue(residue))
     v = data.draw(st.integers(0, (1 << n) - 1))
     zeros, ones = unmatched_shifts(n, v)
+    assert _profile(n, v) == (len(zeros), len(ones))
     assert _unmatched_zeros(n, v) == (zeros, len(ones))
     assert _unmatched_ones(n, v) == (ones, len(zeros))
     assert _unmatched(n, v) == (zeros, ones)

@@ -11,7 +11,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
-from cubeball.bits import BitVector, distance, enumerate_cube
+from cubeball.bits import BitVector, EdgeId, distance, enumerate_cube
 from cubeball.bijections import _FORWARD_VALUE, BijectionKind, forward_map, inverse_map
 from cubeball.errors import (
     BijectivityError,
@@ -280,6 +280,46 @@ def test_sampled_is_deterministic_per_seed():
     assert a == b
     c = metrics.forward_stretch_sampled(PSI, 10, 2000, 8)
     assert c != a
+
+
+def _sampled_by_map_evaluation(kind, n, samples, seed):
+    """The per-draw loop that evaluates the map on both endpoints of each
+    draw: the oracle for the sampled sweep's profile rule."""
+    rng = random.Random(seed)
+    f = _FORWARD_VALUE[kind]
+    best, witness, total, total_sq = -1, (0, 1), 0, 0
+    for _ in range(samples):
+        v = rng.getrandbits(n)
+        i = rng.randrange(n) + 1
+        d = (f(n, v) ^ f(n, v ^ (1 << (n - i)))).bit_count()
+        total += d
+        total_sq += d * d
+        if d > best:
+            best, witness = d, (v, i)
+    avg = Fraction(total, samples)
+    return metrics.StretchReport(
+        kind=kind,
+        direction=metrics.Direction.FORWARD,
+        n=n,
+        mode=metrics.SweepMode.SAMPLED,
+        max_stretch=best,
+        max_witness=EdgeId(BitVector(n, witness[0]), witness[1]),
+        avg_stretch=avg,
+        edges_considered=samples,
+        averaging="uniform (x,i) draws",
+        samples=samples,
+        seed=seed,
+        sample_variance=Fraction(total_sq, samples) - avg * avg,
+    )
+
+
+@pytest.mark.parametrize("seed", [0, 1, 5])
+@pytest.mark.parametrize("n", [22, 64, 1024, 1026])
+@pytest.mark.parametrize("kind", [PSI, PHI, NAIVE])
+def test_sampled_report_equals_map_evaluation(kind, n, seed):
+    # n > 20 takes the per-draw branch: profiles and the edge-distance rule
+    want = _sampled_by_map_evaluation(kind, n, 300, seed).to_record()
+    assert metrics.forward_stretch_sampled(kind, n, 300, seed).to_record() == want
 
 
 def test_sampled_estimate_converges_to_exhaustive():
