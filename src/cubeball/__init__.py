@@ -22,8 +22,6 @@ from .chains import (
     chain_member,
     chain_members,
     mark,
-    mark_reference,
-    mark_via_split,
     position,
 )
 from .bijections import (

@@ -15,8 +15,8 @@ runs once per vertex; its marks are transposed into planes that both
 criteria share, and the criteria compare plane against plane.  A
 disagreement is reported at the first (x, i) that a per-vertex loop would
 meet.  The per-vertex forms of the oracles (``dyck_marked_coordinates``,
-``mark_reference``, ``mark_via_split``) stay public, and the tests check the
-lane forms against them.
+``mark_reference``, ``mark_via_split``) live in ``tests/marking_oracle.py``,
+and the tests check the lane forms against them on every vertex of n <= 10.
 """
 
 from __future__ import annotations
@@ -208,7 +208,7 @@ def _c08_flip_probabilities() -> tuple[bool, str]:
         return False, f"probability {worst} above 1/2 at n=16"
     if worst * worst * 16 > FLIP_SCALING_BOUND**2:
         return False, f"max probability * sqrt(16) = {float(worst) * 4:.6f} above pinned bound"
-    return True, "double sum equals enumeration for even n <= 14; n=16 scaling under the pinned bound"
+    return True, "single sum equals enumeration for even n <= 14; n=16 scaling under the pinned bound"
 
 
 def _c09_influence_identity() -> tuple[bool, str]:

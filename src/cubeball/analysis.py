@@ -243,52 +243,22 @@ def _flip_counts(n: int) -> tuple[int, ...]:
     )
 
 
-def dyck_is_marked(x: BitVector, i: int) -> bool:
-    """Whether coordinate i meets the balanced-substring criterion, that is,
-    lies in :func:`dyck_marked_coordinates`."""
-    if not 1 <= i <= x.n:
-        raise CoordinateRangeError(f"coordinate {i} out of [1, {x.n}]")
-    return i in dyck_marked_coordinates(x)
-
-
-def dyck_marked_coordinates(x: BitVector) -> frozenset[int]:
-    """The coordinates that the balanced-substring criterion marks.
+def _dyck_planes(xs: list[int], full: int) -> list[int]:
+    """The coordinates that the balanced-substring criterion marks, on every
+    lane of a block at once.
 
     Coordinate i is marked iff some window [s, e] containing i has equally
     many ones and zeros and no prefix with more zeros than ones (1 = open,
-    0 = close).  For each start s the union of its balanced windows is
-    [s, e_max(s)], so one O(n^2) pass unions those intervals.  It shares no
-    code with the marking kernel, because it serves as a cross-check of it.
-    It is the per-vertex oracle of :func:`_dyck_planes`, which criterion 11
-    of the acceptance checklist runs in its place.
-    """
-    bits = x.bits()
-    covered: set[int] = set()
-    for s in range(1, x.n + 1):
-        if not bits[s - 1]:
-            continue  # a window starting with 0 dips negative immediately
-        bal = 0
-        e_max = s - 1
-        for e, bit in enumerate(bits[s - 1 :], s):
-            bal += 1 if bit else -1
-            if bal < 0:
-                break
-            if bal == 0:
-                e_max = e
-        covered.update(range(s, e_max + 1))
-    return frozenset(covered)
-
-
-def _dyck_planes(xs: list[int], full: int) -> list[int]:
-    """:func:`dyck_marked_coordinates` on every lane of a block at once.
-
-    ``xs`` and ``full`` are a block of ``chains._cube_blocks``; the result
-    holds the covered lanes per coordinate, indexed by shift like ``xs``.
-    For each start s the balance is one-hot: ``level[k]`` holds the lanes
-    whose window from s has balance k so far.  A 0 at balance 0 ends a
+    0 = close).  ``xs`` and ``full`` are a block of ``chains._cube_blocks``;
+    the result holds the covered lanes per coordinate, indexed by shift like
+    ``xs``.  For each start s the balance is one-hot: ``level[k]`` holds the
+    lanes whose window from s has balance k so far.  A 0 at balance 0 ends a
     lane's windows from s, and the lanes back at balance 0 after coordinate
     e have the balanced window [s, e].  Coordinate p is covered in the lanes
-    with such a window ending at some e >= p, for some s <= p.
+    with such a window ending at some e >= p, for some s <= p.  It shares no
+    code with the marking kernels.  Its per-vertex form,
+    ``dyck_marked_coordinates`` in ``tests/marking_oracle.py``, is the tests'
+    reference for it.
     """
     n = len(xs)
     covered = [0] * n

@@ -60,7 +60,7 @@ from itertools import zip_longest
 from typing import Iterator
 
 from .bits import BitVector, _low_mask
-from .errors import CoordinateRangeError, LevelRangeError
+from .errors import LevelRangeError
 
 BLANK = "_"
 
@@ -328,33 +328,9 @@ def mark(x: BitVector) -> MarkedString:
     return MarkedString(x.bits(), tuple(marked))
 
 
-def mark_reference(x: BitVector, rightmost_first: bool = False) -> MarkedString:
-    """Quadratic repeated-scan marking, one vertex at a time.
-
-    Each round finds one consecutive ``10`` pair in the current string
-    (leftmost by default, rightmost when requested), marks it and deletes it.
-    It is the per-vertex oracle of :func:`_reference_planes`, which
-    criterion 12 of the acceptance checklist runs in its place.
-    """
-    bits = x.bits()
-    active = list(range(x.n))  # indices into bits, still unmarked
-    marked = [False] * x.n
-    while True:
-        pairs = range(len(active) - 2, -1, -1) if rightmost_first else range(len(active) - 1)
-        hit = -1
-        for t in pairs:
-            if bits[active[t]] == 1 and bits[active[t + 1]] == 0:
-                hit = t
-                break
-        if hit < 0:
-            break
-        marked[active[hit]] = marked[active[hit + 1]] = True
-        del active[hit : hit + 2]
-    return MarkedString(bits, tuple(marked))
-
-
 def _reference_planes(xs: list[int], full: int, rightmost_first: bool = False) -> list[int]:
-    """:func:`mark_reference` on every lane of a block at once.
+    """Repeated deletion of the leftmost (rightmost when ``rightmost_first``)
+    adjacent ``10`` pair, on every lane of a block at once.
 
     ``xs`` and ``full`` are a block of :func:`_cube_blocks`; the result holds
     the marked lanes per coordinate, indexed by shift like ``xs``.
@@ -364,7 +340,9 @@ def _reference_planes(xs: list[int], full: int, rightmost_first: bool = False) -
     the lanes whose previous active coordinate in that order is q, and
     deletes in each lane the first adjacent active ``10`` pair it meets.
     Rounds go on until no lane finds a pair; the deleted coordinates are the
-    marked ones.  It shares no code with the marking kernels.
+    marked ones.  It shares no code with the marking kernels.  Its
+    per-vertex form, ``mark_reference`` in ``tests/marking_oracle.py``, is
+    the tests' reference for it.
     """
     n = len(xs)
     zeros = [full ^ x for x in xs]
@@ -392,37 +370,9 @@ def _reference_planes(xs: list[int], full: int, rightmost_first: bool = False) -
             return [full ^ lanes for lanes in active]
 
 
-def mark_via_split(x: BitVector, i: int) -> MarkedString:
-    """Mark in three steps: first the prefix of length i-1, then the suffix of
-    length n-i, then finish on the combined partially marked string.
-
-    Agrees with :func:`mark` for every (x, i) because the marking result is
-    order-independent.  It is the per-vertex oracle of :func:`_split_planes`,
-    which criterion 12 of the acceptance checklist runs in its place.
-    """
-    n, v = x.n, x.value
-    if not 1 <= i <= n:
-        raise CoordinateRangeError(f"coordinate {i} out of [1, {n}]")
-    marked = [False] * (n + 1)  # 1-based
-
-    def stage(coords) -> None:
-        stack: list[int] = []
-        for p in coords:
-            if (v >> (n - p)) & 1:
-                stack.append(p)
-            elif stack:
-                q = stack.pop()
-                marked[q] = True
-                marked[p] = True
-
-    stage(range(1, i))
-    stage(range(i + 1, n + 1))
-    stage(p for p in range(1, n + 1) if not marked[p])
-    return MarkedString(x.bits(), tuple(marked[1:]))
-
-
 def _split_planes(xs: list[int], full: int, i: int) -> list[int]:
-    """:func:`mark_via_split` at coordinate i on every lane of a block at once.
+    """Marking in three steps on every lane of a block at once: the prefix
+    before coordinate i, the suffix after it, then the partly marked whole.
 
     ``xs``, ``full`` and the result are indexed by shift as in
     :func:`_reference_planes`.  The three stack scans run on all lanes
@@ -430,6 +380,8 @@ def _split_planes(xs: list[int], full: int, i: int) -> list[int]:
     which coordinate q is an open 1, and a 0 pops, lane by lane, the nearest
     open 1 to its left.  A coordinate takes part in a scan only in the lanes
     where it is still unmarked, which in the first two scans is every lane.
+    Its per-vertex form, ``mark_via_split`` in ``tests/marking_oracle.py``,
+    is the tests' reference for it.
     """
     n = len(xs)
     marked = [0] * (n + 1)  # by coordinate, 1-based

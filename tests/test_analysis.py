@@ -18,7 +18,7 @@ from cubeball.errors import (
 )
 from cubeball import analysis, chains, metrics
 
-from marking_oracle import unmatched_shifts
+from marking_oracle import dyck_is_marked, dyck_marked_coordinates, unmatched_shifts
 from strategies import bit_vectors
 
 PSI = BijectionKind.PSI
@@ -228,13 +228,13 @@ def test_marked_bits_never_flip():
      ("0011", 3, False), ("10", 1, True)],
 )
 def test_dyck_is_marked_examples(text, i, expected):
-    assert analysis.dyck_is_marked(BitVector.parse(text), i) is expected
+    assert dyck_is_marked(BitVector.parse(text), i) is expected
 
 
 def test_dyck_is_marked_coordinate_check():
     for i in (0, 5):
         with pytest.raises(CoordinateRangeError):
-            analysis.dyck_is_marked(BitVector.parse("1010"), i)
+            dyck_is_marked(BitVector.parse("1010"), i)
 
 
 @pytest.mark.parametrize("n", range(1, 11))
@@ -242,9 +242,9 @@ def test_dyck_criterion_matches_marking_exhaustive(n):
     for value in range(1 << n):
         x = BitVector(n, value)
         marked = mark(x).marked
-        covered = analysis.dyck_marked_coordinates(x)
+        covered = dyck_marked_coordinates(x)
         for i in range(1, n + 1):
-            assert analysis.dyck_is_marked(x, i) == marked[i - 1]
+            assert dyck_is_marked(x, i) == marked[i - 1]
             assert (i in covered) == marked[i - 1]
 
 
@@ -256,7 +256,7 @@ def test_dyck_planes_match_dyck_marked_coordinates_exhaustive(monkeypatch, n, bl
     for xs, full in chains._cube_blocks(n):
         covered = analysis._dyck_planes(xs, full)
         for r in range(full.bit_length()):
-            want = analysis.dyck_marked_coordinates(BitVector(n, v))
+            want = dyck_marked_coordinates(BitVector(n, v))
             assert {i for i in range(1, n + 1) if covered[n - i] >> r & 1} == want
             v += 1
     assert v == 1 << n
@@ -265,7 +265,7 @@ def test_dyck_planes_match_dyck_marked_coordinates_exhaustive(monkeypatch, n, bl
 @given(bit_vectors(max_n=40), st.data())
 def test_dyck_criterion_matches_marking_random(v, data):
     i = data.draw(st.integers(1, v.n))
-    assert analysis.dyck_is_marked(v, i) == mark(v).marked[i - 1]
+    assert dyck_is_marked(v, i) == mark(v).marked[i - 1]
 
 
 def test_majority_reduction_shape():

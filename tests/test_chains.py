@@ -21,13 +21,11 @@ from cubeball.chains import (
     chain_member,
     chain_members,
     mark,
-    mark_reference,
-    mark_via_split,
     position,
 )
 from cubeball.errors import LevelRangeError
 
-from marking_oracle import chunk_table, unmatched_shifts
+from marking_oracle import chunk_table, mark_reference, mark_via_split, unmatched_shifts
 from strategies import bit_vectors, lengths_with_residue
 
 

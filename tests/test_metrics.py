@@ -322,6 +322,23 @@ def test_sampled_report_equals_map_evaluation(kind, n, seed):
     assert metrics.forward_stretch_sampled(kind, n, 300, seed).to_record() == want
 
 
+@pytest.mark.parametrize(
+    "n,samples,builds",
+    [(20, 10, 0), (16, 500, 0), (16, 1023, 0), (16, 1024, 1), (10, 15, 0), (10, 16, 1),
+     (10, 5000, 1)],  # criterion 13 draws 5000 at n = 10
+)
+@pytest.mark.parametrize("kind", [PSI, PHI, NAIVE])
+def test_sampled_builds_the_table_only_at_64_vertices_per_draw_or_fewer(
+    monkeypatch, kind, n, samples, builds
+):
+    calls = []
+    real = metrics.image_table
+    monkeypatch.setattr(metrics, "image_table", lambda *args: calls.append(args) or real(*args))
+    got = metrics.forward_stretch_sampled(kind, n, samples, 3).to_record()
+    assert len(calls) == builds
+    assert got == _sampled_by_map_evaluation(kind, n, samples, 3).to_record()
+
+
 def test_sampled_estimate_converges_to_exhaustive():
     n = 12
     exact = metrics.forward_stretch_exhaustive(PSI, n).avg_stretch
