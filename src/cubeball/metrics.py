@@ -16,14 +16,14 @@ Sampled estimates draw (x, i) uniformly from Python's ``random.Random(seed)``
 (Mersenne twister; one ``getrandbits(n)`` then one ``randrange(n)`` per
 sample) and are byte-reproducible for a fixed seed.  When the image table
 has at most 2^20 entries and at most 64 per draw, a draw's distance is read
-off the table: a table draw costs a tenth of a rule draw or less, and
-building the table costs about as much as one rule draw per 16 to 68
-entries.  Otherwise no table is built and the map is not evaluated: the
-distance depends only on the marking profiles (a1, b1) of x_1..x_{i-1} and
-(a2, b2) of x_{i+1}..x_n, so a draw folds the prefix and the suffix through
-the marking byte table's counts (``chains._profile``) and hands the four
-counts to the map's edge-distance rule (``bijections._EDGE_DISTANCE``), a
-few integer operations.
+off the table: a table draw costs 0.3 to 0.5 of a rule draw, and building
+the table costs about as much as one rule draw per 9 to 31 entries.
+Otherwise no table is built and the map is not evaluated: the distance
+depends only on the marking profiles (a1, b1) of x_1..x_{i-1} and (a2, b2)
+of x_{i+1}..x_n, so a draw folds the prefix and the suffix through the
+marking byte table's counts (``chains._profile``) and hands the four counts
+to the map's edge-distance rule (``bijections._EDGE_DISTANCE``), a case
+form of a few integer comparisons.
 
 Whole-cube work runs on tables: ``image_table`` and ``preimage_table`` are
 ``array('i')`` tables at 4 bytes per entry.  ``image_table`` makes no call
@@ -62,7 +62,10 @@ from .errors import BijectivityError, LengthMismatchError, NotInBallError
 
 # Above this domain size, or above 64 vertices per draw, sampled sweeps find
 # each draw's distance from its marking profiles instead of building a full
-# image table.
+# image table.  With the case-form rules the table pays off only up to about
+# 16 vertices per draw; the sampled runs that matter sit far from either
+# limit (acceptance criterion 13 at 0.2 per draw, the verify-sampled
+# benchmark at n = 1024).
 _TABLE_LIMIT = 1 << 20
 
 # _DIGITS[b] is a bytes.translate table sending a byte to ASCII "1" where its

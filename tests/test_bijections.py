@@ -21,6 +21,7 @@ from cubeball.bijections import (
 from cubeball.chains import chain_member, mark, position
 from cubeball.errors import NotInBallError, NotInImageError, OddLengthError
 
+from edge_oracle import RANK_EDGE_DISTANCE
 from marking_oracle import unmatched_shifts
 from strategies import bit_vectors, lengths_with_residue
 
@@ -174,31 +175,26 @@ def test_unmarked_skeleton_determines_moved_bits(n):
         assert got == want
 
 
-def _unmarked_profile(text: str) -> tuple[int, int]:
-    if not text:
-        return 0, 0
-    ms = mark(BitVector.parse(text))
-    return ms.unmarked_zeros(), ms.unmarked_ones()
+def _oracle_profile(n, v):
+    zeros, ones = unmatched_shifts(n, v)
+    return len(zeros), len(ones)
 
 
 @given(st.data())
 def test_edge_images_depend_only_on_unmarked_profiles(data):
     n = 2 * data.draw(st.integers(1, 8))
-    x = BitVector(n, data.draw(st.integers(0, (1 << n) - 1)))
+    v = data.draw(st.integers(0, (1 << n) - 1))
+    x = BitVector(n, v)
     i = data.draw(st.integers(1, n))
     y = x.flip_at(i)
-    a, b = _unmarked_profile(x.render()[: i - 1])
-    c, d = _unmarked_profile(x.render()[i:])
+    low = n - i
+    a, b = _oracle_profile(i - 1, v >> (low + 1))
+    c, d = _oracle_profile(low, v & ((1 << low) - 1))
     w0 = BitVector.parse("0" * a + "1" * b + "0" + "0" * c + "1" * d)
     w1 = BitVector.parse("0" * a + "1" * b + "1" + "0" * c + "1" * d)
     assert distance(psi(x).vector, psi(y).vector) == distance(
         psi(w0).vector, psi(w1).vector
     )
-
-
-def _oracle_profile(n, v):
-    zeros, ones = unmatched_shifts(n, v)
-    return len(zeros), len(ones)
 
 
 @pytest.mark.parametrize("n", range(2, 15, 2))
@@ -234,6 +230,97 @@ def test_edge_distance_rule_matches_map_large_n(kind, residue, data):
     prefix = _oracle_profile(i - 1, v >> (low + 1))
     suffix = _oracle_profile(low, v & ((1 << low) - 1))
     assert _EDGE_DISTANCE[kind](n, *prefix, *suffix) == want
+
+
+# The case forms in ``_EDGE_DISTANCE`` against the rank rules they were read
+# from (``RANK_EDGE_DISTANCE``), on boxes that hold every breakpoint.
+
+
+def test_psi_edge_cases_certify_forward_bound():
+    """psi's case form equals its rank rule at every profile, so psi's
+    forward stretch is at most 4 at every even n, and 4 is reached.
+
+    Neither rule reads n or b2.  The rank rule tests b1 against 0 and 1, and
+    for b1 >= 1 it reads b1 and a2 only through t = a2 - b1: its zero counts
+    are a1 + max(t + 1, 0) and a1 + max(t - 1, 0), and ``_rank_distance``
+    reads b1 only as ``b1 == 0``.  Its min, max, abs and if terms then
+    compare linear forms in (a1, t), equal on the lines t in {-2, ..., 1},
+    t - a1 in {-1, ..., 4}, a1 + t in {-2, ..., 1} and a1 in {-1, 0}; its
+    floors halve a1 and a1 + t +- 1, so they are affine once the parities of
+    a1 and t are fixed.  For b1 = 0 the same holds in (a1, a2), with the
+    lines a2 in {-2, 0, 1}, a2 - a1 in {-1, ..., 4}, a1 + a2 in {-2, ..., 1}
+    and a1 in {-1, 0}.  The case form's tests (b1 = 0, the sign of t,
+    t <= a1, a2 = 0, the parity of a1) lie on the same lines.  The essential
+    breakpoints are b1 in {0, 1}, t in {-1, 0, 1}, t - a1 in {-1, 0, 1} and
+    the parity of a1.
+
+    So on each cell of lattice points where every such form has a fixed
+    sign, within one parity class of (a1, t), both rules are affine.  Any
+    two of the lines that cross do so within 6 of the origin, so each cell,
+    bounded or not, meets the box in three non-collinear points of its class
+    (two if the cell is a ray along a line, itself if it is a point).  An affine function that
+    vanishes at three non-collinear points vanishes on the whole plane, so
+    agreement on the box is agreement at every profile.
+    """
+    rule = _EDGE_DISTANCE[BijectionKind.PSI]
+    oracle = RANK_EDGE_DISTANCE[BijectionKind.PSI]
+    box = range(64)
+    seen = set()
+    for a1 in box:
+        for b1 in box:
+            for a2 in box:
+                d = rule(0, a1, b1, a2, 0)
+                assert d == oracle(0, a1, b1, a2, 0), (a1, b1, a2)
+                seen.add(d)
+    assert seen == {1, 2, 3, 4}
+
+
+def _four_profile_box(kind, size):
+    """Each (a1, b1, a2, b2) in [0, size)^4 with the smallest n that holds
+    it, n = a1 + b1 + a2 + b2 + 1, after checking the case form against the
+    rank rule there."""
+    rule = _EDGE_DISTANCE[kind]
+    oracle = RANK_EDGE_DISTANCE[kind]
+    box = range(size)
+    for a1 in box:
+        for b1 in box:
+            for a2 in box:
+                for b2 in box:
+                    n = a1 + b1 + a2 + b2 + 1
+                    d = rule(n, a1, b1, a2, b2)
+                    assert d == oracle(n, a1, b1, a2, b2), (n, a1, b1, a2, b2)
+                    yield n, a1 + a2 - b1 - b2, d
+
+
+def test_phi_edge_cases_certify_forward_bound():
+    """phi's case form equals its rank rule at every profile, so phi's
+    forward stretch is at most 3 at every even n, and 3 is reached.
+
+    Neither rule reads n.  The rank rule tests b1 against 0 and 1; past
+    that, as for psi, it reads b1 and a2 only through t = a2 - b1 (or a2
+    itself when b1 = 0), and a1 and b2 only through e = a1 - b2.  It takes
+    no floor.  Its terms compare linear forms in (e, t), equal on the lines
+    t in {-1, 0, 1}, e in {-2, 0}, e + t in {-1, 1} and e + 2t in {-2, 2};
+    u = e + t is the weight balance of the case form, whose tests
+    (b1 = 0, e >= 0, u + 3 against 1 and 3) lie on the same lines.  Any two
+    of the lines that cross do so within 4 of the origin of (e, t), and the
+    box holds e and t in [-15, 15] and shifts (a1, b2) along (1, 1), so the
+    argument of the psi certificate carries over.
+    """
+    seen = {d for _, _, d in _four_profile_box(BijectionKind.PHI, 16)}
+    assert seen == {1, 2, 3}
+
+
+def test_naive_edge_cases_certify_forward_bound():
+    """naive's case form equals its rank rule at every profile: the
+    distance is n where u = a1 + a2 - b1 - b2 = -1 and 1 elsewhere.
+
+    With n = a1 + b1 + a2 + b2 + 1 (mod 2), the rank rule's floor is exact
+    and twice its weight minus n is -1 - u, so its only breakpoint is
+    u = -1, and both rules are constant off it and equal n on it.
+    """
+    for n, u, d in _four_profile_box(BijectionKind.NAIVE, 16):
+        assert d == (n if u == -1 else 1), (n, u)
 
 
 def test_transitivity_map_swaps_and_cancels():
