@@ -261,12 +261,6 @@ class MarkedString:
     def unmarked_coordinates(self) -> tuple[int, ...]:
         return tuple(i + 1 for i, m in enumerate(self.marked) if not m)
 
-    def unmarked_zeros(self) -> int:
-        return sum(1 for b, m in zip(self.bits, self.marked) if not m and b == 0)
-
-    def unmarked_ones(self) -> int:
-        return sum(1 for b, m in zip(self.bits, self.marked) if not m and b == 1)
-
 
 @dataclass(frozen=True, slots=True)
 class ChainCode:
@@ -295,9 +289,6 @@ class ChainCode:
     def k(self) -> int:
         """Bottom level of the chain: the number of fixed 1s."""
         return (self.n - self.symbols.count(BLANK)) // 2
-
-    def blank_coordinates(self) -> tuple[int, ...]:
-        return tuple(i + 1 for i, c in enumerate(self.symbols) if c == BLANK)
 
     def length(self) -> int:
         """Number of vertices on the chain."""

@@ -8,11 +8,15 @@ one-line ``error=...`` record on stdout) or a failed selftest criterion, 2
 usage error.
 
 Each flag is declared once, on the subparser that reads it, and each
-subparser names its handler and its record name through ``set_defaults``;
-handlers take the parsed ``argparse.Namespace``.  ``--allow-large`` sits on
-a parent parser shared by the commands whose work the cap bounds (the
-enumerating ones, and ``chain`` for the size of ``--full``), and stores the
-cap itself as ``cap``.
+subparser names its handler through ``set_defaults``.  A record's
+``command`` is its subparser's name, or for a ``stats`` subcommand the
+``command`` its ``set_defaults`` gives, the only place that name is
+written.  Handlers take the parsed ``argparse.Namespace`` and return only
+their own fields; ``run()`` puts the header (``tool``, ``version``,
+``command``) in front of every record, error records included.
+``--allow-large`` sits on a parent parser shared by the commands whose work
+the cap bounds (the enumerating ones, and ``chain`` for the size of
+``--full``), and stores the cap itself as ``cap``.
 """
 
 from __future__ import annotations
@@ -118,27 +122,21 @@ def _position_fields(pos: ChainPosition) -> dict[str, str]:
 def _cmd_map(ns: argparse.Namespace) -> list[dict[str, str]]:
     x = BitVector.parse(ns.input)
     z = forward_map(BijectionKind(ns.bijection))(x)
-    rec = _base("map")
-    rec.update(bijection=ns.bijection, input=x.render(), n=str(x.n), output=z.render())
-    rec.update(_position_fields(position(x)))
-    return [rec]
+    return [dict(bijection=ns.bijection, input=x.render(), n=str(x.n), output=z.render(),
+                 **_position_fields(position(x)))]
 
 
 def _cmd_invmap(ns: argparse.Namespace) -> list[dict[str, str]]:
     z = BitVector.parse(ns.input)
     x = inverse_map(BijectionKind(ns.bijection))(z)
-    rec = _base("invmap")
-    rec.update(bijection=ns.bijection, input=z.render(), n=str(x.n), output=x.render())
-    rec.update(_position_fields(position(x)))
-    return [rec]
+    return [dict(bijection=ns.bijection, input=z.render(), n=str(x.n), output=x.render(),
+                 **_position_fields(position(x)))]
 
 
 def _cmd_chain(ns: argparse.Namespace) -> list[dict[str, str]]:
     x = BitVector.parse(ns.input)
     pos = position(x)
-    rec = _base("chain")
-    rec.update(input=x.render(), n=str(x.n))
-    rec.update(_position_fields(pos))
+    rec = dict(input=x.render(), n=str(x.n), **_position_fields(pos))
     if ns.full:
         # the members hold length * n bits, n + 1 members of n bits at worst
         bits = pos.code.length() * x.n
@@ -157,15 +155,12 @@ def _cmd_verify(ns: argparse.Namespace) -> list[dict[str, str]]:
         report = metrics.forward_stretch_exhaustive(kind, ns.n, cap=ns.cap)
     else:
         report = metrics.inverse_stretch_exhaustive(kind, ns.n, cap=ns.cap)
-    rec = _base("verify")
-    rec.update(report.to_record())
-    return [rec]
+    return [report.to_record()]
 
 
 def _cmd_pairs_audit(ns: argparse.Namespace) -> list[dict[str, str]]:
     aud = metrics.pairwise_ratio_audit(BijectionKind(ns.bijection), ns.n, cap=ns.cap)
-    rec = _base("pairs-audit")
-    rec.update(
+    return [dict(
         bijection=ns.bijection,
         n=str(ns.n),
         pairs=str(aud.pairs),
@@ -175,27 +170,20 @@ def _cmd_pairs_audit(ns: argparse.Namespace) -> list[dict[str, str]]:
         min_y=aud.min_witness[1].render(),
         max_x=aud.max_witness[0].render(),
         max_y=aud.max_witness[1].render(),
-    )
-    return [rec]
+    )]
 
 
 def _cmd_stats_chains(ns: argparse.Namespace) -> list[dict[str, str]]:
     table = analysis.chain_count_enumerated(ns.n, cap=ns.cap)
-    records = []
-    for t in range(1, ns.n + 2):
-        rec = _base("stats-chains")
-        rec.update(n=str(ns.n), t=str(t), count=str(table.entries[t]))
-        records.append(rec)
-    return records
+    return [dict(n=str(ns.n), t=str(t), count=str(table.entries[t]))
+            for t in range(1, ns.n + 2)]
 
 
 def _cmd_stats_profile(ns: argparse.Namespace) -> list[dict[str, str]]:
     # far past the digit limit, refuse before computing the binomials
     _require_digits(analysis.unmarked_profile_count_bits(ns.n, ns.a, ns.b), "count")
     count = analysis.unmarked_profile_count(ns.n, ns.a, ns.b)
-    rec = _base("stats-profile")
-    rec.update(n=str(ns.n), a=str(ns.a), b=str(ns.b), count=_decimal(count, "count"))
-    return [rec]
+    return [dict(n=str(ns.n), a=str(ns.a), b=str(ns.b), count=_decimal(count, "count"))]
 
 
 def _cmd_stats_flipprob(ns: argparse.Namespace) -> list[dict[str, str]]:
@@ -203,29 +191,20 @@ def _cmd_stats_flipprob(ns: argparse.Namespace) -> list[dict[str, str]]:
     coords = [ns.bit] if ns.bit is not None else range(1, ns.n + 1)
     records = []
     for i in coords:
-        rec = _base("stats-flipprob")
         if ns.mode == "exact":
-            p = analysis.flip_probability_exact(ns.n, i)
-            rec.update(n=str(ns.n), i=str(i), mode="exact",
-                       probability=_frac(p), disagree_count="-")
+            p, disagree = analysis.flip_probability_exact(ns.n, i), "-"
         else:
             stat = analysis.flip_probability_exhaustive(ns.n, i, cap=ns.cap)
-            rec.update(n=str(ns.n), i=str(i), mode="exhaustive",
-                       probability=_frac(stat.probability),
-                       disagree_count=str(stat.disagree_count))
-        records.append(rec)
+            p, disagree = stat.probability, str(stat.disagree_count)
+        records.append(dict(n=str(ns.n), i=str(i), mode=ns.mode, probability=_frac(p),
+                            disagree_count=disagree))
     return records
 
 
 def _cmd_stats_influence(ns: argparse.Namespace) -> list[dict[str, str]]:
     profile = analysis.influence_profile(BijectionKind(ns.bijection), ns.n, ns.cap)
-    records = []
-    for i, inf in enumerate(profile, start=1):
-        rec = _base("stats-influence")
-        rec.update(bijection=ns.bijection, n=str(ns.n), i=str(i),
-                   influence=_frac(inf))
-        records.append(rec)
-    return records
+    return [dict(bijection=ns.bijection, n=str(ns.n), i=str(i), influence=_frac(inf))
+            for i, inf in enumerate(profile, start=1)]
 
 
 def _cmd_reduce_majority(ns: argparse.Namespace) -> list[dict[str, str]]:
@@ -233,8 +212,7 @@ def _cmd_reduce_majority(ns: argparse.Namespace) -> list[dict[str, str]]:
     r = analysis.majority_reduction(x)
     maj = analysis.majority(x)
     first = analysis.first_output_bit_of_reduction(x)
-    rec = _base("reduce-majority")
-    rec.update(
+    return [dict(
         input=x.render(),
         n=str(x.n),
         output=r.render(),
@@ -242,34 +220,19 @@ def _cmd_reduce_majority(ns: argparse.Namespace) -> list[dict[str, str]]:
         majority=str(maj),
         first_output_bit=str(first),
         agree=str(maj == first).lower(),
-    )
-    return [rec]
+    )]
 
 
 def _cmd_selftest(ns: argparse.Namespace) -> list[dict[str, str]]:
     from . import acceptance
 
     results = acceptance.run_all()
-    records = []
-    for res in results:
-        rec = _base("selftest")
-        rec.update(
-            criterion=str(res.number),
-            name=res.name,
-            status="PASS" if res.passed else "FAIL",
-            detail=res.detail,
-        )
-        records.append(rec)
     passed = sum(1 for r in results if r.passed)
-    summary = _base("selftest")
-    summary.update(
-        criterion="summary",
-        name="all",
-        status="PASS" if passed == len(results) else "FAIL",
-        detail=f"{passed}/{len(results)} criteria passed",
-    )
-    records.append(summary)
-    return records
+    rows = [(str(r.number), r.name, r.passed, r.detail) for r in results]
+    rows.append(("summary", "all", passed == len(results),
+                 f"{passed}/{len(results)} criteria passed"))
+    return [dict(criterion=c, name=name, status="PASS" if ok else "FAIL", detail=detail)
+            for c, name, ok, detail in rows]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -364,15 +327,14 @@ def run(argv: list[str], stdout: Optional[TextIO] = None) -> int:
     except SystemExit as exc:  # argparse already printed the message
         return int(exc.code or 0)
 
+    head = _base(ns.command)
     try:
-        records = ns.handler(ns)
+        records = [{**head, **fields} for fields in ns.handler(ns)]
     except UsageError as exc:
         print(f"cubeball: usage error: {exc}", file=sys.stderr)
         return 2
     except (CubeballError, ValueError) as exc:
-        rec = _base(ns.command)
-        rec.update(error=type(exc).__name__, detail=str(exc))
-        _emit([rec], ns.format, stream)
+        _emit([{**head, "error": type(exc).__name__, "detail": str(exc)}], ns.format, stream)
         return 1
 
     buf = io.StringIO()

@@ -15,7 +15,7 @@ division, so exhaustive reports carry no floating-point drift.
 Sampled estimates draw (x, i) uniformly from Python's ``random.Random(seed)``
 (Mersenne twister; one ``getrandbits(n)`` then one ``randrange(n)`` per
 sample) and are byte-reproducible for a fixed seed.  When the image table
-has at most 2^20 entries and at most 64 per draw, a draw's distance is read
+has at most 2^20 entries and at most 16 per draw, a draw's distance is read
 off the table: a table draw costs 0.3 to 0.5 of a rule draw, and building
 the table costs about as much as one rule draw per 9 to 31 entries.
 Otherwise no table is built and the map is not evaluated: the distance
@@ -60,10 +60,10 @@ from .bits import DEFAULT_ENUMERATION_CAP, BitVector, EdgeId, _low_mask, _requir
 from .chains import _cube_blocks, _increment, _profile, _unmatched_planes
 from .errors import BijectivityError, LengthMismatchError, NotInBallError
 
-# Above this domain size, or above 64 vertices per draw, sampled sweeps find
+# Above this domain size, or above 16 vertices per draw, sampled sweeps find
 # each draw's distance from its marking profiles instead of building a full
-# image table.  With the case-form rules the table pays off only up to about
-# 16 vertices per draw; the sampled runs that matter sit far from either
+# image table: with the case-form rules the table pays off only up to about
+# 16 vertices per draw.  The sampled runs that matter sit far from either
 # limit (acceptance criterion 13 at 0.2 per draw, the verify-sampled
 # benchmark at n = 1024).
 _TABLE_LIMIT = 1 << 20
@@ -376,7 +376,7 @@ def forward_stretch_sampled(
     if seed is None:
         raise ValueError("sampled mode requires an explicit seed")
     rng = random.Random(seed)
-    table = image_table(kind, n) if 1 << n <= min(_TABLE_LIMIT, samples << 6) else None
+    table = image_table(kind, n) if 1 << n <= min(_TABLE_LIMIT, samples << 4) else None
     rule = _EDGE_DISTANCE[kind]
     best = -1
     bw = (0, 1)

@@ -1,9 +1,11 @@
 import argparse
 import csv
 import io
+import os
 import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +13,8 @@ from cubeball import cli
 from cubeball.bits import DEFAULT_ENUMERATION_CAP
 from cubeball.cli import CLI_ENUMERATION_CAP, build_parser, run
 from cubeball.errors import DigitLimitError
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _run(argv):
@@ -215,14 +219,53 @@ def test_out_file(tmp_path):
 
 
 def test_module_entry_point_subprocess():
-    proc = subprocess.run(
-        [sys.executable, "-m", "cubeball", "map", "--bijection", "psi",
-         "--input", "0000"],
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 0
-    assert "output=00111" in proc.stdout
+    cases = [
+        (["map", "--bijection", "psi", "--input", "0000"], 0, "map_psi"),
+        (["pairs-audit", "--bijection", "psi", "--n", "0"], 1, "error_dimension_pairs"),
+        (["verify"], 2, None),
+    ]
+    for argv, code, golden in cases:
+        proc = subprocess.run(
+            [sys.executable, "-m", "cubeball", *argv],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        )
+        assert proc.returncode == code, argv
+        if golden is None:
+            assert proc.stdout == ""
+            assert "usage:" in proc.stderr
+        else:
+            assert proc.stdout == (ROOT / "tests" / "golden" / f"{golden}.txt").read_text()
+
+
+# each command's record name, a run that succeeds and one that fails
+_NAMED_RUNS = [
+    ("map", "map --bijection psi --input 0000", "map --bijection psi --input 010"),
+    ("invmap", "invmap --bijection psi --input 01110",
+     "invmap --bijection psi --input 0000"),
+    ("chain", "chain --input 0011", "chain --input 01x"),
+    ("verify", "verify --bijection psi --n 4", "verify --bijection psi --n 0"),
+    ("pairs-audit", "pairs-audit --bijection psi --n 4",
+     "pairs-audit --bijection psi --n 0"),
+    ("stats-chains", "stats chains --n 4", "stats chains --n 0"),
+    ("stats-profile", "stats profile --n 4 --a 0 --b 0", "stats profile --n 4 --a 1 --b 0"),
+    ("stats-flipprob", "stats flipprob --n 4", "stats flipprob --n 3"),
+    ("stats-influence", "stats influence --n 4", "stats influence --n 3"),
+    ("reduce-majority", "reduce-majority --input 011", "reduce-majority --input 0101"),
+]
+
+
+@pytest.mark.parametrize("name,ok,bad", _NAMED_RUNS, ids=[run[0] for run in _NAMED_RUNS])
+def test_success_and_error_records_carry_the_same_command(name, ok, bad):
+    code, out = _run(ok.split())
+    assert code == 0
+    assert {_fields(line)["command"] for line in out.splitlines()} == {name}
+    code, out = _run(bad.split())
+    assert code == 1
+    rec = _fields(out)
+    assert "error" in rec
+    assert rec["command"] == name
 
 
 @pytest.mark.parametrize(

@@ -1,10 +1,27 @@
 """A module-level private name or constant in src/cubeball that no module of
-the package reads is dead code."""
+the package reads is dead code, and so is a function, class or method of the
+package that nothing in the repository's code reads."""
 
 import ast
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "cubeball"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "cubeball"
+READERS = ("src", "tests", "scripts", "perfbench")
+
+
+def _loaded(paths):
+    """Every name read as a Name load, an attribute or an import alias."""
+    loaded = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                loaded.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                loaded.update(alias.name for alias in node.names)
+    return loaded
 
 
 def _checked(name):
@@ -14,7 +31,6 @@ def _checked(name):
 
 def test_no_dead_module_level_names():
     defined = {}
-    loaded = set()
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         for stmt in tree.body:
@@ -27,16 +43,23 @@ def test_no_dead_module_level_names():
                 continue
             for name in names:
                 defined.setdefault(name, path.name)
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                loaded.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                loaded.add(node.attr)
-            elif isinstance(node, ast.ImportFrom):
-                loaded.update(alias.name for alias in node.names)
+    loaded = _loaded(PACKAGE.glob("*.py"))
     dead = sorted(
         f"{module}:{name}"
         for name, module in defined.items()
         if _checked(name) and name not in loaded
     )
     assert not dead, dead
+
+
+def test_no_unread_functions_classes_or_methods():
+    loaded = _loaded(p for d in READERS for p in (ROOT / d).rglob("*.py"))
+    unread = sorted(
+        f"{path.name}:{node.name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and node.name not in loaded
+    )
+    assert not unread, unread

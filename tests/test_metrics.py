@@ -324,13 +324,18 @@ def test_sampled_report_equals_map_evaluation(kind, n, seed):
 
 @pytest.mark.parametrize(
     "n,samples,builds",
-    [(20, 10, 0), (16, 500, 0), (16, 1023, 0), (16, 1024, 1), (10, 15, 0), (10, 16, 1),
+    [(20, 10, 0), (16, 500, 0), (16, 1023, 0), (10, 15, 0),
+     # 64 entries per draw: past the line, so no table
+     (16, 1024, 0), (10, 16, 0),
+     # the line: at most 16 entries per draw
+     (16, 4095, 0), (16, 4096, 1), (10, 63, 0), (10, 64, 1),
      (10, 5000, 1)],  # criterion 13 draws 5000 at n = 10
 )
 @pytest.mark.parametrize("kind", [PSI, PHI, NAIVE])
 def test_sampled_builds_the_table_only_at_64_vertices_per_draw_or_fewer(
     monkeypatch, kind, n, samples, builds
 ):
+    """The table is built only at 16 entries per draw or fewer, within the name's 64."""
     calls = []
     real = metrics.image_table
     monkeypatch.setattr(metrics, "image_table", lambda *args: calls.append(args) or real(*args))
