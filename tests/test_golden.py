@@ -61,6 +61,9 @@ CASES = [
     ("verify_psi_sample_n1024_csv",
      ["verify", "--bijection", "psi", "--n", "1024", "--mode", "sample",
       "--samples", "50", "--seed", "3", "--format", "csv"]),
+    ("verify_phi_sample_n1024",
+     ["verify", "--bijection", "phi", "--n", "1024", "--mode", "sample",
+      "--samples", "200", "--seed", "5"]),
     ("verify_naive_sample_n1024",
      ["verify", "--bijection", "naive", "--n", "1024", "--mode", "sample",
       "--samples", "50", "--seed", "11"]),
