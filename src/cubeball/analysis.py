@@ -42,7 +42,7 @@ from math import comb
 from operator import mul
 from typing import Iterator
 
-from .bijections import _FORWARD_VALUE, BijectionKind, _psi_value, _require_dimension
+from .bijections import _MAPS, BijectionKind, _psi_value, _require_dimension
 from .bits import DEFAULT_ENUMERATION_CAP, BitVector, _low_mask, _require_cap
 from .chains import _cube_blocks, _equal, _unmatched_planes
 from .errors import CoordinateRangeError, DimensionError, OddLengthError, ParityError
@@ -312,9 +312,8 @@ def output_bit(kind: BijectionKind, x: BitVector, i: int) -> int:
     n = x.n
     if not 1 <= i <= n + 1:
         raise CoordinateRangeError(f"output coordinate {i} out of [1, {n + 1}]")
-    if n % 2:
-        raise OddLengthError(f"{kind.value} requires even input length, got {n}")
-    z = _FORWARD_VALUE[kind](n, x.value)
+    _require_dimension(n, kind.value)
+    z = _MAPS[kind].value(n, x.value)
     return (z >> (n + 1 - i)) & 1
 
 

@@ -17,13 +17,13 @@ otherwise.  Its forward stretch is 3, but its inverse stretch is unbounded.
 ``naive`` is the obvious baseline: complement-and-append-1 on the lower half
 of the cube, append-0 on the upper half.  Its maximum stretch is n.
 
-The forward bounds hold for every even n: ``_EDGE_DISTANCE`` gives each
-edge's distance as a case form in the marking profiles of the edge's prefix
-and suffix, checked against their rank derivation on a box that holds every
-breakpoint.  Read off the forms, psi's forward stretch is at most 4, phi's
-at most 3, and naive's is n on the edges from level n/2 to n/2 + 1 and 1 on
-every other edge.  The inverse figures (psi's bound of 5, phi's growth and
-naive's average) are checked only as far as the exhaustive sweeps reach.
+``_MAPS[kind].edge_distance`` gives each edge's distance as a case form in
+the marking profiles of the edge's prefix and suffix, checked against their
+rank derivation on a box that holds every breakpoint.  Read off the forms,
+for every even n, psi's forward stretch is at most 4, phi's at most 3, and
+naive's is n on the edges from level n/2 to n/2 + 1 and 1 on every other
+edge.  The inverse figures (psi's bound of 5, phi's growth and naive's
+average) are checked only as far as the exhaustive sweeps reach.
 """
 
 from __future__ import annotations
@@ -253,25 +253,6 @@ def _naive_edge_distance(n: int, a1: int, b1: int, a2: int, b2: int) -> int:
     return n if a1 + a2 - b1 - b2 == -1 else 1
 
 
-_FORWARD_VALUE: dict[BijectionKind, Callable[[int, int], int]] = {
-    BijectionKind.PSI: _psi_value,
-    BijectionKind.PHI: _phi_value,
-    BijectionKind.NAIVE: _naive_value,
-}
-
-_FORWARD_PLANES: dict[BijectionKind, Callable[..., list[int]]] = {
-    BijectionKind.PSI: _psi_planes,
-    BijectionKind.PHI: _phi_planes,
-    BijectionKind.NAIVE: _naive_planes,
-}
-
-_EDGE_DISTANCE: dict[BijectionKind, Callable[[int, int, int, int, int], int]] = {
-    BijectionKind.PSI: _psi_edge_distance,
-    BijectionKind.PHI: _phi_edge_distance,
-    BijectionKind.NAIVE: _naive_edge_distance,
-}
-
-
 def psi(x: BitVector) -> BallVector:
     """Map a cube vertex into the ball by climbing half way up its chain."""
     _require_dimension(x.n, "psi")
@@ -316,17 +297,11 @@ def naive_inverse(z: BallLike) -> BitVector:
 
 
 def forward_map(kind: BijectionKind) -> Callable[[BitVector], BallVector]:
-    return {BijectionKind.PSI: psi, BijectionKind.PHI: phi, BijectionKind.NAIVE: naive}[
-        BijectionKind(kind)
-    ]
+    return _MAPS[BijectionKind(kind)].forward
 
 
 def inverse_map(kind: BijectionKind) -> Callable[[BallLike], BitVector]:
-    return {
-        BijectionKind.PSI: psi_inverse,
-        BijectionKind.PHI: phi_inverse,
-        BijectionKind.NAIVE: naive_inverse,
-    }[BijectionKind(kind)]
+    return _MAPS[BijectionKind(kind)].inverse
 
 
 def transitivity_map(x: BallVector, y: BallVector, z: BallVector) -> BallVector:
@@ -343,3 +318,21 @@ def transitivity_map(x: BallVector, y: BallVector, z: BallVector) -> BallVector:
     delta = _psi_inverse_value(n, xv) ^ _psi_inverse_value(n, yv)
     moved = _psi_inverse_value(n, zv) ^ delta
     return BallVector(BitVector(n + 1, _psi_value(n, moved)))
+
+
+@dataclass(frozen=True, slots=True)
+class _Map:
+    """One map's integer form, plane rule, edge-distance rule and public pair."""
+
+    value: Callable[[int, int], int]
+    planes: Callable[..., list[int]]
+    edge_distance: Callable[[int, int, int, int, int], int]
+    forward: Callable[[BitVector], BallVector]
+    inverse: Callable[[BallLike], BitVector]
+
+
+_MAPS: dict[BijectionKind, _Map] = {
+    BijectionKind.PSI: _Map(_psi_value, _psi_planes, _psi_edge_distance, psi, psi_inverse),
+    BijectionKind.PHI: _Map(_phi_value, _phi_planes, _phi_edge_distance, phi, phi_inverse),
+    BijectionKind.NAIVE: _Map(_naive_value, _naive_planes, _naive_edge_distance, naive, naive_inverse),
+}

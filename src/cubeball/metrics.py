@@ -22,16 +22,16 @@ Otherwise no table is built and the map is not evaluated: the distance
 depends only on the marking profiles (a1, b1) of x_1..x_{i-1} and (a2, b2)
 of x_{i+1}..x_n, so a draw folds the prefix and the suffix through the
 marking byte table's counts (``chains._profile``) and hands the four counts
-to the map's edge-distance rule (``bijections._EDGE_DISTANCE``), a case
-form of a few integer comparisons.
+to the map's edge-distance rule, ``bijections._MAPS[kind].edge_distance``, a
+case form of a few integer comparisons.
 
 Whole-cube work runs on tables: ``image_table`` and ``preimage_table`` are
 ``array('i')`` tables at 4 bytes per entry.  ``image_table`` makes no call
 of the map per vertex: for each block of vertices the bit-sliced marking
 kernel (see ``chains``) and the map's plane rule give the images as bit
 planes, and ``_set_planes``, the inverse of ``_bit_planes``, transposes
-them into the table.  ``preimage_table`` still proves by counting, on its
-own, that the table is a bijection onto the ball.
+them into the table.  ``preimage_table`` proves by counting that the table
+is a bijection onto the ball.
 
 Both exhaustive sweeps, the swap audit and the influence profile share one
 sweep, ``_edge_sweep``, and it takes no Python step per edge.  It transposes
@@ -55,7 +55,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
-from .bijections import _EDGE_DISTANCE, _FORWARD_PLANES, BijectionKind, _require_dimension
+from .bijections import _MAPS, BijectionKind, _require_dimension
 from .bits import DEFAULT_ENUMERATION_CAP, BitVector, EdgeId, _low_mask, _require_cap
 from .chains import _cube_blocks, _increment, _profile, _unmatched_planes
 from .errors import BijectivityError, LengthMismatchError, NotInBallError
@@ -179,7 +179,7 @@ def image_table(kind: BijectionKind, n: int) -> array:
     """
     kind = BijectionKind(kind)
     _require_dimension(n, kind.value)
-    rule = _FORWARD_PLANES[kind]
+    rule = _MAPS[kind].planes
     table = array("i", [0]) * (1 << n)
     start = 0
     for xs, full in _cube_blocks(n):
@@ -377,7 +377,7 @@ def forward_stretch_sampled(
         raise ValueError("sampled mode requires an explicit seed")
     rng = random.Random(seed)
     table = image_table(kind, n) if 1 << n <= min(_TABLE_LIMIT, samples << 4) else None
-    rule = _EDGE_DISTANCE[kind]
+    rule = _MAPS[kind].edge_distance
     best = -1
     bw = (0, 1)
     total = 0

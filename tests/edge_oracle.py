@@ -1,5 +1,5 @@
 """Edge-distance rules derived through unmatched-0 ranks, the oracle for the
-case forms in ``bijections._EDGE_DISTANCE``.
+case forms in ``bijections._MAPS[kind].edge_distance``.
 
 Each rule ``_*_edge_distance(n, a1, b1, a2, b2)`` gives the distance
 between the images of the two endpoints of an edge (x, i), from the marking
@@ -65,7 +65,7 @@ def _naive_edge_distance(n: int, a1: int, b1: int, a2: int, b2: int) -> int:
     return n if 2 * weight == n else 1
 
 
-RANK_EDGE_DISTANCE = {
+RANK_EDGE_RULES = {
     BijectionKind.PSI: _psi_edge_distance,
     BijectionKind.PHI: _phi_edge_distance,
     BijectionKind.NAIVE: _naive_edge_distance,

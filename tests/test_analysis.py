@@ -312,6 +312,13 @@ def test_output_bit_examples(src, i, expected):
     assert analysis.output_bit(PSI, BitVector.parse(src), i) == expected
 
 
+@pytest.mark.parametrize("kind", list(BijectionKind))
+@pytest.mark.parametrize("n", [1, 3, 7])
+def test_output_bit_rejects_odd_length(kind, n):
+    with pytest.raises(OddLengthError, match=f"^{kind.value} requires even input length, got {n}$"):
+        analysis.output_bit(kind, BitVector(n, 0), 1)
+
+
 def test_output_bit_equals_input_on_marked_coordinates():
     x = BitVector.parse("011010")
     for i in mark(x).marked_coordinates():

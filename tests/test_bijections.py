@@ -4,8 +4,7 @@ from hypothesis import given
 
 from cubeball.bits import BitVector, distance
 from cubeball.bijections import (
-    _EDGE_DISTANCE,
-    _FORWARD_VALUE,
+    _MAPS,
     BallVector,
     BijectionKind,
     forward_map,
@@ -21,7 +20,7 @@ from cubeball.bijections import (
 from cubeball.chains import chain_member, mark, position
 from cubeball.errors import NotInBallError, NotInImageError, OddLengthError
 
-from edge_oracle import RANK_EDGE_DISTANCE
+from edge_oracle import RANK_EDGE_RULES
 from marking_oracle import unmatched_shifts
 from strategies import bit_vectors, lengths_with_residue
 
@@ -200,8 +199,8 @@ def test_edge_images_depend_only_on_unmarked_profiles(data):
 @pytest.mark.parametrize("n", range(2, 15, 2))
 @pytest.mark.parametrize("kind", KINDS)
 def test_edge_distance_rule_matches_map_exhaustive(kind, n):
-    f = _FORWARD_VALUE[kind]
-    rule = _EDGE_DISTANCE[kind]
+    f = _MAPS[kind].value
+    rule = _MAPS[kind].edge_distance
     images = [f(n, v) for v in range(1 << n)]
     # profiles[m][u]: the oracle's profile of the m-bit string u
     profiles = [[_oracle_profile(m, u) for u in range(1 << m)] for m in range(n)]
@@ -224,16 +223,16 @@ def test_edge_distance_rule_matches_map_large_n(kind, residue, data):
     v = data.draw(st.integers(0, (1 << n) - 1))
     # coordinates 1 and n leave an empty prefix or suffix
     i = data.draw(st.one_of(st.just(1), st.just(n), st.integers(1, n)))
-    f = _FORWARD_VALUE[kind]
+    f = _MAPS[kind].value
     want = (f(n, v) ^ f(n, v ^ (1 << (n - i)))).bit_count()
     low = n - i
     prefix = _oracle_profile(i - 1, v >> (low + 1))
     suffix = _oracle_profile(low, v & ((1 << low) - 1))
-    assert _EDGE_DISTANCE[kind](n, *prefix, *suffix) == want
+    assert _MAPS[kind].edge_distance(n, *prefix, *suffix) == want
 
 
-# The case forms in ``_EDGE_DISTANCE`` against the rank rules they were read
-# from (``RANK_EDGE_DISTANCE``), on boxes that hold every breakpoint.
+# The case forms in ``_MAPS[kind].edge_distance`` against the rank rules they
+# were read from (``RANK_EDGE_RULES``), on boxes that hold every breakpoint.
 
 
 def test_psi_edge_cases_certify_forward_bound():
@@ -262,8 +261,8 @@ def test_psi_edge_cases_certify_forward_bound():
     vanishes at three non-collinear points vanishes on the whole plane, so
     agreement on the box is agreement at every profile.
     """
-    rule = _EDGE_DISTANCE[BijectionKind.PSI]
-    oracle = RANK_EDGE_DISTANCE[BijectionKind.PSI]
+    rule = _MAPS[BijectionKind.PSI].edge_distance
+    oracle = RANK_EDGE_RULES[BijectionKind.PSI]
     box = range(64)
     seen = set()
     for a1 in box:
@@ -279,8 +278,8 @@ def _four_profile_box(kind, size):
     """Each (a1, b1, a2, b2) in [0, size)^4 with the smallest n that holds
     it, n = a1 + b1 + a2 + b2 + 1, after checking the case form against the
     rank rule there."""
-    rule = _EDGE_DISTANCE[kind]
-    oracle = RANK_EDGE_DISTANCE[kind]
+    rule = _MAPS[kind].edge_distance
+    oracle = RANK_EDGE_RULES[kind]
     box = range(size)
     for a1 in box:
         for b1 in box:

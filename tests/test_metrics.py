@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given
 
 from cubeball.bits import BitVector, EdgeId, distance, enumerate_cube
-from cubeball.bijections import _FORWARD_VALUE, BijectionKind, forward_map, inverse_map
+from cubeball.bijections import _MAPS, BijectionKind, forward_map, inverse_map
 from cubeball.errors import (
     BijectivityError,
     DimensionError,
@@ -145,7 +145,7 @@ def test_edge_sweep_matches_scalar_sweep_on_arbitrary_tables(case):
 @pytest.mark.parametrize("kind", [PSI, PHI, NAIVE])
 @pytest.mark.parametrize("n", range(2, 17, 2))
 def test_image_table_matches_scalar_map(kind, n):
-    want = array("i", map(_FORWARD_VALUE[kind], repeat(n), range(1 << n)))
+    want = array("i", map(_MAPS[kind].value, repeat(n), range(1 << n)))
     assert metrics.image_table(kind, n) == want
 
 
@@ -154,7 +154,7 @@ def test_image_table_matches_scalar_map_across_blocks(monkeypatch, fresh_tables,
     # blocks of 8 vertices: every table from n = 4 on is built in several
     monkeypatch.setattr(chains, "_BLOCK_BITS", 3)
     for n in range(2, 11, 2):
-        want = array("i", map(_FORWARD_VALUE[kind], repeat(n), range(1 << n)))
+        want = array("i", map(_MAPS[kind].value, repeat(n), range(1 << n)))
         assert metrics.image_table(kind, n) == want
 
 
@@ -286,7 +286,7 @@ def _sampled_by_map_evaluation(kind, n, samples, seed):
     """The per-draw loop that evaluates the map on both endpoints of each
     draw: the oracle for the sampled sweep's profile rule."""
     rng = random.Random(seed)
-    f = _FORWARD_VALUE[kind]
+    f = _MAPS[kind].value
     best, witness, total, total_sq = -1, (0, 1), 0, 0
     for _ in range(samples):
         v = rng.getrandbits(n)
