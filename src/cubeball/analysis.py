@@ -45,7 +45,13 @@ from typing import Iterator
 from .bijections import _MAPS, BijectionKind, _psi_value, _require_dimension
 from .bits import DEFAULT_ENUMERATION_CAP, BitVector, _low_mask, _require_cap
 from .chains import _cube_blocks, _equal, _unmatched_planes
-from .errors import CoordinateRangeError, DimensionError, OddLengthError, ParityError
+from .errors import (
+    CoordinateRangeError,
+    DimensionError,
+    EnumerationCapError,
+    OddLengthError,
+    ParityError,
+)
 from .metrics import _bit_planes, _edge_sweep, image_table
 
 
@@ -190,11 +196,13 @@ def flip_probability_exact(n: int, i: int) -> Fraction:
     Sums, over the suffix's unmarked-zero count c, the C(n-i, floor((n-i-c)/2))
     suffixes with c unmarked zeros times the C(i-1, floor((i-1-c)/2)) prefixes
     with no unmarked ones and at least c unmarked zeros, with a final factor
-    1/2 for x_i = 0.
+    1/2 for x_i = 0.  An n above the library ceiling, 2^28 bits, is refused.
     """
     _require_flip_domain(n)
     if not 1 <= i <= n:
         raise CoordinateRangeError(f"coordinate {i} out of [1, {n}]")
+    if n > DEFAULT_ENUMERATION_CAP:
+        raise EnumerationCapError(n, DEFAULT_ENUMERATION_CAP, "bits per binomial")
     total = sum(map(mul, _floor_half_binomials(i - 1), _floor_half_binomials(n - i)))
     return Fraction(total, 1 << n)
 

@@ -58,7 +58,7 @@ from typing import Optional
 from .bijections import _MAPS, BijectionKind, _require_dimension
 from .bits import DEFAULT_ENUMERATION_CAP, BitVector, EdgeId, _low_mask, _require_cap
 from .chains import _cube_blocks, _increment, _profile, _unmatched_planes
-from .errors import BijectivityError, LengthMismatchError, NotInBallError
+from .errors import BijectivityError, EnumerationCapError, LengthMismatchError, NotInBallError
 
 # Above this domain size, or above 16 vertices per draw, sampled sweeps find
 # each draw's distance from its marking profiles instead of building a full
@@ -368,6 +368,7 @@ def forward_stretch_sampled(
 
     ``max_stretch`` reports the sample maximum only.  The report carries the
     seed and the exact sample variance so callers can form standard errors.
+    An n above the library ceiling, 2^28 bits per draw, is refused.
     """
     kind = BijectionKind(kind)
     _require_dimension(n, kind.value)
@@ -375,8 +376,12 @@ def forward_stretch_sampled(
         raise ValueError(f"samples must be >= 1, got {samples}")
     if seed is None:
         raise ValueError("sampled mode requires an explicit seed")
+    if n > DEFAULT_ENUMERATION_CAP:
+        raise EnumerationCapError(n, DEFAULT_ENUMERATION_CAP, "bits per draw")
     rng = random.Random(seed)
-    table = image_table(kind, n) if 1 << n <= min(_TABLE_LIMIT, samples << 4) else None
+    # n first, so that no 2^n is built past the table's 2^20 entries
+    small = n < _TABLE_LIMIT.bit_length() and 1 << n <= samples << 4
+    table = image_table(kind, n) if small else None
     rule = _MAPS[kind].edge_distance
     best = -1
     bw = (0, 1)

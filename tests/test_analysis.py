@@ -352,6 +352,19 @@ def test_influence_profile_matches_public_map_oracle(kind, n):
     assert analysis.influence_profile(kind, n) == expected
 
 
+@pytest.mark.parametrize("n", range(2, 17, 2))
+def test_influence_symmetries(n):
+    """Three symmetries of the influence profiles, observed here at every
+    even n <= 16 and not proven: output bits 1..n have equal influence, bit
+    n + 1 has influence n C(n, n/2) / 2^n, and psi's profile is phi's.  The
+    CLI computes every influence and must not rely on them."""
+    profiles = {kind: analysis.influence_profile(kind, n) for kind in BijectionKind}
+    for kind, profile in profiles.items():
+        assert len(set(profile[:n])) == 1, kind
+        assert profile[n] == Fraction(n * comb(n, n // 2), 1 << n), kind
+    assert profiles[PSI] == profiles[BijectionKind.PHI]
+
+
 def test_influence_coordinate_check():
     with pytest.raises(CoordinateRangeError):
         analysis.influence(PSI, 6, 4)

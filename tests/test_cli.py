@@ -178,6 +178,25 @@ def test_cap_error_for_huge_n_is_a_one_line_error(argv):
 
 
 @pytest.mark.parametrize(
+    "argv,what",
+    [
+        (["verify", "--bijection", "psi", "--n", str(10**20), "--mode", "sample",
+          "--samples", "1", "--seed", "1"], "bits per draw"),
+        (["stats", "flipprob", "--n", str(10**20), "--bit", "1"], "bits per binomial"),
+        (["stats", "flipprob", "--n", str(10**20)], "bits per binomial"),
+    ],
+)
+def test_n_past_the_library_ceiling_is_a_one_line_error(argv, what):
+    # neither builds a table, but an n-bit draw or binomial is as large
+    code, out = _run(argv)
+    assert code == 1
+    assert len(out.splitlines()) == 1
+    rec = _fields(out)
+    assert rec["error"] == "EnumerationCapError"
+    assert rec["detail"] == f"enumeration of {10**20} {what} exceeds cap {DEFAULT_ENUMERATION_CAP}"
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["pairs-audit", "--bijection", "psi", "--n", "0"],

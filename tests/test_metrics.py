@@ -11,7 +11,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
-from cubeball.bits import BitVector, EdgeId, distance, enumerate_cube
+from cubeball.bits import DEFAULT_ENUMERATION_CAP, BitVector, EdgeId, distance, enumerate_cube
 from cubeball.bijections import _MAPS, BijectionKind, forward_map, inverse_map
 from cubeball.errors import (
     BijectivityError,
@@ -19,6 +19,7 @@ from cubeball.errors import (
     EnumerationCapError,
     LengthMismatchError,
     NotInBallError,
+    OddLengthError,
 )
 from cubeball import analysis, chains, metrics
 
@@ -509,6 +510,31 @@ def test_cap_rejects_huge_n_before_building_two_to_the_n(entry):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda n: metrics.forward_stretch_sampled(PSI, n, 1, 1),
+        lambda n: analysis.flip_probability_exact(n, 1),
+    ],
+    ids=["sampled", "flip-exact"],
+)
+def test_n_past_the_library_ceiling_is_refused_without_building_it(entry):
+    n = DEFAULT_ENUMERATION_CAP + 2
+    tracemalloc.start()
+    try:
+        with pytest.raises(EnumerationCapError, match=f"^enumeration of {n} bits per "):
+            entry(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    # the domain checks come first: odd and small n keep their errors
+    with pytest.raises(OddLengthError):
+        entry(n + 1)
+    with pytest.raises(DimensionError):
+        entry(0)
 
 
 def test_preimage_table_inverts_image_table():
