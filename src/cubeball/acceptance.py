@@ -208,7 +208,7 @@ def _c08_flip_probabilities() -> tuple[bool, str]:
         return False, f"probability {worst} above 1/2 at n=16"
     if worst * worst * 16 > FLIP_SCALING_BOUND**2:
         return False, f"max probability * sqrt(16) = {float(worst) * 4:.6f} above pinned bound"
-    return True, "single sum equals enumeration for even n <= 14; n=16 scaling under the pinned bound"
+    return True, "closed form equals enumeration for even n <= 14; n=16 scaling under the pinned bound"
 
 
 def _c09_influence_identity() -> tuple[bool, str]:

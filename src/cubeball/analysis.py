@@ -9,16 +9,26 @@ Unmarked profiles.  Exactly ``C(n, (n-a-b)/2) - C(n, (n-a-b-2)/2)`` vertices
 leave a unmarked zeros and b unmarked ones after marking (a+b must have the
 parity of n), and ``C(n, floor((n-a)/2))`` leave exactly a unmarked zeros.
 
-Per-bit flip probability.  For the chain-climbing map, output bit i differs
-from input bit i exactly when x_i = 0, the length-(i-1) prefix marks down to
-zeros only (no unmarked ones), and its unmarked-zero count a is at least the
-suffix's unmarked-zero count c.  Prefix and suffix mark independently, so
-the probability is a sum over c of (suffixes with c unmarked zeros) times
-(prefixes with no unmarked ones and at least c unmarked zeros).  The profile
-counts of the second factor telescope to ``C(i-1, floor((i-1-c)/2))``, so
-the sum is single and exact.  It is symmetric under i <-> n+1-i and decays
-like 1/sqrt(n), so every output bit except the appended one is essentially
-a copy of its input bit.
+Per-bit flip probability.  Output bit i of the chain-climbing map differs
+from input bit i exactly when x_i = 0, the length-(i-1) prefix leaves no
+unmarked ones, and its unmarked-zero count is at least the suffix's, c.
+Prefix and suffix mark independently; each factor of the sum over c is
+C(m, floor((m-c)/2)), m = i-1 or n-i, and at every i the sum is one binomial:
+
+1. Read 0 as +1 and 1 as -1.  A 0 is unmatched exactly when the walk
+   reaches a new maximum, so c unmatched 0s means maximum c, and by
+   reflection C(m, floor((m-c)/2)) = N(m, c) + N(m, c+1), where
+   N(m, h) = C(m, (m+h)/2) counts the walks ending at h (parity makes one
+   of the two terms 0).
+2. With a = i-1 and b = n-i, expand the sum over c >= 0 of
+   (N(a,c) + N(a,c+1)) (N(b,c) + N(b,c+1)).  N(m, h) = N(m, -h) turns it
+   into the sums over all h of N(a,h) N(b,h) and of N(a,h) N(b,h+1), which
+   Vandermonde's identity makes N(a+b, 0) + N(a+b, 1).
+3. a + b = n - 1, so the count is C(n-1, n/2-1) = C(n, n/2)/2.
+
+So p = C(n, n/2)/2^(n+1), and C(2m, m) <= 4^m/sqrt(pi m) gives
+p <= 1/sqrt(2 pi n) for every even n: every output bit but the appended
+one is essentially a copy of its input bit.
 
 Counting over the whole cube.  ``chain_count_enumerated`` and
 ``unmarked_profile_histogram`` check the closed forms above against counts
@@ -39,8 +49,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from operator import mul
-from typing import Iterator
 
 from .bijections import _MAPS, BijectionKind, _psi_value, _require_dimension
 from .bits import DEFAULT_ENUMERATION_CAP, BitVector, _low_mask, _require_cap
@@ -191,35 +199,16 @@ def unmarked_profile_histogram(
 
 
 def flip_probability_exact(n: int, i: int) -> Fraction:
-    """Exact Pr over uniform x of output bit i differing from input bit i.
-
-    Sums, over the suffix's unmarked-zero count c, the C(n-i, floor((n-i-c)/2))
-    suffixes with c unmarked zeros times the C(i-1, floor((i-1-c)/2)) prefixes
-    with no unmarked ones and at least c unmarked zeros, with a final factor
-    1/2 for x_i = 0.  An n above the library ceiling, 2^28 bits, is refused.
+    """Exact Pr over uniform x of output bit i differing from input bit i:
+    C(n-1, n/2-1)/2^n at every i (see the module docstring).  An n above the
+    library ceiling, 2^28 bits, is refused.
     """
     _require_flip_domain(n)
     if not 1 <= i <= n:
         raise CoordinateRangeError(f"coordinate {i} out of [1, {n}]")
     if n > DEFAULT_ENUMERATION_CAP:
         raise EnumerationCapError(n, DEFAULT_ENUMERATION_CAP, "bits per binomial")
-    total = sum(map(mul, _floor_half_binomials(i - 1), _floor_half_binomials(n - i)))
-    return Fraction(total, 1 << n)
-
-
-def _floor_half_binomials(m: int) -> Iterator[int]:
-    """C(m, floor((m - c) / 2)) for c = 0, 1, ..., m, each from the one before.
-
-    The lower index drops by one after each c with m - c even, and
-    C(m, k - 1) = C(m, k) * k / (m - k + 1) exactly.
-    """
-    k = m >> 1
-    value = comb(m, k)
-    for c in range(m + 1):
-        yield value
-        if (m - c) & 1 == 0:
-            value = value * k // (m - k + 1)
-            k -= 1
+    return Fraction(comb(n - 1, n // 2 - 1), 1 << n)
 
 
 def flip_probability_exhaustive(
