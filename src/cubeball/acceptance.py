@@ -59,7 +59,8 @@ NAIVE_RATIO_LO = Fraction(95, 100)
 NAIVE_RATIO_HI = Fraction(107, 100)
 
 # max_i Pr[output bit i differs from input bit i] * sqrt(n) grows from
-# 0.3750 (n=4) to 0.3919 (n=14); 2/5 leaves margin and must also hold at 16.
+# 0.3750 (n=4) to 0.3919 (n=14); 2/5 holds at every even n, because
+# p = C(n, n/2)/2^(n+1) gives p * sqrt(n) < 1/sqrt(2 pi) ~ 0.3989.
 FLIP_SCALING_BOUND = Fraction(2, 5)
 
 # bytes.translate table sending the bytes 0 and 1 to ASCII "0" and "1"

@@ -208,6 +208,12 @@ def flip_probability_exact(n: int, i: int) -> Fraction:
         raise CoordinateRangeError(f"coordinate {i} out of [1, {n}]")
     if n > DEFAULT_ENUMERATION_CAP:
         raise EnumerationCapError(n, DEFAULT_ENUMERATION_CAP, "bits per binomial")
+    return _flip_probability(n)
+
+
+@lru_cache(maxsize=8)
+def _flip_probability(n: int) -> Fraction:
+    """The one value of every coordinate, so a run over all n computes it once."""
     return Fraction(comb(n - 1, n // 2 - 1), 1 << n)
 
 

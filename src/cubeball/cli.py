@@ -5,7 +5,7 @@ Every command prints one flat key=value record per result line (or CSV with
 produced it.  Identical invocations, including the seed, give byte-identical
 output.  Exit codes: 0 success, 1 computation or domain error (reported as a
 one-line ``error=...`` record on stdout) or a failed selftest criterion, 2
-usage error.
+usage error, including an ``--out`` path that cannot be written.
 
 Each flag is declared once, on the subparser that reads it, and each
 subparser names its handler through ``set_defaults``.  A record's
@@ -341,8 +341,13 @@ def run(argv: list[str], stdout: Optional[TextIO] = None) -> int:
     _emit(records, ns.format, buf)
     stream.write(buf.getvalue())
     if ns.out:
-        with open(ns.out, "w") as fh:
-            fh.write(buf.getvalue())
+        try:
+            with open(ns.out, "w") as fh:
+                fh.write(buf.getvalue())
+        except OSError as exc:
+            print(f"cubeball: usage error: cannot write --out {ns.out}: {exc.strerror}",
+                  file=sys.stderr)
+            return 2
     # only selftest records carry a status; one FAIL makes the exit code 1
     return int(any(rec.get("status") == "FAIL" for rec in records))
 

@@ -203,6 +203,21 @@ def test_exhaustive_flipprob_transposes_the_table_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_exact_flipprob_computes_the_binomial_once(monkeypatch):
+    calls = []
+
+    def counting(n, k):
+        calls.append((n, k))
+        return comb(n, k)
+
+    monkeypatch.setattr(analysis, "comb", counting)
+    analysis._flip_probability.cache_clear()
+    out = io.StringIO()
+    assert run(["stats", "flipprob", "--n", "10"], stdout=out) == 0
+    assert len(out.getvalue().splitlines()) == 10
+    assert calls == [(9, 4)]
+
+
 def test_flip_probability_argument_checks():
     with pytest.raises(OddLengthError):
         analysis.flip_probability_exact(5, 1)

@@ -5,6 +5,7 @@ from hypothesis import given
 from cubeball.bits import BitVector, distance
 from cubeball.bijections import (
     _MAPS,
+    _psi_inverse_value,
     BallVector,
     BijectionKind,
     forward_map,
@@ -85,6 +86,10 @@ def test_inverse_rejects_odd_cube_dimension(kind):
 def test_psi_inverse_rejects_points_outside_ball():
     with pytest.raises(NotInBallError):
         psi_inverse(BitVector.parse("00011"))
+    # the integer form's own check, which psi_inverse never reaches because
+    # it tests ball membership first
+    with pytest.raises(NotInBallError, match="value 1 is not reached from the cube"):
+        _psi_inverse_value(4, 0b00001)
 
 
 def test_phi_inverse_not_in_image_is_distinct():

@@ -237,6 +237,33 @@ def test_out_file(tmp_path):
     assert target.read_text() == out
 
 
+@pytest.mark.parametrize("where", ["missing", "directory"])
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys, where):
+    target = tmp_path / "nonexistent" / "x.txt" if where == "missing" else tmp_path
+    code, out = _run(["map", "--bijection", "psi", "--input", "0000", "--out", str(target)])
+    assert code == 2
+    assert out == (ROOT / "tests" / "golden" / "map_psi.txt").read_text()
+    err = capsys.readouterr().err
+    assert err.startswith(f"cubeball: usage error: cannot write --out {target}: ")
+    assert len(err.splitlines()) == 1
+
+
+def test_unwritable_out_subprocess_has_no_traceback(tmp_path):
+    target = tmp_path / "nonexistent" / "x.txt"
+    proc = subprocess.run(
+        [sys.executable, "-m", "cubeball", "map", "--bijection", "psi", "--input", "0000",
+         "--out", str(target)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == (ROOT / "tests" / "golden" / "map_psi.txt").read_text()
+    assert proc.stderr == (
+        f"cubeball: usage error: cannot write --out {target}: No such file or directory\n")
+    assert "Traceback" not in proc.stderr
+
+
 def test_module_entry_point_subprocess():
     cases = [
         (["map", "--bijection", "psi", "--input", "0000"], 0, "map_psi"),
