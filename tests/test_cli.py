@@ -248,27 +248,13 @@ def test_unwritable_out_is_a_usage_error(tmp_path, capsys, where):
     assert len(err.splitlines()) == 1
 
 
-def test_unwritable_out_subprocess_has_no_traceback(tmp_path):
-    target = tmp_path / "nonexistent" / "x.txt"
-    proc = subprocess.run(
-        [sys.executable, "-m", "cubeball", "map", "--bijection", "psi", "--input", "0000",
-         "--out", str(target)],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
-    )
-    assert proc.returncode == 2
-    assert proc.stdout == (ROOT / "tests" / "golden" / "map_psi.txt").read_text()
-    assert proc.stderr == (
-        f"cubeball: usage error: cannot write --out {target}: No such file or directory\n")
-    assert "Traceback" not in proc.stderr
-
-
-def test_module_entry_point_subprocess():
+def test_module_entry_point_subprocess(tmp_path):
+    missing = str(tmp_path / "nonexistent" / "x.txt")
     cases = [
         (["map", "--bijection", "psi", "--input", "0000"], 0, "map_psi"),
         (["pairs-audit", "--bijection", "psi", "--n", "0"], 1, "error_dimension_pairs"),
         (["verify"], 2, None),
+        (["map", "--bijection", "psi", "--input", "0000", "--out", missing], 2, "map_psi"),
     ]
     for argv, code, golden in cases:
         proc = subprocess.run(
@@ -278,6 +264,7 @@ def test_module_entry_point_subprocess():
             env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
         )
         assert proc.returncode == code, argv
+        assert "Traceback" not in proc.stderr
         if golden is None:
             assert proc.stdout == ""
             assert "usage:" in proc.stderr

@@ -1,6 +1,7 @@
 """A module-level private name or constant in src/cubeball that no module of
 the package reads is dead code, and so is a function, class or method of the
-package that nothing in the repository's code reads."""
+package that nothing in the repository's code reads, and an import that
+its module never reads."""
 
 import ast
 from pathlib import Path
