@@ -8,10 +8,6 @@ from .bits import (
     BitVector,
     EdgeId,
     distance,
-    enumerate_cube,
-    flip_all,
-    flip_at,
-    weight,
 )
 from .chains import (
     BLANK,

@@ -50,7 +50,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from .bijections import _MAPS, BijectionKind, _psi_value, _require_dimension
+from .bijections import BijectionKind, _psi_value, _require_dimension
 from .bits import DEFAULT_ENUMERATION_CAP, BitVector, _low_mask, _require_cap
 from .chains import _cube_blocks, _equal, _unmatched_planes
 from .errors import (
@@ -309,18 +309,6 @@ def majority_reduction(x: BitVector) -> BitVector:
     return BitVector(3 * n + 1, out)
 
 
-def output_bit(kind: BijectionKind, x: BitVector, i: int) -> int:
-    """Coordinate i of the chosen bijection's output, i in [1, n+1]."""
-    kind = BijectionKind(kind)
-    n = x.n
-    if not 1 <= i <= n + 1:
-        raise CoordinateRangeError(f"output coordinate {i} out of [1, {n + 1}]")
-    _require_dimension(n, kind.value)
-    z = _MAPS[kind].value(n, x.value)
-    return (z >> (n + 1 - i)) & 1
-
-
-@lru_cache(maxsize=8)
 def influence_profile(
     kind: BijectionKind, n: int, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> tuple[Fraction, ...]:
@@ -337,15 +325,6 @@ def influence_profile(
     size = 1 << n
     # output coordinate i sits at shift n+1-i
     return tuple(Fraction(2 * counts[n + 1 - i], size) for i in range(1, n + 2))
-
-
-def influence(
-    kind: BijectionKind, i: int, n: int, cap: int = DEFAULT_ENUMERATION_CAP
-) -> Fraction:
-    """Expected number of input flips that change output bit i."""
-    if not 1 <= i <= n + 1:
-        raise CoordinateRangeError(f"output coordinate {i} out of [1, {n + 1}]")
-    return influence_profile(BijectionKind(kind), n, cap)[i - 1]
 
 
 def first_output_bit_of_reduction(x: BitVector) -> int:

@@ -64,10 +64,6 @@ class BallVector:
                 f"for length {m}"
             )
 
-    @property
-    def cube_dimension(self) -> int:
-        return self.vector.n - 1
-
     def render(self) -> str:
         return self.vector.render()
 

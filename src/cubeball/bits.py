@@ -9,8 +9,6 @@ rendered strings.  Lengths are arbitrary (not capped at machine-word width).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
-
 from .errors import (
     CoordinateRangeError,
     EnumerationCapError,
@@ -41,16 +39,6 @@ class BitVector:
             raise ValueError(f"not a bit string: {text!r}")
         return cls(len(text), int(text, 2))
 
-    @classmethod
-    def from_bits(cls, bits: Iterable[int]) -> "BitVector":
-        seq = list(bits)
-        value = 0
-        for b in seq:
-            if b not in (0, 1):
-                raise ValueError(f"bit values must be 0 or 1, got {b!r}")
-            value = (value << 1) | b
-        return cls(len(seq), value)
-
     def render(self) -> str:
         return format(self.value, f"0{self.n}b")
 
@@ -73,12 +61,6 @@ class BitVector:
     def flip_at(self, i: int) -> "BitVector":
         self._check_coordinate(i)
         return BitVector(self.n, self.value ^ (1 << (self.n - i)))
-
-    def flip_all(self) -> "BitVector":
-        return BitVector(self.n, self.value ^ ((1 << self.n) - 1))
-
-    def concat(self, other: "BitVector") -> "BitVector":
-        return BitVector(self.n + other.n, (self.value << other.n) | other.value)
 
     def __xor__(self, other: "BitVector") -> "BitVector":
         if self.n != other.n:
@@ -107,38 +89,11 @@ class EdgeId:
         return self.vertex.flip_at(self.coordinate)
 
 
-def weight(v: BitVector) -> int:
-    """Number of 1-bits."""
-    return v.weight()
-
-
 def distance(a: BitVector, b: BitVector) -> int:
     """Hamming distance between two vectors of equal length."""
     if a.n != b.n:
         raise LengthMismatchError(f"length {a.n} vs {b.n}")
     return (a.value ^ b.value).bit_count()
-
-
-def flip_all(v: BitVector) -> BitVector:
-    """Bit-wise complement."""
-    return v.flip_all()
-
-
-def flip_at(v: BitVector, i: int) -> BitVector:
-    """Complement coordinate ``i``, leaving the others unchanged."""
-    return v.flip_at(i)
-
-
-def enumerate_cube(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Iterator[BitVector]:
-    """All 2^n vectors of length n, in lexicographic order.
-
-    Raises :class:`EnumerationCapError` (eagerly, before yielding anything)
-    if 2^n exceeds ``cap``.
-    """
-    if n < 1:
-        raise ValueError(f"length must be >= 1, got {n}")
-    _require_cap(n, cap, "vertices")
-    return (BitVector(n, v) for v in range(1 << n))
 
 
 def _require_cap(n: int, cap: int, what: str, per: int = 1) -> None:

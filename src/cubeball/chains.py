@@ -258,9 +258,6 @@ class MarkedString:
     def marked_coordinates(self) -> tuple[int, ...]:
         return tuple(i + 1 for i, m in enumerate(self.marked) if m)
 
-    def unmarked_coordinates(self) -> tuple[int, ...]:
-        return tuple(i + 1 for i, m in enumerate(self.marked) if not m)
-
 
 @dataclass(frozen=True, slots=True)
 class ChainCode:

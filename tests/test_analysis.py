@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 
 from cubeball.bits import BitVector
-from cubeball.bijections import BijectionKind, forward_map
+from cubeball.bijections import BijectionKind, forward_map, psi
 from cubeball.chains import mark
 from cubeball.cli import run
 from cubeball.errors import (
@@ -324,20 +324,20 @@ def test_reduction_output_bits_depend_on_single_input_bits():
     "src,i,expected", [("0000", 5, 1), ("1111", 1, 1), ("0001", 2, 1)]
 )
 def test_output_bit_examples(src, i, expected):
-    assert analysis.output_bit(PSI, BitVector.parse(src), i) == expected
+    assert psi(BitVector.parse(src)).vector.bit(i) == expected
 
 
 @pytest.mark.parametrize("kind", list(BijectionKind))
 @pytest.mark.parametrize("n", [1, 3, 7])
 def test_output_bit_rejects_odd_length(kind, n):
     with pytest.raises(OddLengthError, match=f"^{kind.value} requires even input length, got {n}$"):
-        analysis.output_bit(kind, BitVector(n, 0), 1)
+        forward_map(kind)(BitVector(n, 0))
 
 
 def test_output_bit_equals_input_on_marked_coordinates():
     x = BitVector.parse("011010")
     for i in mark(x).marked_coordinates():
-        assert analysis.output_bit(PSI, x, i) == x.bit(i)
+        assert psi(x).vector.bit(i) == x.bit(i)
 
 
 @pytest.mark.parametrize("n", [2, 4, 6, 8])
@@ -348,7 +348,6 @@ def test_influence_identity(n):
     total = sum(profile, Fraction(0))
     avg = metrics.forward_stretch_exhaustive(PSI, n).avg_stretch
     assert total == n * avg
-    assert analysis.influence(PSI, 1, n) == profile[0]
 
 
 @pytest.mark.parametrize("kind", list(BijectionKind))
@@ -378,8 +377,3 @@ def test_influence_symmetries(n):
         assert len(set(profile[:n])) == 1, kind
         assert profile[n] == Fraction(n * comb(n, n // 2), 1 << n), kind
     assert profiles[PSI] == profiles[BijectionKind.PHI]
-
-
-def test_influence_coordinate_check():
-    with pytest.raises(CoordinateRangeError):
-        analysis.influence(PSI, 6, 4)

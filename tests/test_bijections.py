@@ -67,7 +67,7 @@ def test_psi_climbs_half_way_up_the_chain_at_large_n(data):
     x = BitVector(n, data.draw(st.integers(0, (1 << n) - 1)))
     pos = position(x)
     climbed = chain_member(pos.code, pos.j + pos.ell - pos.ell // 2)
-    assert psi(x).vector == climbed.concat(BitVector(1, int(pos.ell % 2 == 0)))
+    assert psi(x).vector == BitVector(n + 1, (climbed.value << 1) | int(pos.ell % 2 == 0))
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -102,8 +102,7 @@ def test_phi_inverse_not_in_image_is_distinct():
 def test_ball_vector_validates_membership():
     with pytest.raises(NotInBallError):
         BallVector(BitVector.parse("00011"))
-    z = BallVector(BitVector.parse("00111"))
-    assert z.cube_dimension == 4
+    assert BallVector(BitVector.parse("00111")).render() == "00111"
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -167,12 +166,13 @@ def test_unmarked_skeleton_determines_moved_bits(n):
     # only depends on the unmarked 0^a 1^b skeleton
     for value in range(1 << n):
         x = BitVector(n, value)
-        unmarked = mark(x).unmarked_coordinates()
+        marked = mark(x).marked_coordinates()
+        unmarked = [p for p in range(1, n + 1) if p not in marked]
         img = psi(x).vector
         if not unmarked:
             assert img.render() == x.render() + "1"
             continue
-        skeleton = BitVector.from_bits([x.bit(p) for p in unmarked])
+        skeleton = BitVector.parse("".join(str(x.bit(p)) for p in unmarked))
         skel_img = psi(skeleton).vector
         got = [img.bit(p) for p in unmarked] + [img.bit(n + 1)]
         want = [skel_img.bit(r) for r in range(1, len(unmarked) + 2)]

@@ -2,20 +2,8 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
-from cubeball.bits import (
-    BitVector,
-    EdgeId,
-    distance,
-    enumerate_cube,
-    flip_all,
-    flip_at,
-    weight,
-)
-from cubeball.errors import (
-    CoordinateRangeError,
-    EnumerationCapError,
-    LengthMismatchError,
-)
+from cubeball.bits import BitVector, EdgeId, distance
+from cubeball.errors import CoordinateRangeError, LengthMismatchError
 
 from strategies import bit_vectors
 
@@ -24,7 +12,7 @@ from strategies import bit_vectors
     "text,expected", [("0000", 0), ("1111", 4), ("01100110", 4)]
 )
 def test_weight_examples(text, expected):
-    assert weight(BitVector.parse(text)) == expected
+    assert BitVector.parse(text).weight() == expected
 
 
 @pytest.mark.parametrize(
@@ -40,82 +28,47 @@ def test_distance_length_mismatch():
         distance(BitVector.parse("01"), BitVector.parse("011"))
 
 
-@pytest.mark.parametrize("text,expected", [("0000", "1111"), ("0110", "1001")])
-def test_flip_all_examples(text, expected):
-    assert flip_all(BitVector.parse(text)).render() == expected
-
-
-@given(bit_vectors())
-def test_flip_all_involution(v):
-    assert flip_all(flip_all(v)) == v
-
-
 @pytest.mark.parametrize(
     "text,i,expected", [("0000", 1, "1000"), ("1111", 4, "1110")]
 )
 def test_flip_at_examples(text, i, expected):
-    assert flip_at(BitVector.parse(text), i).render() == expected
+    assert BitVector.parse(text).flip_at(i).render() == expected
 
 
 @given(st.data())
 def test_flip_at_involution_and_unit_distance(data):
     v = data.draw(bit_vectors())
     i = data.draw(st.integers(1, v.n))
-    flipped = flip_at(v, i)
+    flipped = v.flip_at(i)
     assert distance(v, flipped) == 1
-    assert flip_at(flipped, i) == v
+    assert flipped.flip_at(i) == v
 
 
 @pytest.mark.parametrize("i", [0, 5, -1])
 def test_flip_at_out_of_range(i):
     with pytest.raises(CoordinateRangeError):
-        flip_at(BitVector.parse("0101"), i)
-
-
-def test_enumerate_cube_small():
-    assert [v.render() for v in enumerate_cube(1)] == ["0", "1"]
-    assert [v.render() for v in enumerate_cube(2)] == ["00", "01", "10", "11"]
-
-
-def test_enumerate_cube_lexicographic_and_distinct():
-    seen = [v.render() for v in enumerate_cube(10)]
-    assert seen == sorted(seen)
-    assert len(set(seen)) == 1024
-
-
-def test_enumerate_cube_count_n16():
-    assert len({v.value for v in enumerate_cube(16)}) == 65536
-
-
-def test_enumerate_cube_cap():
-    with pytest.raises(EnumerationCapError):
-        enumerate_cube(8, cap=255)
+        BitVector.parse("0101").flip_at(i)
 
 
 @given(st.data())
 def test_distance_is_weight_of_xor(data):
     a = data.draw(bit_vectors())
     b = BitVector(a.n, data.draw(st.integers(0, (1 << a.n) - 1)))
-    assert distance(a, b) == weight(a ^ b)
+    assert distance(a, b) == (a ^ b).weight()
     assert distance(a, b) == distance(b, a)
 
 
 @given(bit_vectors())
 def test_parse_render_roundtrip(v):
     assert BitVector.parse(v.render()) == v
+    assert v.bits() == tuple(int(c) for c in v.render())
+    assert [v.bit(i) for i in range(1, v.n + 1)] == list(v.bits())
 
 
 @pytest.mark.parametrize("junk", ["", "012", "ab", "1 0"])
 def test_parse_rejects_junk(junk):
     with pytest.raises(ValueError):
         BitVector.parse(junk)
-
-
-def test_from_bits_roundtrip():
-    v = BitVector.from_bits([0, 1, 1, 0, 1])
-    assert v.render() == "01101"
-    assert v.bits() == (0, 1, 1, 0, 1)
-    assert v.bit(1) == 0 and v.bit(5) == 1
 
 
 def test_edge_id():

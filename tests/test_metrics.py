@@ -11,7 +11,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
-from cubeball.bits import DEFAULT_ENUMERATION_CAP, BitVector, EdgeId, distance, enumerate_cube
+from cubeball.bits import DEFAULT_ENUMERATION_CAP, BitVector, EdgeId, distance
 from cubeball.bijections import _MAPS, BijectionKind, forward_map, inverse_map
 from cubeball.errors import (
     BijectivityError,
@@ -495,10 +495,9 @@ def test_enumeration_caps():
         lambda n: analysis.chain_count_enumerated(n),
         lambda n: analysis.unmarked_profile_histogram(n),
         lambda n: analysis.flip_probability_exhaustive(n, 1),
-        lambda n: enumerate_cube(n),
     ],
     ids=["forward", "inverse", "pairwise", "transitivity", "influence", "chains",
-         "histogram", "flip-exhaustive", "enumerate-cube"],
+         "histogram", "flip-exhaustive"],
 )
 def test_cap_rejects_huge_n_before_building_two_to_the_n(entry):
     # 2^(10^8) alone would take 12 MiB
