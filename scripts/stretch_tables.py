@@ -33,11 +33,10 @@ def main() -> None:
                 forward_stretch_exhaustive(kind, n),
                 inverse_stretch_exhaustive(kind, n),
             ):
-                avg = report.avg_stretch
+                rec = report.to_record()
                 writer.writerow(
-                    [kind.value, report.direction.value, n, report.max_stretch,
-                     f"{avg.numerator}/{avg.denominator}", f"{float(avg):.6f}",
-                     report.edges_considered]
+                    [rec["bijection"], rec["direction"], rec["n"], rec["max_stretch"],
+                     rec["avg_stretch"], rec["avg_stretch_dec"], rec["edges_considered"]]
                 )
 
 

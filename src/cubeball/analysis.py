@@ -203,12 +203,17 @@ def flip_probability_exact(n: int, i: int) -> Fraction:
     C(n-1, n/2-1)/2^n at every i (see the module docstring).  An n above the
     library ceiling, 2^28 bits, is refused.
     """
+    _require_flip_exact(n, i)
+    return _flip_probability(n)
+
+
+def _require_flip_exact(n: int, i: int) -> None:
+    """:func:`flip_probability_exact`'s checks, in order, with no binomial."""
     _require_flip_domain(n)
     if not 1 <= i <= n:
         raise CoordinateRangeError(f"coordinate {i} out of [1, {n}]")
     if n > DEFAULT_ENUMERATION_CAP:
         raise EnumerationCapError(n, DEFAULT_ENUMERATION_CAP, "bits per binomial")
-    return _flip_probability(n)
 
 
 @lru_cache(maxsize=8)

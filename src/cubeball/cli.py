@@ -189,14 +189,19 @@ def _cmd_stats_profile(ns: argparse.Namespace) -> list[dict[str, str]]:
 def _cmd_stats_flipprob(ns: argparse.Namespace) -> list[dict[str, str]]:
     analysis._require_flip_domain(ns.n)  # n < 2 would leave the loop empty
     coords = [ns.bit] if ns.bit is not None else range(1, ns.n + 1)
+    if ns.mode == "exact":
+        # far past the digit limit, refuse before the binomial: C(n-1, n/2-1) >= 2^(n-1)/n,
+        # and 2^n cancels at most bit_length(n) of its factors of 2 (Kummer's theorem)
+        analysis._require_flip_exact(ns.n, coords[0])
+        _require_digits(ns.n - 1 - 2 * ns.n.bit_length(), "numerator")
+        # every coordinate has this one probability, so it is rendered once
+        text, disagree = _frac(analysis.flip_probability_exact(ns.n, coords[0])), "-"
     records = []
     for i in coords:
-        if ns.mode == "exact":
-            p, disagree = analysis.flip_probability_exact(ns.n, i), "-"
-        else:
+        if ns.mode == "exhaustive":
             stat = analysis.flip_probability_exhaustive(ns.n, i, cap=ns.cap)
-            p, disagree = stat.probability, str(stat.disagree_count)
-        records.append(dict(n=str(ns.n), i=str(i), mode=ns.mode, probability=_frac(p),
+            text, disagree = _frac(stat.probability), str(stat.disagree_count)
+        records.append(dict(n=str(ns.n), i=str(i), mode=ns.mode, probability=text,
                             disagree_count=disagree))
     return records
 

@@ -452,6 +452,39 @@ def test_profile_far_past_the_digit_limit_is_refused_before_computing(monkeypatc
     assert rec["detail"].startswith("count has at least ")
 
 
+def test_flipprob_far_past_the_digit_limit_is_refused_before_computing(monkeypatch):
+    def computed(*args):
+        raise AssertionError("the probability was computed")
+
+    monkeypatch.setattr(cli.analysis, "flip_probability_exact", computed)
+    code, out = _run(["stats", "flipprob", "--n", "1000000", "--bit", "1"])
+    assert code == 1
+    rec = _fields(out)
+    assert rec["error"] == "DigitLimitError"
+    assert rec["detail"].startswith("numerator has at least ")
+    # the checks that come first keep their records
+    code, out = _run(["stats", "flipprob", "--n", "1000000", "--bit", "1000001"])
+    assert (code, _fields(out)["error"]) == (1, "CoordinateRangeError")
+
+
+def test_flipprob_digit_bound_holds_below_the_reduced_numerator():
+    # the precheck's bound: C(n-1, n/2-1)/2^n in lowest terms has a numerator
+    # of at least 2^(n - 1 - 2 bit_length(n))
+    for n in range(2, 1001, 2):
+        numerator = cli.analysis.flip_probability_exact(n, 1).numerator
+        assert numerator.bit_length() - 1 >= n - 1 - 2 * n.bit_length(), n
+
+
+def test_flipprob_renders_each_probability_once(monkeypatch):
+    calls = []
+    real = cli._frac
+    monkeypatch.setattr(cli, "_frac", lambda f: calls.append(f) or real(f))
+    code, out = _run(["stats", "flipprob", "--n", "10"])
+    assert code == 0
+    assert len(out.splitlines()) == 10
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize(
     "argv,count_digits",
     [

@@ -1,9 +1,11 @@
 """A module-level private name or constant in src/cubeball that no module of
 the package reads is dead code, and so is a function, class or method of the
 package that nothing in the repository's code reads, and an import that
-its module never reads."""
+its module never reads.  A public name that only the tests read is dead too,
+unless README documents it as API."""
 
 import ast
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -64,6 +66,27 @@ def test_no_unread_functions_classes_or_methods():
         and node.name not in loaded
     )
     assert not unread, unread
+
+
+def test_public_names_are_run_or_documented():
+    # a public name the package, the scripts or the benchmark reads is run;
+    # one that only __init__.py and the tests read must be named in README
+    readers = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
+    readers += [p for d in ("scripts", "perfbench") for p in (ROOT / d).rglob("*.py")]
+    loaded = _loaded(readers)
+    spans = re.findall(r"`([^`\n]+)`", (ROOT / "README.md").read_text())
+    # a span names X when it starts with X, a.X or X(...)
+    heads = (re.match(r"[\w.]*", span)[0] for span in spans)
+    documented = {head.rsplit(".", 1)[-1] for head in heads}
+    undecided = sorted(
+        f"{path.name}:{node.name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and node.name not in loaded | documented
+    )
+    assert not undecided, undecided
 
 
 def test_no_unused_imports():

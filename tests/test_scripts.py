@@ -1,8 +1,9 @@
-"""Smoke runs of the scripts under scripts/ at tiny n, so an API change that
-breaks them fails here."""
+"""Smoke runs of the scripts under scripts/ at tiny n, and of README's library
+quickstart, so an API change that breaks them fails here."""
 
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -55,3 +56,9 @@ def test_closed_stdout_exits_without_traceback(name):
         os.close(write_end)
     assert "Traceback" not in proc.stderr.decode()
     assert proc.returncode == 1
+
+
+def test_readme_library_quickstart_runs():
+    readme = (ROOT / "README.md").read_text()
+    block = re.search(r"## Library quickstart\n\n```python\n(.*?)```", readme, re.S)
+    exec(compile(block[1], "README.md", "exec"), {})
