@@ -208,7 +208,6 @@ def flip_probability_exact(n: int, i: int) -> Fraction:
 
 
 def _require_flip_exact(n: int, i: int) -> None:
-    """:func:`flip_probability_exact`'s checks, in order, with no binomial."""
     _require_flip_domain(n)
     if not 1 <= i <= n:
         raise CoordinateRangeError(f"coordinate {i} out of [1, {n}]")

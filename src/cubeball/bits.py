@@ -9,6 +9,7 @@ rendered strings.  Lengths are arbitrary (not capped at machine-word width).
 from __future__ import annotations
 
 from dataclasses import dataclass
+
 from .errors import (
     CoordinateRangeError,
     EnumerationCapError,
