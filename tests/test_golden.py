@@ -55,6 +55,18 @@ CASES = [
     ("verify_phi_fwd_n16", ["verify", "--bijection", "phi", "--n", "16"]),
     ("verify_naive_inv_n14",
      ["verify", "--bijection", "naive", "--direction", "inv", "--n", "14"]),
+    # the ball spans two blocks of 2^16 lanes
+    ("verify_psi_inv_n16",
+     ["verify", "--bijection", "psi", "--direction", "inv", "--n", "16"]),
+    ("verify_phi_inv_n16",
+     ["verify", "--bijection", "phi", "--direction", "inv", "--n", "16"]),
+    ("verify_naive_inv_n16",
+     ["verify", "--bijection", "naive", "--direction", "inv", "--n", "16"]),
+    # above the default cap
+    ("verify_psi_fwd_n20",
+     ["verify", "--bijection", "psi", "--n", "20", "--allow-large"]),
+    ("verify_psi_inv_n20",
+     ["verify", "--bijection", "psi", "--direction", "inv", "--n", "20", "--allow-large"]),
     ("verify_psi_sample_n12",
      ["verify", "--bijection", "psi", "--n", "12", "--mode", "sample",
       "--samples", "500", "--seed", "7"]),
