@@ -37,7 +37,8 @@ marking kernel (see ``chains``) leaves a and b as bit-sliced counters, and
 each count is the popcount of the lanes where both take the given values.
 ``flip_probability_exhaustive`` likewise counts the vertices whose bit i
 flips as the popcount of an input bit plane XOR an output bit plane of
-psi's image table.
+psi's images, which its plane rule gives over the whole cube (see
+``metrics``).
 
 All counts are arbitrary-precision integers and all probabilities exact
 ``Fraction`` values; the verification suite compares them by equality.
@@ -60,7 +61,7 @@ from .errors import (
     OddLengthError,
     ParityError,
 )
-from .metrics import _bit_planes, _edge_sweep, image_table
+from .metrics import _edge_sweep, _forward_planes
 
 
 @dataclass(frozen=True, slots=True)
@@ -224,10 +225,10 @@ def _flip_probability(n: int) -> Fraction:
 def flip_probability_exhaustive(
     n: int, i: int, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> BitAgreementStat:
-    """Counted over psi's image table: the check on :func:`flip_probability_exact`.
+    """Counted over psi's images: the check on :func:`flip_probability_exact`.
 
     The vertices whose bit i flips are the lanes where the plane of input
-    bit i and the table's plane of output bit i differ.
+    bit i and the images' plane of output bit i differ.
     """
     _require_flip_domain(n)
     if not 1 <= i <= n:
@@ -241,9 +242,9 @@ def flip_probability_exhaustive(
 
 @lru_cache(maxsize=8)
 def _flip_counts(n: int) -> tuple[int, ...]:
-    """The disagree counts of coordinates 1..n, from one transpose of psi's table."""
+    """The disagree counts of coordinates 1..n, from one build of psi's image planes."""
     full = (1 << (1 << n)) - 1
-    planes = _bit_planes(image_table(BijectionKind.PSI, n), n + 1)
+    planes = _forward_planes(BijectionKind.PSI, n)
     # input coordinate i is plane n - i, output coordinate i is plane n + 1 - i
     return tuple(
         (full ^ _low_mask(n, n - i) ^ planes[n + 1 - i]).bit_count() for i in range(1, n + 1)
@@ -325,7 +326,7 @@ def influence_profile(
     kind = BijectionKind(kind)
     _require_dimension(n, kind.value)
     _require_cap(n, cap, "(x, j) pairs", n)
-    counts = _edge_sweep(image_table(kind, n), n, n + 1)[2]  # indexed by output shift
+    counts = _edge_sweep(_forward_planes(kind, n), (1 << (1 << n)) - 1, n)[2]  # by output shift
     size = 1 << n
     # output coordinate i sits at shift n+1-i
     return tuple(Fraction(2 * counts[n + 1 - i], size) for i in range(1, n + 2))

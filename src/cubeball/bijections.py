@@ -39,6 +39,7 @@ from .chains import (
     _nonzero,
     _subtract,
     _unmatched_ones,
+    _unmatched_planes,
     _unmatched_zeros,
 )
 from .errors import DimensionError, NotInBallError, NotInImageError, OddLengthError
@@ -97,7 +98,10 @@ def _as_ball_value(z: BallLike, who: str) -> tuple[int, int]:
 # Each forward map also has a plane rule, ``_*_planes(xs, full, zeros, a,
 # b)``, that maps a block of vertices at once (see chains._cube_blocks and
 # chains._unmatched_planes): it returns the image's bit planes, entry t
-# holding bit t of every lane's image.
+# holding bit t of every lane's image.  Each inverse map has one too,
+# ``_*_inverse_planes(zs, full)``, from the n + 1 planes of a block of
+# points of {0,1}^(n+1) to the n planes of their preimages.  Its lanes
+# outside the ball hold values that mean nothing.
 
 
 def _psi_value(n: int, v: int) -> int:
@@ -136,6 +140,13 @@ def _psi_planes(
     return [up[0]] + _flip_last(xs, zeros, up[1:])
 
 
+def _mirror(xs: list[int], full: int) -> list[int]:
+    """Planes reversed and complemented; the unmatched 1s of x are the
+    unmatched 0s of its mirror, and the mirror of the mirror is x.
+    """
+    return [full ^ x for x in reversed(xs)]
+
+
 def _psi_inverse_value(n: int, z: int) -> int:
     tail = z & 1
     x = z >> 1
@@ -149,6 +160,15 @@ def _psi_inverse_value(n: int, z: int) -> int:
     for s in ones[:drop]:
         out ^= 1 << s
     return out
+
+
+def _psi_inverse_planes(zs: list[int], full: int) -> list[int]:
+    # In the mirror of x the unmatched 1s of x are unmatched 0s, leftmost
+    # last, and its unmatched 1s count x's ell unmatched 0s.
+    ms = _mirror(zs[1:], full)
+    ones, _, drop = _unmatched_planes(ms, full)
+    _increment(drop, full ^ zs[0])  # ell + (tail ^ 1)
+    return _mirror(_flip_last(ms, ones, drop), full)
 
 
 def _phi_value(n: int, v: int) -> int:
@@ -194,6 +214,15 @@ def _phi_inverse_value(n: int, z: int) -> int:
     return out
 
 
+def _phi_inverse_planes(zs: list[int], full: int) -> list[int]:
+    # mirrored as in _psi_inverse_planes; where the tail is 1 the leftmost
+    # b - a unmatched 1s turn into 0s
+    ms = _mirror(zs[1:], full)
+    ones, b, a = _unmatched_planes(ms, full)
+    tail = zs[0]
+    return _mirror(_flip_last(ms, ones, [d & tail for d in _subtract(b, a)[0]]), full)
+
+
 def _naive_value(n: int, v: int) -> int:
     if 2 * v.bit_count() <= n:
         return ((v ^ ((1 << n) - 1)) << 1) | 1
@@ -212,6 +241,11 @@ def _naive_inverse_value(n: int, z: int) -> int:
     if z & 1:
         return w ^ ((1 << n) - 1)
     return w
+
+
+def _naive_inverse_planes(zs: list[int], full: int) -> list[int]:
+    tail = zs[0]
+    return [x ^ tail for x in zs[1:]]
 
 
 # Edge-distance rules, ``_*_edge_distance(n, a1, b1, a2, b2)``: the distance
@@ -318,17 +352,22 @@ def transitivity_map(x: BallVector, y: BallVector, z: BallVector) -> BallVector:
 
 @dataclass(frozen=True, slots=True)
 class _Map:
-    """One map's integer form, plane rule, edge-distance rule and public pair."""
+    """One map's integer form, plane rules, edge-distance rule and public pair."""
 
     value: Callable[[int, int], int]
     planes: Callable[..., list[int]]
+    inverse_planes: Callable[[list[int], int], list[int]]
     edge_distance: Callable[[int, int, int, int, int], int]
     forward: Callable[[BitVector], BallVector]
     inverse: Callable[[BallLike], BitVector]
 
 
 _MAPS: dict[BijectionKind, _Map] = {
-    BijectionKind.PSI: _Map(_psi_value, _psi_planes, _psi_edge_distance, psi, psi_inverse),
-    BijectionKind.PHI: _Map(_phi_value, _phi_planes, _phi_edge_distance, phi, phi_inverse),
-    BijectionKind.NAIVE: _Map(_naive_value, _naive_planes, _naive_edge_distance, naive, naive_inverse),
+    BijectionKind.PSI: _Map(
+        _psi_value, _psi_planes, _psi_inverse_planes, _psi_edge_distance, psi, psi_inverse),
+    BijectionKind.PHI: _Map(
+        _phi_value, _phi_planes, _phi_inverse_planes, _phi_edge_distance, phi, phi_inverse),
+    BijectionKind.NAIVE: _Map(
+        _naive_value, _naive_planes, _naive_inverse_planes, _naive_edge_distance, naive,
+        naive_inverse),
 }

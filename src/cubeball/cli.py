@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import math
 import sys
@@ -342,13 +341,12 @@ def run(argv: list[str], stdout: Optional[TextIO] = None) -> int:
         _emit([{**head, "error": type(exc).__name__, "detail": str(exc)}], ns.format, stream)
         return 1
 
-    buf = io.StringIO()
-    _emit(records, ns.format, buf)
-    stream.write(buf.getvalue())
+    # rendered straight into each stream, so no second copy of a long report is held
+    _emit(records, ns.format, stream)
     if ns.out:
         try:
             with open(ns.out, "w") as fh:
-                fh.write(buf.getvalue())
+                _emit(records, ns.format, fh)
         except OSError as exc:
             print(f"cubeball: usage error: cannot write --out {ns.out}: {exc.strerror}",
                   file=sys.stderr)

@@ -25,23 +25,35 @@ marking byte table's counts (``chains._profile``) and hands the four counts
 to the map's edge-distance rule, ``bijections._MAPS[kind].edge_distance``, a
 case form of a few integer comparisons.
 
-Whole-cube work runs on tables: ``image_table`` and ``preimage_table`` are
-``array('i')`` tables at 4 bytes per entry.  ``image_table`` makes no call
-of the map per vertex: for each block of vertices the bit-sliced marking
-kernel (see ``chains``) and the map's plane rule give the images as bit
-planes, and ``_set_planes``, the inverse of ``_bit_planes``, transposes
-them into the table.  ``preimage_table`` proves by counting that the table
-is a bijection onto the ball.
+Whole-cube work runs on bit planes, one big int per bit with one bit (a
+lane) per point, and takes no Python step per vertex or edge.  For each
+block of vertices (see ``chains._cube_blocks``) the bit-sliced marking
+kernel and the map's plane rule, ``_MAPS[kind].planes``, give the images'
+planes, and the blocks join into planes over the whole cube
+(``_forward_planes``).  The inverse sweep runs the map's inverse plane
+rule, ``_MAPS[kind].inverse_planes``, on every point of {0,1}^(n+1), and
+keeps the ball, found by a bit-sliced weight counter.  Before that,
+``_prove_bijective`` runs the inverse rule on the forward planes and checks
+lane by lane that it gives back every vertex and that every image lies in
+the ball: the map is then injective into a set as large as the cube, so it
+is a bijection onto the ball and the inverse rule is its inverse there.
 
 Both exhaustive sweeps, the swap audit and the influence profile share one
-sweep, ``_edge_sweep``, and it takes no Python step per edge.  It transposes
-a table into bit planes, one big int per output bit, and for each
-coordinate marks the edges whose images differ in a bit by XOR-ing a plane
-with itself shifted by the coordinate's stride; popcounts of the marks give
-per-bit counts, and a bit-sliced counter over them gives each edge's
-distance.  The pair and swap ratio audits read their extremes off edge
-sweeps, because the cube and the ball are geodesic (see
+sweep, ``_edge_sweep``, over whole-cube planes and a mask of the points
+kept.  For each coordinate it marks the edges whose values differ in a bit
+by XOR-ing a plane with itself shifted by the coordinate's stride;
+popcounts of the marks give per-bit counts, and a bit-sliced counter over
+them gives each edge's distance.  The pair and swap ratio audits read their
+extremes off edge sweeps, because the cube and the ball are geodesic (see
 :class:`RatioAudit`).
+
+``image_table`` and ``preimage_table`` are ``array('i')`` tables at 4 bytes
+per entry, for the swap audit, small sampled runs and the worked examples.
+``image_table`` transposes the same block planes into the table
+(``_set_planes``), and ``preimage_table`` proves by counting, apart from
+the lane proof, that the table is a bijection onto the ball.  The swap
+audit builds its swap map as a table and transposes it back into planes
+(``_bit_planes``).
 """
 
 from __future__ import annotations
@@ -53,11 +65,11 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional
+from typing import Iterable, Iterator, Optional
 
 from .bijections import _MAPS, BijectionKind, _require_dimension
 from .bits import DEFAULT_ENUMERATION_CAP, BitVector, EdgeId, _low_mask, _require_cap
-from .chains import _cube_blocks, _increment, _profile, _unmatched_planes
+from .chains import _cube_blocks, _increment, _profile, _subtract, _unmatched_planes
 from .errors import BijectivityError, EnumerationCapError, LengthMismatchError, NotInBallError
 
 # Above this domain size, or above 16 vertices per draw, sampled sweeps find
@@ -168,23 +180,90 @@ class TransitivityAudit:
     max_ratio: Fraction
 
 
+def _image_blocks(kind: BijectionKind, n: int) -> Iterator[tuple[list[int], int, list[int]]]:
+    """``(xs, full, images)`` per block of ``chains._cube_blocks(n)``.
+
+    ``images`` holds the n + 1 planes of the block's images, from the
+    marking kernel and the map's plane rule.
+    """
+    rule = _MAPS[kind].planes
+    for xs, full in _cube_blocks(n):
+        yield xs, full, rule(xs, full, *_unmatched_planes(xs, full))
+
+
+def _join(blocks: Iterable[tuple[int, list[int]]]) -> list[int]:
+    """Whole-cube planes from ``(full, planes)`` per block, blocks in vertex order.
+
+    Lane r of block h becomes lane h * lanes + r.  A cube cut into several
+    blocks has a whole number of bytes of lanes in each (2^_BLOCK_BITS with
+    _BLOCK_BITS at least 3), so each block's plane joins as its bytes.
+    """
+    parts: list[list[bytes]] = []
+    for full, planes in blocks:
+        size = (full.bit_length() + 7) >> 3
+        if not parts:
+            parts = [[] for _ in planes]
+        for part, p in zip(parts, planes):
+            part.append(p.to_bytes(size, "little"))
+    return [int.from_bytes(b"".join(part), "little") for part in parts]
+
+
+def _forward_planes(kind: BijectionKind, n: int) -> list[int]:
+    """The images' n + 1 planes over {0,1}^n: bit x of plane t is bit t of the image of x."""
+    return _join((full, images) for _, full, images in _image_blocks(kind, n))
+
+
+def _ball_lanes(zs: list[int], full: int) -> int:
+    """The lanes whose point, n + 1 planes ``zs``, lies in the ball: weight above n/2."""
+    weight: list[int] = []
+    for z in zs:
+        _increment(weight, z)
+    least = len(zs) // 2 + 1  # n/2 + 1
+    bound = [full if least >> j & 1 else 0 for j in range(least.bit_length())]
+    return full ^ _subtract(weight, bound)[1]  # the borrow marks weight < n/2 + 1
+
+
+def _prove_bijective(kind: BijectionKind, n: int) -> None:
+    """Prove, lane by lane, that the map is a bijection onto the ball with
+    its inverse plane rule as the inverse.
+
+    For every vertex x the rule G must give back x from F(x), and F(x) must
+    lie in the ball.  A left inverse makes F injective, and the ball has
+    2^n points, as many as the cube, so F is onto it and G is F^-1 there.
+    The first vertex that fails raises :class:`BijectivityError`.
+    """
+    inverse = _MAPS[kind].inverse_planes
+    start = 0
+    for xs, full, images in _image_blocks(kind, n):
+        outside = full ^ _ball_lanes(images, full)
+        wrong = 0
+        for x, back in zip(xs, inverse(images, full), strict=True):
+            wrong |= x ^ back
+        bad = outside | wrong
+        if bad:
+            r = (bad & -bad).bit_length() - 1
+            v = f"{start + r:0{n}b}"
+            if outside >> r & 1:
+                raise BijectivityError(f"{kind.value} sends vertex {v} outside the ball")
+            raise BijectivityError(f"{kind.value} inverse rule does not give back vertex {v}")
+        start += full.bit_length()
+
+
 @lru_cache(maxsize=16)
 def image_table(kind: BijectionKind, n: int) -> array:
     """Integer image values for every cube vertex, indexed by vertex value.
 
     An ``array('i')``, 4 bytes per entry; the maps' images fit in n + 1 bits.
-    Built a block of vertices at a time from bit planes: the marking kernel
-    and the map's plane rule give the images' planes, which are transposed
-    into the table.
+    Built a block of vertices at a time from the images' planes, which are
+    transposed into the table.
     """
     kind = BijectionKind(kind)
     _require_dimension(n, kind.value)
-    rule = _MAPS[kind].planes
     table = array("i", [0]) * (1 << n)
     start = 0
-    for xs, full in _cube_blocks(n):
+    for _, full, images in _image_blocks(kind, n):
         lanes = full.bit_length()
-        _set_planes(table, start, rule(xs, full, *_unmatched_planes(xs, full)), lanes)
+        _set_planes(table, start, images, lanes)
         start += lanes
     return table
 
@@ -257,30 +336,27 @@ def _set_planes(table: array, start: int, planes: list[int], lanes: int) -> None
 
 
 def _edge_sweep(
-    table: array, m: int, width: int
+    planes: list[int], kept: int, m: int
 ) -> tuple[int, tuple[int, int], list[int], int]:
     """Max, keep-first witness, per-bit counts and count of edge distances.
 
-    ``table`` is an ``array('i')`` indexed by the points of {0,1}^m, holding
-    ``width``-bit values at the points kept and -1 at the points left out;
-    the edges swept are those of the subgraph induced by the kept points.
-    Every table passed here leaves out a down-set (nothing, or the
-    complement of the ball), so for a kept z with bit s clear, z | 2^s is
-    kept too, and the edges along coordinate m - s are the kept z with
-    bit s clear, named by that endpoint.
+    ``planes`` are bit planes over the points of {0,1}^m: bit z of
+    ``planes[t]`` is bit t of the value at point z.  ``kept`` has the bits
+    of the points kept set, and the edges swept are those of the subgraph
+    induced by the kept points; the values at the other points are never
+    read.  Every kept set here is an up-set (the whole cube, or the ball),
+    so for a kept z with bit s clear, z | 2^s is kept too, and the edges
+    along coordinate m - s are the kept z with bit s clear, named by that
+    endpoint.
 
-    The sweep is bit-sliced: plane t holds bit t of every entry, and for
-    each coordinate the plane's XOR with itself shifted by 2^s marks the
-    edges whose images differ in bit t.  A ripple counter over those marks
+    For each coordinate, a plane's XOR with itself shifted by 2^s marks the
+    edges whose values differ in bit t.  A ripple counter over those marks
     holds every edge's distance, one bit plane per counter bit.  ``counts[t]``
-    is the number of edges whose images differ in bit t, so the distance
+    is the number of edges whose values differ in bit t, so the distance
     total is ``sum(counts)``.  The witness is the first edge of maximal
     distance in order of its 0-bit endpoint and then coordinate 1..m.
     """
-    planes = _bit_planes(table, width + 1)
-    # kept entries are below 2^width, so bit ``width`` is set only in the -1s
-    kept = ((1 << (1 << m)) - 1) ^ planes.pop()
-    counts = [0] * width
+    counts = [0] * len(planes)
     edges = 0
     best = -1
     bz, bs = 0, m - 1
@@ -316,12 +392,12 @@ def _exhaustive_report(
     kind: BijectionKind,
     direction: Direction,
     n: int,
-    table: array,
+    planes: list[int],
+    kept: int,
     m: int,
-    width: int,
     averaging: str,
 ) -> StretchReport:
-    best, (z, i), counts, edges = _edge_sweep(table, m, width)
+    best, (z, i), counts, edges = _edge_sweep(planes, kept, m)
     return StretchReport(
         kind=kind,
         direction=direction,
@@ -343,7 +419,7 @@ def forward_stretch_exhaustive(
     _require_dimension(n, kind.value)
     _require_cap(n, cap, "(x, i) pairs", n)
     return _exhaustive_report(
-        kind, Direction.FORWARD, n, image_table(kind, n), n, n + 1,
+        kind, Direction.FORWARD, n, _forward_planes(kind, n), (1 << (1 << n)) - 1, n,
         "ordered (x,i) pairs, i uniform in [n]",
     )
 
@@ -351,12 +427,22 @@ def forward_stretch_exhaustive(
 def inverse_stretch_exhaustive(
     kind: BijectionKind, n: int, *, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> StretchReport:
-    """Exact max and average inverse stretch over ball-induced edges."""
+    """Exact max and average inverse stretch over ball-induced edges.
+
+    Proves first that the map is a bijection onto the ball and that its
+    inverse plane rule inverts it there (:func:`_prove_bijective`), then
+    sweeps the rule's planes over {0,1}^(n+1) with the ball kept.
+    """
     kind = BijectionKind(kind)
     _require_dimension(n, kind.value)
     _require_cap(n + 1, cap, "(z, i) pairs", n + 1)
+    _prove_bijective(kind, n)
+    rule = _MAPS[kind].inverse_planes
+    *planes, ball = _join(
+        (full, [*rule(zs, full), _ball_lanes(zs, full)]) for zs, full in _cube_blocks(n + 1)
+    )
     return _exhaustive_report(
-        kind, Direction.INVERSE, n, preimage_table(kind, n), n + 1, n,
+        kind, Direction.INVERSE, n, planes, ball, n + 1,
         "ordered induced (z,i) pairs on the ball subgraph",
     )
 
@@ -428,9 +514,9 @@ def pairwise_ratio_audit(
     kind = BijectionKind(kind)
     fwd = forward_stretch_exhaustive(kind, n, cap=cap)
     inv = inverse_stretch_exhaustive(kind, n, cap=cap)
-    pre = preimage_table(kind, n)
+    inverse = _MAPS[kind].inverse
     e = inv.max_witness
-    lo_x, lo_y = sorted((pre[e.vertex.value], pre[e.other_endpoint().value]))
+    lo_x, lo_y = sorted((inverse(e.vertex).value, inverse(e.other_endpoint()).value))
     size = 1 << n
     return RatioAudit(
         kind=kind,
@@ -484,7 +570,9 @@ def transitivity_ratio_audit(
     # d(g(g(a)), g(g(b))) <= s * d(g(a), g(b)): no ratio falls below 1/s,
     # and (g(a), g(b)) attains it for an edge (a, b) stretched by s.  The
     # ratios span exactly [1/s, s].
-    s = _edge_sweep(swap, m, m)[0]
+    planes = _bit_planes(swap, m + 1)
+    # swapped values are below 2^m, so bit m is set only in the -1s
+    s = _edge_sweep(planes, ((1 << (1 << m)) - 1) ^ planes.pop(), m)[0]
     size = 1 << n
     return TransitivityAudit(
         n=n,

@@ -188,19 +188,19 @@ def test_flip_probability_symmetric_under_reversal(n):
         assert analysis.flip_probability_exact(n, i) == mirrored
 
 
-def test_exhaustive_flipprob_transposes_the_table_once(monkeypatch):
+def test_exhaustive_flipprob_builds_the_planes_once(monkeypatch):
     calls = []
 
-    def counting(table, bits):
-        calls.append(bits)
-        return metrics._bit_planes(table, bits)
+    def counting(kind, n):
+        calls.append((kind, n))
+        return metrics._forward_planes(kind, n)
 
-    monkeypatch.setattr(analysis, "_bit_planes", counting)
+    monkeypatch.setattr(analysis, "_forward_planes", counting)
     analysis._flip_counts.cache_clear()
     out = io.StringIO()
     assert run(["stats", "flipprob", "--n", "10", "--mode", "exhaustive"], stdout=out) == 0
     assert len(out.getvalue().splitlines()) == 10
-    assert len(calls) == 1
+    assert calls == [(PSI, 10)]
 
 
 def test_exact_flipprob_computes_the_binomial_once(monkeypatch):

@@ -237,6 +237,29 @@ def test_out_file(tmp_path):
     assert target.read_text() == out
 
 
+class _CountingStream(io.StringIO):
+    """A stdout stub that counts its ``write`` calls."""
+
+    writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv"])
+def test_report_is_written_record_by_record(tmp_path, fmt):
+    # no whole-report copy: one write per record (and one for the CSV header)
+    target = tmp_path / "report.txt"
+    out = _CountingStream()
+    argv = ["stats", "flipprob", "--n", "10", "--format", fmt, "--out", str(target)]
+    assert run(argv, stdout=out) == 0
+    header = fmt == "csv"
+    assert len(out.getvalue().splitlines()) == 10 + header
+    assert out.writes == 10 + header
+    assert target.read_text() == out.getvalue()
+
+
 @pytest.mark.parametrize("where", ["missing", "directory"])
 def test_unwritable_out_is_a_usage_error(tmp_path, capsys, where):
     target = tmp_path / "nonexistent" / "x.txt" if where == "missing" else tmp_path

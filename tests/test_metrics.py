@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 import tracemalloc
@@ -96,7 +97,10 @@ def _scalar_edge_sweep(table, m, width):
 
 
 def _assert_sweeps_agree(table, m, width):
-    best, witness, counts, edges = metrics._edge_sweep(table, m, width)
+    planes = metrics._bit_planes(table, width + 1)
+    # kept entries are below 2^width, so bit ``width`` is set only in the -1s
+    kept = ((1 << (1 << m)) - 1) ^ planes.pop()
+    best, witness, counts, edges = metrics._edge_sweep(planes, kept, m)
     assert (best, witness, sum(counts), counts, edges) == _scalar_edge_sweep(table, m, width)
 
 
@@ -186,6 +190,121 @@ def test_preimage_table_rejects_a_map_that_is_not_a_bijection(
     monkeypatch.setattr(metrics, "image_table", lambda kind, n: faulty)
     with pytest.raises(BijectivityError, match=f"^{message}$"):
         metrics.preimage_table(PSI, 4)
+
+
+def _assert_inverse_planes_match_scalar_inverse(kind, n):
+    """The inverse plane rule, block by block over {0,1}^(n+1), against the
+    public inverse at every ball point."""
+    inverse = _MAPS[kind].inverse
+    rule = _MAPS[kind].inverse_planes
+    z = 0
+    for zs, full in chains._cube_blocks(n + 1):
+        back = rule(zs, full)
+        assert len(back) == n
+        for r in range(full.bit_length()):
+            if 2 * z.bit_count() > n:
+                got = sum((p >> r & 1) << t for t, p in enumerate(back))
+                assert got == inverse(BitVector(n + 1, z)).value, (n, z)
+            z += 1
+    assert z == 1 << (n + 1)
+
+
+@pytest.mark.parametrize("kind", [PSI, PHI, NAIVE])
+@pytest.mark.parametrize("n", range(2, 15, 2))
+def test_inverse_planes_match_scalar_inverse_on_the_ball(kind, n):
+    _assert_inverse_planes_match_scalar_inverse(kind, n)
+
+
+@pytest.mark.parametrize("kind", [PSI, PHI, NAIVE])
+def test_inverse_planes_match_scalar_inverse_across_blocks(monkeypatch, kind):
+    # blocks of 8 points: every ball from n = 2 on spans several
+    monkeypatch.setattr(chains, "_BLOCK_BITS", 3)
+    for n in range(2, 11, 2):
+        _assert_inverse_planes_match_scalar_inverse(kind, n)
+
+
+@pytest.mark.parametrize("kind", [PSI, PHI, NAIVE])
+@pytest.mark.parametrize("n", range(2, 15, 2))
+def test_exhaustive_sweeps_equal_scalar_sweeps_over_the_tables(monkeypatch, kind, n):
+    """The planes-first sweeps give what the one-edge-at-a-time sweep gives
+    over the image and preimage tables: max, witness, per-bit counts, edges."""
+    seen = []
+    real = metrics._edge_sweep
+    monkeypatch.setattr(metrics, "_edge_sweep", lambda *args: seen.append(real(*args)) or seen[-1])
+    fwd = metrics.forward_stretch_exhaustive(kind, n)
+    inv = metrics.inverse_stretch_exhaustive(kind, n)
+    cases = [(fwd, metrics.image_table(kind, n), n, n + 1),
+             (inv, metrics.preimage_table(kind, n), n + 1, n)]
+    assert len(seen) == 2
+    for (report, table, m, width), (best, witness, counts, edges) in zip(cases, seen):
+        want = _scalar_edge_sweep(table, m, width)
+        assert (best, witness, sum(counts), counts, edges) == want
+        z, i = witness
+        assert report.max_witness == EdgeId(BitVector(m, z), i)
+        assert (report.max_stretch, report.avg_stretch, report.edges_considered) == (
+            best, Fraction(sum(counts), edges), edges)
+
+
+@pytest.mark.parametrize("kind", [PSI, PHI, NAIVE])
+def test_exhaustive_sweeps_match_across_blocks(monkeypatch, kind):
+    # blocks of 8 points, so the planes join from many blocks in both directions
+    def reports():
+        return [(metrics.forward_stretch_exhaustive(kind, n).to_record(),
+                 metrics.inverse_stretch_exhaustive(kind, n).to_record(),
+                 analysis.influence_profile(kind, n)) for n in range(2, 11, 2)]
+
+    want = reports()
+    monkeypatch.setattr(chains, "_BLOCK_BITS", 3)
+    assert reports() == want
+
+
+def _send_vertex(rule, v, image):
+    """A forward plane rule that gives vertex ``v`` the image ``image``."""
+
+    def faulty(xs, full, *marking):
+        lane = chains._equal(xs, v, full)
+        return [p & ~lane | (lane if image >> t & 1 else 0)
+                for t, p in enumerate(rule(xs, full, *marking))]
+
+    return faulty
+
+
+def _miss_point(rule, z):
+    """An inverse plane rule that is wrong in the lanes of point ``z`` only."""
+
+    def faulty(zs, full):
+        back = rule(zs, full)
+        back[0] ^= chains._equal(zs, z, full)
+        return back
+
+    return faulty
+
+
+@pytest.mark.parametrize("block_bits", [3, 16])
+@pytest.mark.parametrize(
+    "fault,message",
+    [
+        # vertex 100101 collides with vertex 0, whose image the inverse gives back as 0
+        ("collision", "psi inverse rule does not give back vertex 100101"),
+        # 0000111 has weight n/2 = 3, just outside the ball
+        ("outside-ball", "psi sends vertex 100101 outside the ball"),
+        ("inverse", "psi inverse rule does not give back vertex 100101"),
+    ],
+)
+def test_inverse_sweep_proof_rejects_a_faulty_rule(monkeypatch, block_bits, fault, message):
+    # with blocks of 8 vertices, vertex 37 = 100101 sits in the fifth block
+    monkeypatch.setattr(chains, "_BLOCK_BITS", block_bits)
+    n, v = 6, 0b100101
+    rules = _MAPS[PSI]
+    if fault == "inverse":
+        faulty = dataclasses.replace(
+            rules, inverse_planes=_miss_point(rules.inverse_planes, rules.value(n, v)))
+    else:
+        image = rules.value(n, 0) if fault == "collision" else 0b0000111
+        faulty = dataclasses.replace(rules, planes=_send_vertex(rules.planes, v, image))
+    monkeypatch.setitem(_MAPS, PSI, faulty)
+    with pytest.raises(BijectivityError, match=f"^{message}$"):
+        metrics.inverse_stretch_exhaustive(PSI, n)
 
 
 @pytest.mark.parametrize("kind", [PSI, PHI, NAIVE])
