@@ -191,26 +191,32 @@ def _image_blocks(kind: BijectionKind, n: int) -> Iterator[tuple[list[int], int,
         yield xs, full, rule(xs, full, *_unmatched_planes(xs, full))
 
 
-def _join(blocks: Iterable[tuple[int, list[int]]]) -> list[int]:
-    """Whole-cube planes from ``(full, planes)`` per block, blocks in vertex order.
+def _join(blocks: Iterable[tuple[int, list[int]]], m: int) -> list[int]:
+    """Planes over {0,1}^m from ``(full, planes)`` per block, blocks in point order.
 
     Lane r of block h becomes lane h * lanes + r.  A cube cut into several
     blocks has a whole number of bytes of lanes in each (2^_BLOCK_BITS with
-    _BLOCK_BITS at least 3), so each block's plane joins as its bytes.
+    _BLOCK_BITS at least 3), so each block's plane is written as its bytes
+    into one buffer per plane, sized for the whole cube up front.
     """
-    parts: list[list[bytes]] = []
+    bufs: list[bytearray] = []
+    at = 0
     for full, planes in blocks:
         size = (full.bit_length() + 7) >> 3
-        if not parts:
-            parts = [[] for _ in planes]
-        for part, p in zip(parts, planes):
-            part.append(p.to_bytes(size, "little"))
-    return [int.from_bytes(b"".join(part), "little") for part in parts]
+        if not bufs:
+            bufs = [bytearray(((1 << m) + 7) >> 3) for _ in planes]
+        for buf, p in zip(bufs, planes):
+            buf[at : at + size] = p.to_bytes(size, "little")
+        at += size
+    joined = []
+    while bufs:  # each buffer is freed once its plane is read out
+        joined.append(int.from_bytes(bufs.pop(), "little"))
+    return joined[::-1]
 
 
 def _forward_planes(kind: BijectionKind, n: int) -> list[int]:
     """The images' n + 1 planes over {0,1}^n: bit x of plane t is bit t of the image of x."""
-    return _join((full, images) for _, full, images in _image_blocks(kind, n))
+    return _join(((full, images) for _, full, images in _image_blocks(kind, n)), n)
 
 
 def _ball_lanes(zs: list[int], full: int) -> int:
@@ -439,7 +445,8 @@ def inverse_stretch_exhaustive(
     _prove_bijective(kind, n)
     rule = _MAPS[kind].inverse_planes
     *planes, ball = _join(
-        (full, [*rule(zs, full), _ball_lanes(zs, full)]) for zs, full in _cube_blocks(n + 1)
+        ((full, [*rule(zs, full), _ball_lanes(zs, full)]) for zs, full in _cube_blocks(n + 1)),
+        n + 1,
     )
     return _exhaustive_report(
         kind, Direction.INVERSE, n, planes, ball, n + 1,
