@@ -47,13 +47,17 @@ them gives each edge's distance.  The pair and swap ratio audits read their
 extremes off edge sweeps, because the cube and the ball are geodesic (see
 :class:`RatioAudit`).
 
+The swap audit runs psi's inverse plane rule on {0,1}^(n+1), flips the
+planes of the swap's bits, and runs the forward plane rule on the result,
+so its sweep reads the swap map's planes with no table in between.
+
 ``image_table`` and ``preimage_table`` are ``array('i')`` tables at 4 bytes
-per entry, for the swap audit, small sampled runs and the worked examples.
-``image_table`` transposes the same block planes into the table
-(``_set_planes``), and ``preimage_table`` proves by counting, apart from
-the lane proof, that the table is a bijection onto the ball.  The swap
-audit builds its swap map as a table and transposes it back into planes
-(``_bit_planes``).
+per entry, for small sampled runs, the worked examples and the acceptance
+criteria.  ``image_table`` transposes the same block planes into the table
+(``_set_planes``).  ``preimage_table`` scatters the images into their
+lanes and proves, apart from the lane proof, that the table is a bijection
+onto the ball: the lanes written, read off the table's sign bits as one
+plane, must be the ball's plane.
 """
 
 from __future__ import annotations
@@ -65,7 +69,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .bijections import _MAPS, BijectionKind, _require_dimension
 from .bits import DEFAULT_ENUMERATION_CAP, BitVector, EdgeId, _low_mask, _require_cap
@@ -169,8 +173,10 @@ class RatioAudit:
 class TransitivityAudit:
     """Distortion of the swap map built from two ball points.
 
-    The extremes range over every unordered pair of ball points and, as in
-    :class:`RatioAudit`, come from a sweep of the ball's induced edges.
+    ``swaps_ok`` says whether the map exchanges the two points.  The
+    extremes range over every unordered pair of ball points and, as in
+    :class:`RatioAudit`, come from a sweep of the ball's induced edges of
+    the map's planes.
     """
 
     n: int
@@ -229,6 +235,16 @@ def _ball_lanes(zs: list[int], full: int) -> int:
     return full ^ _subtract(weight, bound)[1]  # the borrow marks weight < n/2 + 1
 
 
+def _ball_planes(n: int, rule: Callable[[list[int], int], list[int]]) -> tuple[list[int], int]:
+    """``rule``'s planes over {0,1}^(n+1), run block by block on the points'
+    planes, and the ball's plane (:func:`_ball_lanes`), joined."""
+    *planes, ball = _join(
+        ((full, [*rule(zs, full), _ball_lanes(zs, full)]) for zs, full in _cube_blocks(n + 1)),
+        n + 1,
+    )
+    return planes, ball
+
+
 def _prove_bijective(kind: BijectionKind, n: int) -> None:
     """Prove, lane by lane, that the map is a bijection onto the ball with
     its inverse plane rule as the inverse.
@@ -278,43 +294,57 @@ def image_table(kind: BijectionKind, n: int) -> array:
 def preimage_table(kind: BijectionKind, n: int) -> array:
     """Preimage values indexed by length-(n+1) value; -1 outside the ball.
 
-    Building this table proves bijectivity onto the ball: a collision or a
-    ball point with no preimage raises :class:`BijectivityError`.
+    Building this table proves bijectivity onto the ball from the image
+    table alone, apart from the lane proof: a collision or a ball point
+    with no preimage raises :class:`BijectivityError`.
     """
     fwd = image_table(kind, n)
     inv = array("i", [-1]) * (1 << (n + 1))
     for v, z in enumerate(fwd):
-        if inv[z] != -1:
-            raise BijectivityError(f"{kind.value} collides at image {z:0{n + 1}b}")
         inv[z] = v
-    # The 2^n images are distinct, and the ball {2|z| > n} has exactly 2^n
-    # points, so if every image lies in the ball the images fill it and the
-    # map is onto.  Only a failure scans {0,1}^(n+1), to name the smallest
-    # point where the images and the ball differ.
-    if 2 * min(map(int.bit_count, fwd)) <= n:
-        for z in range(1 << (n + 1)):
-            if (2 * z.bit_count() > n) != (inv[z] >= 0):
-                raise BijectivityError(
-                    f"{kind.value} image does not match the ball at {z:0{n + 1}b}"
-                )
+    # The lanes written, read off the sign bits as one plane, are the
+    # distinct images.  The ball {2|z| > n} has 2^n points, as many as the
+    # cube has vertices, so if they are exactly the ball, no two vertices
+    # share an image and the images fill it.
+    unwritten = int(_byte_column(inv, inv.itemsize - 1).translate(_DIGITS[7]), 2)
+    differ = ((1 << len(inv)) - 1) ^ unwritten ^ _ball_planes(n, lambda zs, full: [])[1]
+    if differ:
+        # Name the fault as a checked scatter would: the first collision in
+        # vertex order, else the smallest point where images and ball differ.
+        seen = set()
+        for z in fwd:
+            if z in seen:
+                raise BijectivityError(f"{kind.value} collides at image {z:0{n + 1}b}")
+            seen.add(z)
+        z = (differ & -differ).bit_length() - 1
+        raise BijectivityError(f"{kind.value} image does not match the ball at {z:0{n + 1}b}")
     return inv
+
+
+def _byte_column(table: array, k: int) -> bytes:
+    """Byte k (0 = least significant) of every entry of ``table``, last entry first.
+
+    The table is copied in chunks, last chunk first, so that a plane parses
+    from the column as a base-2 string with bit 0 last.
+    """
+    size = table.itemsize
+    # Reversing a chunk's bytes reverses its entries and puts byte k of
+    # each at offset ``off`` of its ``size``.
+    off = size - 1 - k if sys.byteorder == "little" else k
+    starts = range(0, len(table), _CHUNK)[::-1]
+    return b"".join(table[i : i + _CHUNK].tobytes()[::-1][off::size] for i in starts)
 
 
 def _bit_planes(table: array, bits: int) -> list[int]:
     """Planes 0..bits-1 of ``table``: bit z of plane t is bit t of ``table[z]``.
 
-    Each byte column of the table is read once, in chunks and last entry
-    first, so that each plane parses from it as a base-2 string with bit 0
-    last; base 2 is exempt from the int-digits limit.
+    Each byte column of the table is read once (:func:`_byte_column`), and
+    each plane parses from it as a base-2 string; base 2 is exempt from the
+    int-digits limit.
     """
-    size = table.itemsize
-    starts = range(0, len(table), _CHUNK)[::-1]
     planes = []
     for k in range((bits + 7) >> 3):
-        # Reversing a chunk's bytes reverses its entries and puts byte k
-        # (0 = least significant) of each at offset ``off`` of its ``size``.
-        off = size - 1 - k if sys.byteorder == "little" else k
-        col = b"".join(table[i : i + _CHUNK].tobytes()[::-1][off::size] for i in starts)
+        col = _byte_column(table, k)
         for b in range(min(8, bits - 8 * k)):
             planes.append(int(col.translate(_DIGITS[b]), 2))
     return planes
@@ -443,11 +473,7 @@ def inverse_stretch_exhaustive(
     _require_dimension(n, kind.value)
     _require_cap(n + 1, cap, "(z, i) pairs", n + 1)
     _prove_bijective(kind, n)
-    rule = _MAPS[kind].inverse_planes
-    *planes, ball = _join(
-        ((full, [*rule(zs, full), _ball_lanes(zs, full)]) for zs, full in _cube_blocks(n + 1)),
-        n + 1,
-    )
+    planes, ball = _ball_planes(n, _MAPS[kind].inverse_planes)
     return _exhaustive_report(
         kind, Direction.INVERSE, n, planes, ball, n + 1,
         "ordered induced (z,i) pairs on the ball subgraph",
@@ -537,7 +563,7 @@ def pairwise_ratio_audit(
 
 
 def _audit_endpoint(p: "BitVector | int", m: int) -> int:
-    """The value of a point of {0,1}^m, checked before it indexes a table."""
+    """The value of a point of {0,1}^m, checked before the audit reads it."""
     if isinstance(p, BitVector):
         if p.n != m:
             raise LengthMismatchError(f"audit endpoint {p} has length {p.n}, want {m}")
@@ -557,34 +583,48 @@ def transitivity_ratio_audit(
 ) -> TransitivityAudit:
     """Distortion audit of the swap map g(z) built from ball points x and y.
 
-    Checks g(x) = y and g(y) = x and sweeps g's ball edges for the extreme
-    distance ratios over all unordered ball pairs; ``cap`` bounds the
-    (z, i) pairs swept.
+    g(z) = psi(psi^-1(z) ^ delta) with delta = psi^-1(x) ^ psi^-1(y).  Its
+    planes over {0,1}^(n+1) come from psi's plane rules: the inverse rule,
+    with the planes of delta's set bits complemented, then the forward
+    rule.  :func:`_prove_bijective` first shows that the inverse rule is
+    psi^-1 on the ball.  The audit checks g(x) = y and g(y) = x on the
+    planes and sweeps g's ball edges for the extreme distance ratios over
+    all unordered ball pairs; ``cap`` bounds the (z, i) pairs swept.  No
+    table is built.
     """
     _require_dimension(n, "transitivity audit")
     m = n + 1
     xv = _audit_endpoint(x, m)
     yv = _audit_endpoint(y, m)
     _require_cap(m, cap, "(z, i) pairs", m)
-    fwd = image_table(BijectionKind.PSI, n)
-    inv = preimage_table(BijectionKind.PSI, n)
-    if inv[xv] < 0 or inv[yv] < 0:
+    if 2 * xv.bit_count() <= n or 2 * yv.bit_count() <= n:
         raise BijectivityError("audit endpoints must lie inside the ball")
-    delta = inv[xv] ^ inv[yv]
-    swap = array("i", [-1 if p < 0 else fwd[p ^ delta] for p in inv])
+    # the inverse plane rule below is psi^-1 on the ball only once this holds
+    _prove_bijective(BijectionKind.PSI, n)
+    psi = _MAPS[BijectionKind.PSI]
+    delta = psi.inverse(BitVector(m, xv)).value ^ psi.inverse(BitVector(m, yv)).value
+
+    def swap(zs: list[int], full: int) -> list[int]:
+        back = psi.inverse_planes(zs, full)
+        xs = [p ^ full if delta >> t & 1 else p for t, p in enumerate(back)]
+        return psi.planes(xs, full, *_unmatched_planes(xs, full))
+
+    planes, ball = _ball_planes(n, swap)
     # The ball is geodesic, so no pair ratio of g exceeds its largest
     # ball-edge stretch s.  g is an involution, so d(a, b) =
     # d(g(g(a)), g(g(b))) <= s * d(g(a), g(b)): no ratio falls below 1/s,
     # and (g(a), g(b)) attains it for an edge (a, b) stretched by s.  The
     # ratios span exactly [1/s, s].
-    planes = _bit_planes(swap, m + 1)
-    # swapped values are below 2^m, so bit m is set only in the -1s
-    s = _edge_sweep(planes, ((1 << (1 << m)) - 1) ^ planes.pop(), m)[0]
+    s = _edge_sweep(planes, ball, m)[0]
+
+    def g(z: int) -> int:
+        return sum((p >> z & 1) << t for t, p in enumerate(planes))
+
     size = 1 << n
     return TransitivityAudit(
         n=n,
         pairs=size * (size - 1) // 2,
-        swaps_ok=swap[xv] == yv and swap[yv] == xv,
+        swaps_ok=g(xv) == yv and g(yv) == xv,
         min_ratio=Fraction(1, s),
         max_ratio=Fraction(s),
     )

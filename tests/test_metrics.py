@@ -111,15 +111,18 @@ def test_edge_sweep_matches_scalar_sweep_on_map_tables(kind, n):
     _assert_sweeps_agree(metrics.preimage_table(kind, n), n + 1, n)
 
 
+def _swap_table(n, delta):
+    """The swap map z -> psi(psi^-1(z) ^ delta) as a table over {0,1}^(n+1),
+    -1 outside the ball, one entry at a time."""
+    fwd = metrics.image_table(PSI, n)
+    return array("i", [-1 if p < 0 else fwd[p ^ delta] for p in metrics.preimage_table(PSI, n)])
+
+
 @pytest.mark.parametrize("n", [4, 6, 8, 10])
 def test_edge_sweep_matches_scalar_sweep_on_swap_tables(n):
-    fwd = metrics.image_table(PSI, n)
-    inv = metrics.preimage_table(PSI, n)
     rng = random.Random(100 + n)
     for _ in range(6):
-        delta = rng.randrange(1, 1 << n)
-        swap = array("i", [-1 if p < 0 else fwd[p ^ delta] for p in inv])
-        _assert_sweeps_agree(swap, n + 1, n + 1)
+        _assert_sweeps_agree(_swap_table(n, rng.randrange(1, 1 << n)), n + 1, n + 1)
 
 
 @st.composite
@@ -190,6 +193,96 @@ def test_preimage_table_rejects_a_map_that_is_not_a_bijection(
     monkeypatch.setattr(metrics, "image_table", lambda kind, n: faulty)
     with pytest.raises(BijectivityError, match=f"^{message}$"):
         metrics.preimage_table(PSI, 4)
+
+
+def _checked_preimage_table(kind, n, fwd):
+    """Reference for ``preimage_table``: the scatter with a check on every
+    entry, then a scan of {0,1}^(n+1) against the ball, point by point."""
+    inv = array("i", [-1]) * (1 << (n + 1))
+    for v, z in enumerate(fwd):
+        if inv[z] != -1:
+            raise BijectivityError(f"{kind.value} collides at image {z:0{n + 1}b}")
+        inv[z] = v
+    for z in range(1 << (n + 1)):
+        if (2 * z.bit_count() > n) != (inv[z] >= 0):
+            raise BijectivityError(f"{kind.value} image does not match the ball at {z:0{n + 1}b}")
+    return inv
+
+
+@pytest.mark.parametrize("kind", [PSI, PHI, NAIVE])
+@pytest.mark.parametrize("n", range(2, 17, 2))
+def test_preimage_table_matches_checked_scatter(kind, n):
+    want = _checked_preimage_table(kind, n, metrics.image_table(kind, n))
+    assert metrics.preimage_table(kind, n).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("kind", [PSI, PHI, NAIVE])
+def test_preimage_table_matches_checked_scatter_across_blocks(monkeypatch, fresh_tables, kind):
+    # blocks of 8 points: the ball plane is joined from several blocks
+    monkeypatch.setattr(chains, "_BLOCK_BITS", 3)
+    for n in range(2, 11, 2):
+        want = _checked_preimage_table(kind, n, metrics.image_table(kind, n))
+        assert metrics.preimage_table(kind, n).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "faults,message",
+    [
+        # vertex 3 leaves the ball before vertex 5 collides with vertex 0
+        ({3: 0b00011, 5: 0b00111}, "psi collides at image 00111"),
+        # the collision comes first in vertex order, the smaller point later
+        ({2: 0b01111, 9: 0b00011}, "psi collides at image 01111"),
+        # two vertices collide outside the ball
+        ({5: 0b00011, 6: 0b00011}, "psi collides at image 00011"),
+        # two images leave the ball: the smaller point is named
+        ({5: 0b01010, 6: 0b00011}, "psi image does not match the ball at 00011"),
+    ],
+    ids=["outside-then-collision", "collision-then-outside", "collision-outside",
+         "two-outside"],
+)
+def test_preimage_table_names_the_fault_as_the_checked_scatter_does(
+    fresh_tables, monkeypatch, faults, message
+):
+    faulty = array("i", metrics.image_table(PSI, 4))
+    for v, z in faults.items():
+        faulty[v] = z
+    with pytest.raises(BijectivityError, match=f"^{message}$"):
+        _checked_preimage_table(PSI, 4, faulty)
+    monkeypatch.setattr(metrics, "image_table", lambda kind, n: faulty)
+    with pytest.raises(BijectivityError, match=f"^{message}$"):
+        metrics.preimage_table(PSI, 4)
+
+
+def _assert_byte_columns_match_entries(table):
+    """Each byte column against the entries read one by one, and the top
+    column's sign bits against the negative entries."""
+    size = table.itemsize
+    for k in range(size):
+        want = bytes(v >> 8 * k & 0xFF for v in reversed(table))
+        assert metrics._byte_column(table, k) == want
+    signs = int(metrics._byte_column(table, size - 1).translate(metrics._DIGITS[7]), 2)
+    assert signs == sum(1 << z for z, v in enumerate(table) if v < 0)
+
+
+@pytest.mark.parametrize("extra", [-1, 1, 5 + metrics._CHUNK])
+def test_byte_column_matches_entries_across_chunks(extra):
+    table = array("i", range(-3, metrics._CHUNK + extra - 3))
+    table[0] = table[-1] = -1
+    _assert_byte_columns_match_entries(table)
+
+
+@given(
+    st.sampled_from([1, 3, 8]),
+    st.lists(st.integers(-(1 << 31), (1 << 31) - 1) | st.just(-1), min_size=1, max_size=40),
+    st.booleans(),
+)
+def test_byte_column_matches_entries(chunk, values, ends):
+    table = array("i", values)
+    if ends:
+        table[0] = table[-1] = -1
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(metrics, "_CHUNK", chunk)  # several chunks, the last one short
+        _assert_byte_columns_match_entries(table)
 
 
 def _assert_inverse_planes_match_scalar_inverse(kind, n):
@@ -305,6 +398,18 @@ def test_inverse_sweep_proof_rejects_a_faulty_rule(monkeypatch, block_bits, faul
     monkeypatch.setitem(_MAPS, PSI, faulty)
     with pytest.raises(BijectivityError, match=f"^{message}$"):
         metrics.inverse_stretch_exhaustive(PSI, n)
+
+
+def test_transitivity_audit_proves_the_inverse_rule_first(monkeypatch):
+    # the swap map reads the inverse plane rule, so a rule wrong in one lane must stop it
+    n, v = 6, 0b100101
+    rules = _MAPS[PSI]
+    faulty = dataclasses.replace(
+        rules, inverse_planes=_miss_point(rules.inverse_planes, rules.value(n, v)))
+    monkeypatch.setitem(_MAPS, PSI, faulty)
+    message = "^psi inverse rule does not give back vertex 100101$"
+    with pytest.raises(BijectivityError, match=message):
+        metrics.transitivity_ratio_audit(0b1111111, 0b0111111, n)
 
 
 @pytest.mark.parametrize("kind", [PSI, PHI, NAIVE])
@@ -589,6 +694,64 @@ def test_transitivity_audit_agrees_with_public_map():
     for zv in (fwd[0], fwd[17], fwd[63]):
         z = BallVector(BitVector(n + 1, zv))
         assert transitivity_map(x, y, z).vector.value == fwd[inv[zv] ^ delta]
+
+
+def _table_swap_audit(x, y, n):
+    """Reference for ``transitivity_ratio_audit``: the swap map as a table,
+    transposed into planes and swept."""
+    m = n + 1
+    inv = metrics.preimage_table(PSI, n)
+    swap = _swap_table(n, inv[x] ^ inv[y])
+    planes = metrics._bit_planes(swap, m + 1)
+    # swapped values are below 2^m, so bit m is set only in the -1s
+    s = metrics._edge_sweep(planes, ((1 << (1 << m)) - 1) ^ planes.pop(), m)[0]
+    size = 1 << n
+    return (size * (size - 1) // 2, swap[x] == y and swap[y] == x, Fraction(1, s), Fraction(s))
+
+
+@pytest.mark.parametrize("n", range(2, 11, 2))
+def test_transitivity_audit_matches_the_table_audit(n):
+    ball = sorted(metrics.image_table(PSI, n))
+    rng = random.Random(300 + n)
+    pairs = [tuple(rng.sample(ball, 2)) for _ in range(5)]
+    pairs += [(x, x) for x in rng.sample(ball, 2)]
+    # pairs at distance 1: the ball is an up-set, so setting a 0 bit stays in it
+    near = [(x, x | 1 << s) for x in rng.sample(ball, 3) for s in range(n + 1) if not x >> s & 1]
+    rng.shuffle(near)
+    pairs += [(x, y) if i % 2 else (y, x) for i, (x, y) in enumerate(near[:4])]
+    for x, y in pairs:
+        aud = metrics.transitivity_ratio_audit(x, y, n)
+        assert (aud.pairs, aud.swaps_ok, aud.min_ratio, aud.max_ratio) == _table_swap_audit(x, y, n)
+
+
+def test_transitivity_audit_builds_no_table(monkeypatch):
+    calls = []
+    for name in ("image_table", "preimage_table"):
+        monkeypatch.setattr(metrics, name, lambda *args, name=name: calls.append(name))
+    aud = metrics.transitivity_ratio_audit(0b1110011, 0b0111110, 6)
+    assert aud.swaps_ok
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "x,y,cap,error,message",
+    [
+        (BitVector(5, 0b11111), 0b1111111, None, LengthMismatchError,
+         "audit endpoint 11111 has length 5, want 7"),
+        (0b1111111, -1, None, NotInBallError, r"audit endpoint -1 is not a point of \{0,1\}\^7"),
+        (0b1111111, 1 << 7, None, NotInBallError,
+         r"audit endpoint 128 is not a point of \{0,1\}\^7"),
+        (0b1111111, 0b0000111, None, BijectivityError, "audit endpoints must lie inside the ball"),
+        # the cap is checked before the ball
+        (0b0000111, 0b1111111, 100, EnumerationCapError,
+         r"enumeration of 896 \(z, i\) pairs exceeds cap 100"),
+    ],
+    ids=["length", "negative", "too-long", "outside-ball", "cap"],
+)
+def test_transitivity_audit_endpoint_errors(x, y, cap, error, message):
+    kwargs = {} if cap is None else {"cap": cap}
+    with pytest.raises(error, match=f"^{message}$"):
+        metrics.transitivity_ratio_audit(x, y, 6, **kwargs)
 
 
 def test_enumeration_caps():
