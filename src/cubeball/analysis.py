@@ -61,7 +61,7 @@ from .errors import (
     OddLengthError,
     ParityError,
 )
-from .metrics import _edge_sweep, _forward_planes
+from .metrics import _forward_planes
 
 
 @dataclass(frozen=True, slots=True)
@@ -320,13 +320,22 @@ def influence_profile(
     """Exact total influence of every output bit, index 0 = coordinate 1.
 
     Counts, per output bit, the (x, j) pairs whose input flip changes that
-    bit.  Each cube edge gives two such pairs, so the counts are twice the
-    per-bit counts of the forward edge sweep.
+    bit.  Each cube edge gives two such pairs.  The edges along the
+    coordinate with stride 2^s whose images differ in bit t are marked by
+    XOR-ing plane t of the images with itself shifted by 2^s, kept to the
+    endpoints with bit s clear; the count is the mark's popcount.  One mark
+    is held at a time.
     """
     kind = BijectionKind(kind)
     _require_dimension(n, kind.value)
     _require_cap(n, cap, "(x, j) pairs", n)
-    counts = _edge_sweep(_forward_planes(kind, n), (1 << (1 << n)) - 1, n)[2]  # by output shift
+    planes = _forward_planes(kind, n)
+    counts = [0] * len(planes)  # by output shift
+    for s in range(n):
+        h = 1 << s
+        e = _low_mask(n, s)
+        for t, p in enumerate(planes):
+            counts[t] += ((p ^ (p >> h)) & e).bit_count()
     size = 1 << n
     # output coordinate i sits at shift n+1-i
     return tuple(Fraction(2 * counts[n + 1 - i], size) for i in range(1, n + 2))

@@ -38,13 +38,15 @@ lane by lane that it gives back every vertex and that every image lies in
 the ball: the map is then injective into a set as large as the cube, so it
 is a bijection onto the ball and the inverse rule is its inverse there.
 
-Both exhaustive sweeps, the swap audit and the influence profile share one
-sweep, ``_edge_sweep``, over whole-cube planes and a mask of the points
-kept.  For each coordinate it marks the edges whose values differ in a bit
-by XOR-ing a plane with itself shifted by the coordinate's stride;
-popcounts of the marks give per-bit counts, and a bit-sliced counter over
-them gives each edge's distance.  The pair and swap ratio audits read their
-extremes off edge sweeps, because the cube and the ball are geodesic (see
+Both exhaustive sweeps and the swap audit share one sweep, ``_edge_sweep``,
+over whole-cube planes and a mask of the points kept.  For each coordinate
+it marks the edges whose values differ in a bit by XOR-ing a plane with
+itself shifted by the coordinate's stride, and a bit-sliced counter over
+the marks gives each edge's distance.  The distance total is read off the
+counter's planes, one popcount per counter bit, so no mark is popcounted;
+``analysis.influence_profile``, which needs the per-bit counts, popcounts
+the marks itself.  The pair and swap ratio audits read their extremes off
+edge sweeps, because the cube and the ball are geodesic (see
 :class:`RatioAudit`).
 
 The swap audit runs psi's inverse plane rule on {0,1}^(n+1), flips the
@@ -371,10 +373,8 @@ def _set_planes(table: array, start: int, planes: list[int], lanes: int) -> None
         raw[start * size : (start + lanes) * size] = out
 
 
-def _edge_sweep(
-    planes: list[int], kept: int, m: int
-) -> tuple[int, tuple[int, int], list[int], int]:
-    """Max, keep-first witness, per-bit counts and count of edge distances.
+def _edge_sweep(planes: list[int], kept: int, m: int) -> tuple[int, tuple[int, int], int, int]:
+    """Max, keep-first witness, total and count of edge distances.
 
     ``planes`` are bit planes over the points of {0,1}^m: bit z of
     ``planes[t]`` is bit t of the value at point z.  ``kept`` has the bits
@@ -387,12 +387,12 @@ def _edge_sweep(
 
     For each coordinate, a plane's XOR with itself shifted by 2^s marks the
     edges whose values differ in bit t.  A ripple counter over those marks
-    holds every edge's distance, one bit plane per counter bit.  ``counts[t]``
-    is the number of edges whose values differ in bit t, so the distance
-    total is ``sum(counts)``.  The witness is the first edge of maximal
+    holds every edge's distance, one bit plane per counter bit, so the
+    coordinate's distance total is the sum over counter bits j of 2^j times
+    the popcount of plane j.  The witness is the first edge of maximal
     distance in order of its 0-bit endpoint and then coordinate 1..m.
     """
-    counts = [0] * len(planes)
+    total = 0
     edges = 0
     best = -1
     bz, bs = 0, m - 1
@@ -403,12 +403,11 @@ def _edge_sweep(
             continue
         edges += e.bit_count()
         counter: list[int] = []
-        for t, p in enumerate(planes):
+        for p in planes:
             d = (p ^ (p >> h)) & e
-            if not d:
-                continue
-            counts[t] += d.bit_count()
-            _increment(counter, d)
+            if d:
+                _increment(counter, d)
+        total += sum(c.bit_count() << j for j, c in enumerate(counter))
         # Walk the counter from its top bit down, keeping the edges that can
         # still reach the largest distance.
         top = 0
@@ -421,7 +420,7 @@ def _edge_sweep(
         z = (at & -at).bit_length() - 1
         if top > best or (top == best and z < bz):
             best, bz, bs = top, z, s
-    return best, (bz, m - bs), counts, edges
+    return best, (bz, m - bs), total, edges
 
 
 def _exhaustive_report(
@@ -433,7 +432,7 @@ def _exhaustive_report(
     m: int,
     averaging: str,
 ) -> StretchReport:
-    best, (z, i), counts, edges = _edge_sweep(planes, kept, m)
+    best, (z, i), total, edges = _edge_sweep(planes, kept, m)
     return StretchReport(
         kind=kind,
         direction=direction,
@@ -441,7 +440,7 @@ def _exhaustive_report(
         mode=SweepMode.EXHAUSTIVE,
         max_stretch=best,
         max_witness=EdgeId(BitVector(m, z), i),
-        avg_stretch=Fraction(sum(counts), edges),
+        avg_stretch=Fraction(total, edges),
         edges_considered=edges,
         averaging=averaging,
     )

@@ -100,8 +100,8 @@ def _assert_sweeps_agree(table, m, width):
     planes = metrics._bit_planes(table, width + 1)
     # kept entries are below 2^width, so bit ``width`` is set only in the -1s
     kept = ((1 << (1 << m)) - 1) ^ planes.pop()
-    best, witness, counts, edges = metrics._edge_sweep(planes, kept, m)
-    assert (best, witness, sum(counts), counts, edges) == _scalar_edge_sweep(table, m, width)
+    best, bw, total, _, edges = _scalar_edge_sweep(table, m, width)
+    assert metrics._edge_sweep(planes, kept, m) == (best, bw, total, edges)
 
 
 @pytest.mark.parametrize("kind", [PSI, PHI, NAIVE])
@@ -320,7 +320,8 @@ def test_inverse_planes_match_scalar_inverse_across_blocks(monkeypatch, kind):
 @pytest.mark.parametrize("n", range(2, 15, 2))
 def test_exhaustive_sweeps_equal_scalar_sweeps_over_the_tables(monkeypatch, kind, n):
     """The planes-first sweeps give what the one-edge-at-a-time sweep gives
-    over the image and preimage tables: max, witness, per-bit counts, edges."""
+    over the image and preimage tables: max, witness, distance total, edges.
+    The influence profile gives twice the scalar sweep's per-bit counts."""
     seen = []
     real = metrics._edge_sweep
     monkeypatch.setattr(metrics, "_edge_sweep", lambda *args: seen.append(real(*args)) or seen[-1])
@@ -329,13 +330,16 @@ def test_exhaustive_sweeps_equal_scalar_sweeps_over_the_tables(monkeypatch, kind
     cases = [(fwd, metrics.image_table(kind, n), n, n + 1),
              (inv, metrics.preimage_table(kind, n), n + 1, n)]
     assert len(seen) == 2
-    for (report, table, m, width), (best, witness, counts, edges) in zip(cases, seen):
-        want = _scalar_edge_sweep(table, m, width)
-        assert (best, witness, sum(counts), counts, edges) == want
+    want = [_scalar_edge_sweep(table, m, width) for _, table, m, width in cases]
+    for (report, _, m, _), got, (best, witness, total, _, edges) in zip(cases, seen, want):
+        assert got == (best, witness, total, edges)
         z, i = witness
         assert report.max_witness == EdgeId(BitVector(m, z), i)
         assert (report.max_stretch, report.avg_stretch, report.edges_considered) == (
-            best, Fraction(sum(counts), edges), edges)
+            best, Fraction(total, edges), edges)
+    counts = want[0][3]  # the forward sweep's per-bit counts, by output shift
+    assert analysis.influence_profile(kind, n) == tuple(
+        Fraction(2 * counts[n + 1 - i], 1 << n) for i in range(1, n + 2))
 
 
 @pytest.mark.parametrize("kind", [PSI, PHI, NAIVE])
