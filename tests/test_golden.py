@@ -31,6 +31,8 @@ CASES = [
      ["invmap", "--bijection", "naive", "--input", "01" * 4 + "1101001" * 146 + "1"]),
     ("chain_full", ["chain", "--input", "01100110", "--full"]),
     ("chain_full_n22", ["chain", "--input", "0010" + "1101001" * 2 + "1001", "--full"]),
+    # n % 8 == 6, with unmatched 0s and 1s
+    ("chain_n1030", ["chain", "--input", "0001" + "1101001" * 146 + "1011"]),
     ("chain_csv", ["chain", "--input", "0011", "--format", "csv"]),
     ("verify_psi_fwd", ["verify", "--bijection", "psi", "--n", "10"]),
     ("verify_psi_inv_csv",
