@@ -305,13 +305,13 @@ def majority_reduction(x: BitVector) -> BitVector:
     string has a single unmarked zero exactly when ones are in the majority,
     and that is precisely when the first bit survives the climb unchanged.
     """
-    n, v = x.n, x.value
+    n = x.n
     if n % 2 == 0:
         raise ParityError(f"the reduction needs odd input length, got {n}")
-    out = (1 << n) - 1  # the n ones; the leading 0 is implicit above them
-    for s in range(n - 1, -1, -1):
-        out = (out << 2) | (0b10 if (v >> s) & 1 else 0b00)
-    return BitVector(3 * n + 1, out)
+    # x's binary digits read in base 4 put input bit s at bit 2s; shifted
+    # once, each input bit becomes its block.  Above them go the n ones; the
+    # leading 0 is implicit.
+    return BitVector(3 * n + 1, ((1 << n) - 1) << 2 * n | int(format(x.value, "b"), 4) << 1)
 
 
 def influence_profile(

@@ -19,6 +19,9 @@ from .errors import (
 # Hard ceiling for full-domain enumerations; CLI applies a lower default.
 DEFAULT_ENUMERATION_CAP = 1 << 28
 
+# ASCII digits to bit values: b"0" to 0 and b"1" to 1
+_BIT_VALUES = bytes.maketrans(b"01", b"\0\1")
+
 
 @dataclass(frozen=True, slots=True)
 class BitVector:
@@ -54,7 +57,7 @@ class BitVector:
         return (self.value >> (self.n - i)) & 1
 
     def bits(self) -> tuple[int, ...]:
-        return tuple((self.value >> s) & 1 for s in range(self.n - 1, -1, -1))
+        return tuple(self.render().encode().translate(_BIT_VALUES))
 
     def weight(self) -> int:
         return self.value.bit_count()

@@ -26,7 +26,8 @@ adjacent segments combine as
 the first ``min(a2, b1)`` unmatched 0s of the right segment close open 1s
 of the left one.  :func:`_scan` applies this combine a byte at a time to a
 byte stream.  A 256-entry table, built once at import from the bit-sliced
-kernel below, holds ``(a, b, shifts of the unmatched 0s)`` for every byte.
+kernel below (:func:`_byte_tables`), holds ``(a, b, shifts of the unmatched
+0s)`` for every byte.
 :func:`_unmatched_zeros` scans the input padded on the right with 1s up to
 a whole number of bytes, which changes nothing because trailing 1s never
 match; it gives the unmatched 0s and the number of unmatched 1s, which is
@@ -37,8 +38,12 @@ the unmatched 1s of x are the unmatched 0s of x reversed and complemented.
 So :func:`_unmatched_ones` runs the same scan over the mirrored bytes of x,
 whose high zero padding mirrors to trailing 1s; it gives the unmatched 1s,
 and its final depth less that padding is the number of unmatched 0s, which
-is all an inverse map needs.  :func:`_unmatched` runs both scans, the second
-only when the first counts unmatched 1s, to list every unmarked coordinate.
+is all an inverse map needs.  :func:`_unmatched_masks` gives both sets, as
+masks, in one left-to-right pass; ``mark`` and ``position`` read it.  A
+byte's unmatched 0s close the most recent open 1s, so the pass keeps a stack
+of the bytes that still hold open 1s, and a second table row per byte holds
+its unmatched 0s for each incoming depth and its own unmatched 1s for each
+number of them closed later.
 
 Whole-cube work marks every vertex at once, bit-sliced.
 :func:`_cube_blocks` cuts {0,1}^n into blocks of 2^16 consecutive vertices
@@ -59,10 +64,16 @@ from dataclasses import dataclass
 from itertools import zip_longest
 from typing import Iterator
 
-from .bits import BitVector, _low_mask
+from .bits import _BIT_VALUES, BitVector, _low_mask
 from .errors import LevelRangeError
 
 BLANK = "_"
+_CODE_ALPHABET = frozenset("01" + BLANK)
+
+# The digits of a mask of unmarked coordinates, to mark()'s flags.
+_MARKED_FLAGS = bytes.maketrans(b"01", b"\1\0")
+# The digits of a mask of unmarked coordinates, to what takes "0" to a blank.
+_BLANK_OFFSETS = bytes.maketrans(b"01", bytes((0, ord(BLANK) - ord("0"))))
 
 # Whole-cube scans take the cube in blocks of 2^_BLOCK_BITS vertices.
 _BLOCK_BITS = 16
@@ -161,18 +172,47 @@ def _unmatched_planes(xs: list[int], full: int) -> tuple[list[int], list[int], l
     return zeros, a, depth
 
 
-def _chunk_table() -> tuple[tuple[int, int, tuple[int, ...]], ...]:
-    """``(a, b, shifts of the unmatched 0s)`` for every byte, from the planes."""
+def _lane_bytes(planes: list[int]) -> bytes:
+    """The 256 lanes of 8 planes over {0,1}^8 as bytes: byte r holds lane r
+    of ``planes[s]`` at bit s."""
+    lanes = 0
+    for s, plane in enumerate(planes):
+        lanes |= int.from_bytes(format(plane, "0256b").encode().translate(_BIT_VALUES), "big") << s
+    return lanes.to_bytes(256, "little")
+
+
+def _byte_tables() -> tuple[tuple, tuple, bytes]:
+    """The byte kernels' tables, from two plane runs over {0,1}^8.
+
+    Returns ``(chunks, rows, mirror)``, each indexed by byte:
+    - ``chunks[byte]`` is ``(a, b, shifts of the unmatched 0s)``, for :func:`_scan`;
+    - ``rows[byte]`` is ``(a, b, zeros, ones)``, for :func:`_unmatched_masks`:
+      ``zeros[d]`` masks the unmatched 0s that stay unmatched after d open
+      1s come in (d < a), and ``ones[k]`` the byte's own unmatched 1s that
+      stay open after k later 0s close the most recent of them (k < b);
+    - ``mirror[byte]`` is the byte reversed and complemented.
+    """
     ((xs, full),) = _cube_blocks(8)
-    zeros = _unmatched_planes(xs, full)[0]
-    chunks = [tuple(s for s in range(7, -1, -1) if zeros[s] >> byte & 1) for byte in range(256)]
-    # a + b + 2 * (matched pairs) = 8, and the byte has b + (matched pairs) 1s
-    return tuple((len(c), 2 * byte.bit_count() - 8 + len(c), c) for byte, c in enumerate(chunks))
+    mirrored = [full ^ x for x in reversed(xs)]
+    zeros = _lane_bytes(_unmatched_planes(xs, full)[0])
+    # the unmatched 1s of a byte are the unmatched 0s of its mirror, mirrored
+    ones = _lane_bytes(_unmatched_planes(mirrored, full)[0][::-1])
+    # per mask: its set shifts from the highest, and the mask less its d
+    # highest (less its k lowest) set bits for d (k) from 0
+    shifts: list[tuple[int, ...]] = [()]
+    highs: list[tuple[int, ...]] = [()]
+    lows: list[tuple[int, ...]] = [()]
+    for m in range(1, 256):
+        top = m.bit_length() - 1
+        shifts.append((top, *shifts[m ^ 1 << top]))
+        highs.append((m, *highs[m ^ 1 << top]))
+        lows.append((m, *lows[m & (m - 1)]))
+    chunks = tuple((len(shifts[z]), o.bit_count(), shifts[z]) for z, o in zip(zeros, ones))
+    rows = tuple((len(shifts[z]), o.bit_count(), highs[z], lows[o]) for z, o in zip(zeros, ones))
+    return chunks, rows, _lane_bytes(mirrored)
 
 
-_CHUNKS = _chunk_table()
-# each byte reversed and complemented
-_MIRROR = bytes(int(f"{byte:08b}"[::-1], 2) ^ 0xFF for byte in range(256))
+_CHUNKS, _ROWS, _MIRROR = _byte_tables()
 
 
 def _scan(stream: bytes, n: int) -> tuple[list[int], int]:
@@ -233,11 +273,46 @@ def _unmatched_ones(n: int, v: int) -> tuple[list[int], int]:
     return [n - 1 - s for s in reversed(mirrored)], depth - (-n & 7)
 
 
-def _unmatched(n: int, v: int) -> tuple[list[int], list[int]]:
-    """Shifts of the unmatched 0s and of the unmatched 1s, leftmost first;
-    zeros + ones lists every unmarked coordinate from left to right."""
-    zeros, ones_count = _unmatched_zeros(n, v)
-    return zeros, _unmatched_ones(n, v)[0] if ones_count else []
+def _unmatched_masks(n: int, v: int) -> tuple[int, int]:
+    """Masks, by shift like v, of the unmatched 0s and of the unmatched 1s.
+
+    One left-to-right pass over the padded byte stream of
+    :func:`_unmatched_zeros`.  The open 1s stack up by byte: ``stack`` holds
+    an entry for each byte that still has open 1s, oldest first, and the
+    byte holds the depths from the entry's bottom up to the next entry's
+    bottom (the depth, for the last entry).  A byte's unmatched 0s close the
+    most recent open 1s, which pops the entries they empty; when they
+    outnumber the open 1s, they close all of them and the rest stay
+    unmatched.  The entries left at the end hold the unmatched 1s, each
+    byte's leftmost ones.
+    """
+    pad = -n & 7
+    size = (n + pad) >> 3
+    zeros = 0
+    stack: list[tuple[int, int, tuple[int, ...]]] = []  # (bottom, shift, one_masks)
+    depth = 0  # open 1s
+    shift = 8 * size
+    for byte in (((v + 1) << pad) - 1).to_bytes(size, "big"):
+        shift -= 8
+        a, b, zero_masks, one_masks = _ROWS[byte]
+        if a > depth:
+            zeros |= zero_masks[depth] << shift
+            stack = []
+            depth = 0
+        elif a:
+            depth -= a
+            while stack and stack[-1][0] >= depth:
+                stack.pop()
+        if b:
+            stack.append((depth, shift, one_masks))
+            depth += b
+    ones = 0
+    top = depth
+    for bottom, shift, one_masks in reversed(stack):
+        # the byte's b own 1s less the top - bottom still open are closed
+        ones |= one_masks[len(one_masks) - top + bottom] << shift
+        top = bottom
+    return zeros >> pad, ones >> pad
 
 
 @dataclass(frozen=True, slots=True)
@@ -266,7 +341,7 @@ class ChainCode:
     symbols: str
 
     def __post_init__(self):
-        if not self.symbols or any(c not in "01_" for c in self.symbols):
+        if not self.symbols or not _CODE_ALPHABET.issuperset(self.symbols):
             raise ValueError(f"not a chain code: {self.symbols!r}")
         m = self.symbols.count(BLANK)
         if (self.n - m) % 2:
@@ -307,13 +382,10 @@ class ChainPosition:
 
 
 def mark(x: BitVector) -> MarkedString:
-    """Run the marking stage (one byte-table scan, two when 1s stay unmatched)."""
-    n = x.n
-    zeros, ones = _unmatched(n, x.value)
-    marked = [True] * n
-    for s in zeros + ones:
-        marked[n - 1 - s] = False
-    return MarkedString(x.bits(), tuple(marked))
+    """Run the marking stage (one byte-table pass)."""
+    zeros, ones = _unmatched_masks(x.n, x.value)
+    marked = format(zeros | ones, f"0{x.n}b").encode().translate(_MARKED_FLAGS)
+    return MarkedString(x.bits(), tuple(memoryview(marked).cast("?")))
 
 
 def _reference_planes(xs: list[int], full: int, rightmost_first: bool = False) -> list[int]:
@@ -405,12 +477,15 @@ def chain_code(x: BitVector) -> ChainCode:
 def position(x: BitVector) -> ChainPosition:
     """Locate x on its chain: code, bottom level k, level j, distance ell."""
     n = x.n
-    zeros, ones = _unmatched(n, x.value)
-    symbols = list(x.render())
-    for s in zeros + ones:
-        symbols[n - 1 - s] = BLANK
-    code = ChainCode("".join(symbols))
-    return ChainPosition(code=code, k=code.k, j=x.weight(), ell=len(zeros))
+    zeros, ones = _unmatched_masks(n, x.value)
+    unmarked = zeros | ones
+    spec = f"0{n}b"
+    # x's ASCII digits, with "0" at the unmarked coordinates, and the offset
+    # that takes each of those to a blank
+    digits = int.from_bytes(format(x.value & ~unmarked, spec).encode(), "big")
+    blanks = int.from_bytes(format(unmarked, spec).encode().translate(_BLANK_OFFSETS), "big")
+    code = ChainCode((digits + blanks).to_bytes(n, "big").decode())
+    return ChainPosition(code=code, k=code.k, j=x.weight(), ell=zeros.bit_count())
 
 
 def chain_member(code: ChainCode, j: int) -> BitVector:

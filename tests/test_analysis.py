@@ -291,6 +291,21 @@ def test_majority_reduction_shape():
     assert r.render() == "0" + "1" * 5 + "00" + "10" + "10" + "00" + "10"
 
 
+def _majority_reduction_by_loop(x):
+    """The blown-up input built one input bit at a time."""
+    out = (1 << x.n) - 1
+    for s in range(x.n - 1, -1, -1):
+        out = (out << 2) | (0b10 if (x.value >> s) & 1 else 0b00)
+    return BitVector(3 * x.n + 1, out)
+
+
+@pytest.mark.parametrize("n", range(1, 14, 2))
+def test_majority_reduction_matches_loop_exhaustive(n):
+    for value in range(1 << n):
+        x = BitVector(n, value)
+        assert analysis.majority_reduction(x) == _majority_reduction_by_loop(x)
+
+
 def test_majority_reduction_rejects_even_length():
     with pytest.raises(ParityError):
         analysis.majority_reduction(BitVector.parse("0110"))

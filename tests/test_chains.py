@@ -12,8 +12,9 @@ from cubeball.chains import (
     _CHUNKS,
     _profile,
     _reference_planes,
+    _ROWS,
     _split_planes,
-    _unmatched,
+    _unmatched_masks,
     _unmatched_ones,
     _unmatched_planes,
     _unmatched_zeros,
@@ -188,15 +189,25 @@ def test_chains_partition_the_cube(n):
     assert total == 1 << n
 
 
+def _mask(shifts):
+    return sum(1 << s for s in shifts)
+
+
+def _assert_scans_agree(n, v):
+    zeros, ones = unmatched_shifts(n, v)
+    assert _profile(n, v) == (len(zeros), len(ones))
+    assert _unmatched_zeros(n, v) == (zeros, len(ones))
+    assert _unmatched_ones(n, v) == (ones, len(zeros))
+    # the one-pass kernel against the two scans
+    want = (_mask(_unmatched_zeros(n, v)[0]), _mask(_unmatched_ones(n, v)[0]))
+    assert _unmatched_masks(n, v) == want
+
+
 @pytest.mark.parametrize("n", range(15))
 def test_unmatched_zeros_matches_stack_scan_exhaustive(n):
     # n = 0 is the empty prefix or suffix of an edge at coordinate 1 or n
     for v in range(1 << n):
-        zeros, ones = unmatched_shifts(n, v)
-        assert _profile(n, v) == (len(zeros), len(ones))
-        assert _unmatched_zeros(n, v) == (zeros, len(ones))
-        assert _unmatched_ones(n, v) == (ones, len(zeros))
-        assert _unmatched(n, v) == (zeros, ones)
+        _assert_scans_agree(n, v)
 
 
 @pytest.mark.parametrize("residue", range(8))
@@ -205,16 +216,51 @@ def test_unmatched_zeros_matches_stack_scan_large_n(residue, data):
     # every residue of n mod 8 pads both byte streams, the input and its
     # mirror, with a different number of trailing 1s
     n = data.draw(lengths_with_residue(residue))
-    v = data.draw(st.integers(0, (1 << n) - 1))
-    zeros, ones = unmatched_shifts(n, v)
-    assert _profile(n, v) == (len(zeros), len(ones))
-    assert _unmatched_zeros(n, v) == (zeros, len(ones))
-    assert _unmatched_ones(n, v) == (ones, len(zeros))
-    assert _unmatched(n, v) == (zeros, ones)
+    _assert_scans_agree(n, data.draw(st.integers(0, (1 << n) - 1)))
 
 
 def test_chunk_table_matches_stack_scan():
     assert _CHUNKS == chunk_table()
+
+
+def test_byte_rows_match_stack_scan():
+    for byte, (a, b, zeros, ones) in enumerate(_ROWS):
+        assert (a, b) == _CHUNKS[byte][:2]
+        # d open 1s ahead of the byte, or k 0s after it
+        assert zeros == tuple(
+            _mask(s for s in unmatched_shifts(8 + d, ((1 << d) - 1) << 8 | byte)[0] if s < 8)
+            for d in range(a)
+        )
+        assert ones == tuple(
+            _mask(s - k for s in unmatched_shifts(8 + k, byte << k)[1] if s >= k)
+            for k in range(b)
+        )
+
+
+def test_mark_and_position_make_one_pass(monkeypatch):
+    passes = []
+    for name in ("_unmatched_masks", "_scan"):
+        kernel = getattr(chains, name)
+        monkeypatch.setattr(
+            chains, name, lambda *args, kernel=kernel: passes.append(args) or kernel(*args)
+        )
+    # every vertex at n <= 10, most of which leave 1s unmatched
+    for n in range(1, 11):
+        for v in range(1 << n):
+            for f in (mark, position):
+                passes.clear()
+                f(BitVector(n, v))
+                assert passes == [(n, v)]
+
+
+@pytest.mark.parametrize("n", [*range(1, 11), 1030, 2050])
+def test_marked_string_element_types(n):
+    # True == 1, so equality alone cannot tell a bool from an int
+    values = range(1 << n) if n <= 10 else [(1 << n) // 3, (1 << n) // 7, (1 << n) - 1, 0]
+    for v in values:
+        ms = mark(BitVector(n, v))
+        assert {type(b) for b in ms.bits} == {int}
+        assert {type(m) for m in ms.marked} == {bool}
 
 
 def _oracle_code(n, v):
