@@ -70,9 +70,9 @@ from .errors import LevelRangeError
 BLANK = "_"
 _CODE_ALPHABET = frozenset("01" + BLANK)
 
-# The digits of a mask of unmarked coordinates, to mark()'s flags.
+# The ASCII digits of a mask of unmarked coordinates, to mark()'s flags, and
+# to what position() adds to a "0" to make it a blank.
 _MARKED_FLAGS = bytes.maketrans(b"01", b"\1\0")
-# The digits of a mask of unmarked coordinates, to what takes "0" to a blank.
 _BLANK_OFFSETS = bytes.maketrans(b"01", bytes((0, ord(BLANK) - ord("0"))))
 
 # Whole-cube scans take the cube in blocks of 2^_BLOCK_BITS vertices.
@@ -284,7 +284,7 @@ def _unmatched_masks(n: int, v: int) -> tuple[int, int]:
     most recent open 1s, which pops the entries they empty; when they
     outnumber the open 1s, they close all of them and the rest stay
     unmatched.  The entries left at the end hold the unmatched 1s, each
-    byte's leftmost ones.
+    byte's leftmost ones; the padding's 1s are among them and shift out.
     """
     pad = -n & 7
     size = (n + pad) >> 3
@@ -480,8 +480,8 @@ def position(x: BitVector) -> ChainPosition:
     zeros, ones = _unmatched_masks(n, x.value)
     unmarked = zeros | ones
     spec = f"0{n}b"
-    # x's ASCII digits, with "0" at the unmarked coordinates, and the offset
-    # that takes each of those to a blank
+    # x's ASCII digits with "0" at the unmarked coordinates, plus "_" - "0"
+    # at each of those, one byte per coordinate; no byte carries over
     digits = int.from_bytes(format(x.value & ~unmarked, spec).encode(), "big")
     blanks = int.from_bytes(format(unmarked, spec).encode().translate(_BLANK_OFFSETS), "big")
     code = ChainCode((digits + blanks).to_bytes(n, "big").decode())
