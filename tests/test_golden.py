@@ -64,6 +64,8 @@ CASES = [
      ["verify", "--bijection", "phi", "--direction", "inv", "--n", "16"]),
     ("verify_naive_inv_n16",
      ["verify", "--bijection", "naive", "--direction", "inv", "--n", "16"]),
+    # the cube spans four blocks of 2^16 lanes
+    ("verify_naive_fwd_n18", ["verify", "--bijection", "naive", "--n", "18"]),
     # above the default cap
     ("verify_psi_fwd_n20",
      ["verify", "--bijection", "psi", "--n", "20", "--allow-large"]),
@@ -90,6 +92,8 @@ CASES = [
     ("pairs_naive_n4_csv", ["pairs-audit", "--bijection", "naive", "--n", "4", "--format", "csv"]),
     ("pairs_naive_n6", ["pairs-audit", "--bijection", "naive", "--n", "6"]),
     ("pairs_naive_n8", ["pairs-audit", "--bijection", "naive", "--n", "8"]),
+    # four blocks forward and eight for the ball, swept across blocks
+    ("pairs_psi_n18", ["pairs-audit", "--bijection", "psi", "--n", "18"]),
     ("stats_chains", ["stats", "chains", "--n", "6"]),
     ("stats_chains_csv", ["stats", "chains", "--n", "5", "--format", "csv"]),
     ("stats_chains_n16", ["stats", "chains", "--n", "16"]),
@@ -101,6 +105,8 @@ CASES = [
      ["stats", "flipprob", "--n", "6", "--mode", "exhaustive", "--format", "csv"]),
     ("stats_flipprob_exhaustive_n14_csv",
      ["stats", "flipprob", "--n", "14", "--mode", "exhaustive", "--format", "csv"]),
+    ("stats_flipprob_exhaustive_n18_csv",
+     ["stats", "flipprob", "--mode", "exhaustive", "--n", "18", "--format", "csv"]),
     ("stats_flipprob_bit", ["stats", "flipprob", "--n", "10", "--bit", "4"]),
     ("stats_influence_psi", ["stats", "influence", "--n", "6"]),
     ("stats_influence_phi_csv",
@@ -109,6 +115,7 @@ CASES = [
     ("stats_influence_phi_n10", ["stats", "influence", "--n", "10", "--bijection", "phi"]),
     ("stats_influence_naive_n10", ["stats", "influence", "--n", "10", "--bijection", "naive"]),
     ("stats_influence_phi_n14", ["stats", "influence", "--n", "14", "--bijection", "phi"]),
+    ("stats_influence_phi_n18", ["stats", "influence", "--bijection", "phi", "--n", "18"]),
     ("reduce_majority", ["reduce-majority", "--input", "01101"]),
     ("reduce_majority_csv", ["reduce-majority", "--input", "100", "--format", "csv"]),
     ("error_dimension_pairs", ["pairs-audit", "--bijection", "psi", "--n", "0"]),
