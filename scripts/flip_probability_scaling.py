@@ -5,6 +5,10 @@ For each even n, prints the worst per-bit disagreement probability and its
 sqrt(n) scaling.  The scaling column should stay below 0.4 (it creeps toward
 0.5 * sqrt(2/pi) ~ 0.3989 from below).
 
+Every coordinate has the same probability, C(n-1, n/2-1)/2^n (the
+``cubeball.analysis`` docstring proves it), so the worst is computed once
+per n, at coordinate 1: the smallest of the tied coordinates.
+
     python scripts/flip_probability_scaling.py --max-n 24
 """
 
@@ -24,8 +28,8 @@ def main() -> None:
 
     print(f"{'n':>4} {'worst_i':>8} {'probability':>16} {'p*sqrt(n)':>12}")
     for n in range(args.min_n, args.max_n + 1, 2):
-        probs = {i: flip_probability_exact(n, i) for i in range(1, n + 1)}
-        worst_i, worst = max(probs.items(), key=lambda kv: (kv[1], -kv[0]))
+        worst_i = 1
+        worst = flip_probability_exact(n, worst_i)
         print(
             f"{n:>4} {worst_i:>8} {str(worst):>16} "
             f"{float(worst) * math.sqrt(n):>12.6f}"

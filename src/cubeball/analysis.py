@@ -36,9 +36,9 @@ taken over every vertex, but with no Python step per vertex: the bit-sliced
 marking kernel (see ``chains``) leaves a and b as bit-sliced counters, and
 each count is the popcount of the lanes where both take the given values.
 ``flip_probability_exhaustive`` likewise counts the vertices whose bit i
-flips as the popcount of an input bit plane XOR an output bit plane of
-psi's images, which its plane rule gives over the whole cube (see
-``metrics``).
+flips, a block of vertices at a time: the popcount of the block's plane of
+input bit i XOR its images' plane of output bit i, which psi's plane rule
+gives (see ``metrics``).
 
 All counts are arbitrary-precision integers and all probabilities exact
 ``Fraction`` values; the verification suite compares them by equality.
@@ -52,7 +52,7 @@ from functools import lru_cache
 from math import comb
 
 from .bijections import BijectionKind, _psi_value, _require_dimension
-from .bits import DEFAULT_ENUMERATION_CAP, BitVector, _low_mask, _require_cap
+from .bits import DEFAULT_ENUMERATION_CAP, BitVector, _require_cap
 from .chains import _cube_blocks, _equal, _unmatched_planes
 from .errors import (
     CoordinateRangeError,
@@ -61,7 +61,7 @@ from .errors import (
     OddLengthError,
     ParityError,
 )
-from .metrics import _forward_planes
+from .metrics import _block_edges, _image_blocks
 
 
 @dataclass(frozen=True, slots=True)
@@ -243,12 +243,12 @@ def flip_probability_exhaustive(
 @lru_cache(maxsize=8)
 def _flip_counts(n: int) -> tuple[int, ...]:
     """The disagree counts of coordinates 1..n, from one build of psi's image planes."""
-    full = (1 << (1 << n)) - 1
-    planes = _forward_planes(BijectionKind.PSI, n)
-    # input coordinate i is plane n - i, output coordinate i is plane n + 1 - i
-    return tuple(
-        (full ^ _low_mask(n, n - i) ^ planes[n + 1 - i]).bit_count() for i in range(1, n + 1)
-    )
+    counts = [0] * n
+    for xs, _, images in _image_blocks(BijectionKind.PSI, n):
+        # input coordinate i is plane n - i, output coordinate i is plane n + 1 - i
+        for i in range(1, n + 1):
+            counts[i - 1] += (xs[n - i] ^ images[n + 1 - i]).bit_count()
+    return tuple(counts)
 
 
 def _dyck_planes(xs: list[int], full: int) -> list[int]:
@@ -320,22 +320,20 @@ def influence_profile(
     """Exact total influence of every output bit, index 0 = coordinate 1.
 
     Counts, per output bit, the (x, j) pairs whose input flip changes that
-    bit.  Each cube edge gives two such pairs.  The edges along the
-    coordinate with stride 2^s whose images differ in bit t are marked by
-    XOR-ing plane t of the images with itself shifted by 2^s, kept to the
-    endpoints with bit s clear; the count is the mark's popcount.  One mark
-    is held at a time.
+    bit.  Each cube edge gives two such pairs.  The edges come a block at a
+    time from the forward sweep's pairing, ``metrics._block_edges``: the
+    edges whose images differ in bit t are marked by XOR-ing plane t of the
+    images with its partner, and the count is the mark's popcount.  One
+    mark is held at a time.
     """
     kind = BijectionKind(kind)
     _require_dimension(n, kind.value)
     _require_cap(n, cap, "(x, j) pairs", n)
-    planes = _forward_planes(kind, n)
-    counts = [0] * len(planes)  # by output shift
-    for s in range(n):
-        h = 1 << s
-        e = _low_mask(n, s)
-        for t, p in enumerate(planes):
-            counts[t] += ((p ^ (p >> h)) & e).bit_count()
+    blocks = [(images, full) for _, full, images in _image_blocks(kind, n)]
+    counts = [0] * (n + 1)  # by output shift
+    for _, _, planes, partner, e in _block_edges(blocks, n):
+        for t, (p, q) in enumerate(zip(planes, partner)):
+            counts[t] += ((p ^ q) & e).bit_count()
     size = 1 << n
     # output coordinate i sits at shift n+1-i
     return tuple(Fraction(2 * counts[n + 1 - i], size) for i in range(1, n + 2))

@@ -26,28 +26,30 @@ to the map's edge-distance rule, ``bijections._MAPS[kind].edge_distance``, a
 case form of a few integer comparisons.
 
 Whole-cube work runs on bit planes, one big int per bit with one bit (a
-lane) per point, and takes no Python step per vertex or edge.  For each
-block of vertices (see ``chains._cube_blocks``) the bit-sliced marking
+lane) per point, and takes no Python step per vertex or edge.  The planes
+stay in blocks of points (see ``chains._cube_blocks``) and are never joined
+over the whole cube.  For each block of vertices the bit-sliced marking
 kernel and the map's plane rule, ``_MAPS[kind].planes``, give the images'
-planes, and the blocks join into planes over the whole cube
-(``_forward_planes``).  The inverse sweep runs the map's inverse plane
-rule, ``_MAPS[kind].inverse_planes``, on every point of {0,1}^(n+1), and
-keeps the ball, found by a bit-sliced weight counter.  Before that,
-``_prove_bijective`` runs the inverse rule on the forward planes and checks
-lane by lane that it gives back every vertex and that every image lies in
-the ball: the map is then injective into a set as large as the cube, so it
-is a bijection onto the ball and the inverse rule is its inverse there.
+planes.  The inverse sweep runs the map's inverse plane rule,
+``_MAPS[kind].inverse_planes``, on every block of {0,1}^(n+1), and keeps
+the ball, found by a bit-sliced weight counter.
+Before that, ``_prove_bijective`` runs the inverse rule on the forward
+planes and checks lane by lane that it gives back every vertex and that
+every image lies in the ball: the map is then injective into a set as large
+as the cube, so it is a bijection onto the ball and the inverse rule is its
+inverse there.
 
 Both exhaustive sweeps and the swap audit share one sweep, ``_edge_sweep``,
-over whole-cube planes and a mask of the points kept.  For each coordinate
-it marks the edges whose values differ in a bit by XOR-ing a plane with
-itself shifted by the coordinate's stride, and a bit-sliced counter over
-the marks gives each edge's distance.  The distance total is read off the
-counter's planes, one popcount per counter bit, so no mark is popcounted;
-``analysis.influence_profile``, which needs the per-bit counts, popcounts
-the marks itself.  The pair and swap ratio audits read their extremes off
-edge sweeps, because the cube and the ball are geodesic (see
-:class:`RatioAudit`).
+over the blocks' planes and kept lanes.  A coordinate whose stride lies
+within a block pairs each lane with the lane one stride above; a higher one
+pairs two blocks lane for lane (``_block_edges``).  A plane XOR its partner
+marks the edges whose values differ in that bit, and a bit-sliced counter
+over the marks gives each edge's distance.  The distance total is read off
+the counter's planes, one popcount per counter bit, so no mark is
+popcounted; ``analysis.influence_profile``, which needs the per-bit counts,
+loops over the same pairing and popcounts the marks.  The pair and swap
+ratio audits read their extremes off edge sweeps, because the cube and the
+ball are geodesic (see :class:`RatioAudit`).
 
 The swap audit runs psi's inverse plane rule on {0,1}^(n+1), flips the
 planes of the swap's bits, and runs the forward plane rule on the result,
@@ -59,7 +61,7 @@ criteria.  ``image_table`` transposes the same block planes into the table
 (``_set_planes``).  ``preimage_table`` scatters the images into their
 lanes and proves, apart from the lane proof, that the table is a bijection
 onto the ball: the lanes written, read off the table's sign bits as one
-plane, must be the ball's plane.
+plane, must be the ball's lanes in each block.
 """
 
 from __future__ import annotations
@@ -71,7 +73,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from .bijections import _MAPS, BijectionKind, _require_dimension
 from .bits import DEFAULT_ENUMERATION_CAP, BitVector, EdgeId, _low_mask, _require_cap
@@ -96,6 +98,9 @@ _SPREAD = tuple(bytes.maketrans(b"01", bytes((0, 1 << b))) for b in range(8))
 
 # Table entries per tobytes() copy while a byte column is read.
 _CHUNK = 1 << 16
+
+# (planes, kept lanes) per block of chains._cube_blocks, blocks in point order.
+_Blocks = list[tuple[list[int], int]]
 
 
 class Direction(Enum):
@@ -199,34 +204,6 @@ def _image_blocks(kind: BijectionKind, n: int) -> Iterator[tuple[list[int], int,
         yield xs, full, rule(xs, full, *_unmatched_planes(xs, full))
 
 
-def _join(blocks: Iterable[tuple[int, list[int]]], m: int) -> list[int]:
-    """Planes over {0,1}^m from ``(full, planes)`` per block, blocks in point order.
-
-    Lane r of block h becomes lane h * lanes + r.  A cube cut into several
-    blocks has a whole number of bytes of lanes in each (2^_BLOCK_BITS with
-    _BLOCK_BITS at least 3), so each block's plane is written as its bytes
-    into one buffer per plane, sized for the whole cube up front.
-    """
-    bufs: list[bytearray] = []
-    at = 0
-    for full, planes in blocks:
-        size = (full.bit_length() + 7) >> 3
-        if not bufs:
-            bufs = [bytearray(((1 << m) + 7) >> 3) for _ in planes]
-        for buf, p in zip(bufs, planes):
-            buf[at : at + size] = p.to_bytes(size, "little")
-        at += size
-    joined = []
-    while bufs:  # each buffer is freed once its plane is read out
-        joined.append(int.from_bytes(bufs.pop(), "little"))
-    return joined[::-1]
-
-
-def _forward_planes(kind: BijectionKind, n: int) -> list[int]:
-    """The images' n + 1 planes over {0,1}^n: bit x of plane t is bit t of the image of x."""
-    return _join(((full, images) for _, full, images in _image_blocks(kind, n)), n)
-
-
 def _ball_lanes(zs: list[int], full: int) -> int:
     """The lanes whose point, n + 1 planes ``zs``, lies in the ball: weight above n/2."""
     weight: list[int] = []
@@ -237,14 +214,9 @@ def _ball_lanes(zs: list[int], full: int) -> int:
     return full ^ _subtract(weight, bound)[1]  # the borrow marks weight < n/2 + 1
 
 
-def _ball_planes(n: int, rule: Callable[[list[int], int], list[int]]) -> tuple[list[int], int]:
-    """``rule``'s planes over {0,1}^(n+1), run block by block on the points'
-    planes, and the ball's plane (:func:`_ball_lanes`), joined."""
-    *planes, ball = _join(
-        ((full, [*rule(zs, full), _ball_lanes(zs, full)]) for zs, full in _cube_blocks(n + 1)),
-        n + 1,
-    )
-    return planes, ball
+def _ball_blocks(n: int, rule: Callable[[list[int], int], list[int]]) -> _Blocks:
+    """``rule``'s planes and the ball's lanes (:func:`_ball_lanes`) per block of {0,1}^(n+1)."""
+    return [(rule(zs, full), _ball_lanes(zs, full)) for zs, full in _cube_blocks(n + 1)]
 
 
 def _prove_bijective(kind: BijectionKind, n: int) -> None:
@@ -307,19 +279,24 @@ def preimage_table(kind: BijectionKind, n: int) -> array:
     # The lanes written, read off the sign bits as one plane, are the
     # distinct images.  The ball {2|z| > n} has 2^n points, as many as the
     # cube has vertices, so if they are exactly the ball, no two vertices
-    # share an image and the images fill it.
+    # share an image and the images fill it.  The plane is compared with
+    # the ball a block at a time.
     unwritten = int(_byte_column(inv, inv.itemsize - 1).translate(_DIGITS[7]), 2)
-    differ = ((1 << len(inv)) - 1) ^ unwritten ^ _ball_planes(n, lambda zs, full: [])[1]
-    if differ:
-        # Name the fault as a checked scatter would: the first collision in
-        # vertex order, else the smallest point where images and ball differ.
-        seen = set()
-        for z in fwd:
-            if z in seen:
-                raise BijectivityError(f"{kind.value} collides at image {z:0{n + 1}b}")
-            seen.add(z)
-        z = (differ & -differ).bit_length() - 1
-        raise BijectivityError(f"{kind.value} image does not match the ball at {z:0{n + 1}b}")
+    start = 0
+    for zs, full in _cube_blocks(n + 1):
+        differ = full ^ (unwritten >> start & full) ^ _ball_lanes(zs, full)
+        if differ:
+            # Name the fault as a checked scatter would: the first collision
+            # in vertex order, else the smallest point where images and ball
+            # differ, which lies in this block.
+            seen = set()
+            for z in fwd:
+                if z in seen:
+                    raise BijectivityError(f"{kind.value} collides at image {z:0{n + 1}b}")
+                seen.add(z)
+            z = start + (differ & -differ).bit_length() - 1
+            raise BijectivityError(f"{kind.value} image does not match the ball at {z:0{n + 1}b}")
+        start += full.bit_length()
     return inv
 
 
@@ -373,38 +350,56 @@ def _set_planes(table: array, start: int, planes: list[int], lanes: int) -> None
         raw[start * size : (start + lanes) * size] = out
 
 
-def _edge_sweep(planes: list[int], kept: int, m: int) -> tuple[int, tuple[int, int], int, int]:
-    """Max, keep-first witness, total and count of edge distances.
+def _block_edges(blocks: _Blocks, m: int) -> Iterator[tuple[int, int, list[int], list[int], int]]:
+    """The edges of the kept points' induced subgraph of {0,1}^m, a block at a time.
 
-    ``planes`` are bit planes over the points of {0,1}^m: bit z of
-    ``planes[t]`` is bit t of the value at point z.  ``kept`` has the bits
-    of the points kept set, and the edges swept are those of the subgraph
-    induced by the kept points; the values at the other points are never
-    read.  Every kept set here is an up-set (the whole cube, or the ball),
-    so for a kept z with bit s clear, z | 2^s is kept too, and the edges
-    along coordinate m - s are the kept z with bit s clear, named by that
-    endpoint.
+    ``blocks`` are :data:`_Blocks` over {0,1}^m: bit r of ``planes[t]`` is
+    bit t of the value at lane r.  Every kept set here is an up-set (the
+    whole cube, or the ball), so the edges along coordinate m - s are the
+    kept z with bit s clear, named by that endpoint.  Yields ``(i, start,
+    planes, partner, e)`` for coordinates i = 1..m and, within each, blocks
+    in order: lane r of ``e`` marks the edge from point start + r, and
+    ``partner`` holds its other endpoint's value in the same lane.  A stride
+    2^s within a block pairs each lane with the lane 2^s above it; a higher
+    one pairs block b with block b | 2^(s - width), for the b with that bit
+    clear.
+    """
+    width = m + 1 - len(blocks).bit_length()  # 2^width lanes per block
+    for s in range(m - 1, -1, -1):
+        if s < width:
+            inner = _low_mask(width, s)
+            for b, (planes, kept) in enumerate(blocks):
+                e = inner & kept
+                if e:
+                    yield m - s, b << width, planes, [p >> (1 << s) for p in planes], e
+        else:
+            bit = 1 << (s - width)
+            for b, (planes, kept) in enumerate(blocks):
+                if kept and not b & bit:
+                    yield m - s, b << width, planes, blocks[b | bit][0], kept
 
-    For each coordinate, a plane's XOR with itself shifted by 2^s marks the
-    edges whose values differ in bit t.  A ripple counter over those marks
-    holds every edge's distance, one bit plane per counter bit, so the
-    coordinate's distance total is the sum over counter bits j of 2^j times
-    the popcount of plane j.  The witness is the first edge of maximal
-    distance in order of its 0-bit endpoint and then coordinate 1..m.
+
+def _edge_sweep(blocks: _Blocks, m: int) -> tuple[int, tuple[int, int], int, int]:
+    """Max, keep-first witness, total and count of the distances of
+    :func:`_block_edges`.
+
+    A plane XOR its partner marks the edges whose values differ in bit t.  A
+    ripple counter over those marks holds every edge's distance, one bit
+    plane per counter bit, so the distance total is the sum over counter
+    bits j of 2^j times the popcount of plane j.  The witness is the least
+    (0-bit endpoint, coordinate) among the edges of maximal distance: the
+    edges come by coordinate and then block, so a later one replaces it only
+    at a larger distance or a smaller endpoint.
     """
     total = 0
     edges = 0
     best = -1
-    bz, bs = 0, m - 1
-    for s in range(m - 1, -1, -1):
-        h = 1 << s
-        e = _low_mask(m, s) & kept
-        if not e:
-            continue
+    bz, bi = 0, 1
+    for i, start, planes, partner, e in _block_edges(blocks, m):
         edges += e.bit_count()
         counter: list[int] = []
-        for p in planes:
-            d = (p ^ (p >> h)) & e
+        for p, q in zip(planes, partner):
+            d = (p ^ q) & e
             if d:
                 _increment(counter, d)
         total += sum(c.bit_count() << j for j, c in enumerate(counter))
@@ -417,22 +412,21 @@ def _edge_sweep(planes: list[int], kept: int, m: int) -> tuple[int, tuple[int, i
             if hit:
                 at = hit
                 top |= 1 << j
-        z = (at & -at).bit_length() - 1
+        z = start + (at & -at).bit_length() - 1
         if top > best or (top == best and z < bz):
-            best, bz, bs = top, z, s
-    return best, (bz, m - bs), total, edges
+            best, bz, bi = top, z, i
+    return best, (bz, bi), total, edges
 
 
 def _exhaustive_report(
     kind: BijectionKind,
     direction: Direction,
     n: int,
-    planes: list[int],
-    kept: int,
+    blocks: _Blocks,
     m: int,
     averaging: str,
 ) -> StretchReport:
-    best, (z, i), total, edges = _edge_sweep(planes, kept, m)
+    best, (z, i), total, edges = _edge_sweep(blocks, m)
     return StretchReport(
         kind=kind,
         direction=direction,
@@ -453,8 +447,9 @@ def forward_stretch_exhaustive(
     kind = BijectionKind(kind)
     _require_dimension(n, kind.value)
     _require_cap(n, cap, "(x, i) pairs", n)
+    blocks = [(images, full) for _, full, images in _image_blocks(kind, n)]
     return _exhaustive_report(
-        kind, Direction.FORWARD, n, _forward_planes(kind, n), (1 << (1 << n)) - 1, n,
+        kind, Direction.FORWARD, n, blocks, n,
         "ordered (x,i) pairs, i uniform in [n]",
     )
 
@@ -472,9 +467,8 @@ def inverse_stretch_exhaustive(
     _require_dimension(n, kind.value)
     _require_cap(n + 1, cap, "(z, i) pairs", n + 1)
     _prove_bijective(kind, n)
-    planes, ball = _ball_planes(n, _MAPS[kind].inverse_planes)
     return _exhaustive_report(
-        kind, Direction.INVERSE, n, planes, ball, n + 1,
+        kind, Direction.INVERSE, n, _ball_blocks(n, _MAPS[kind].inverse_planes), n + 1,
         "ordered induced (z,i) pairs on the ball subgraph",
     )
 
@@ -608,16 +602,18 @@ def transitivity_ratio_audit(
         xs = [p ^ full if delta >> t & 1 else p for t, p in enumerate(back)]
         return psi.planes(xs, full, *_unmatched_planes(xs, full))
 
-    planes, ball = _ball_planes(n, swap)
+    blocks = _ball_blocks(n, swap)
     # The ball is geodesic, so no pair ratio of g exceeds its largest
     # ball-edge stretch s.  g is an involution, so d(a, b) =
     # d(g(g(a)), g(g(b))) <= s * d(g(a), g(b)): no ratio falls below 1/s,
     # and (g(a), g(b)) attains it for an edge (a, b) stretched by s.  The
     # ratios span exactly [1/s, s].
-    s = _edge_sweep(planes, ball, m)[0]
+    s = _edge_sweep(blocks, m)[0]
+    width = m + 1 - len(blocks).bit_length()
 
     def g(z: int) -> int:
-        return sum((p >> z & 1) << t for t, p in enumerate(planes))
+        b, r = divmod(z, 1 << width)
+        return sum((p >> r & 1) << t for t, p in enumerate(blocks[b][0]))
 
     size = 1 << n
     return TransitivityAudit(

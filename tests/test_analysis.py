@@ -193,9 +193,9 @@ def test_exhaustive_flipprob_builds_the_planes_once(monkeypatch):
 
     def counting(kind, n):
         calls.append((kind, n))
-        return metrics._forward_planes(kind, n)
+        return metrics._image_blocks(kind, n)
 
-    monkeypatch.setattr(analysis, "_forward_planes", counting)
+    monkeypatch.setattr(analysis, "_image_blocks", counting)
     analysis._flip_counts.cache_clear()
     out = io.StringIO()
     assert run(["stats", "flipprob", "--n", "10", "--mode", "exhaustive"], stdout=out) == 0

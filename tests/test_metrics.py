@@ -96,19 +96,31 @@ def _scalar_edge_sweep(table, m, width):
     return best, bw, total, counts, edges
 
 
-def _assert_sweeps_agree(table, m, width):
+def _table_blocks(table, m, width, low):
+    """The blocks that ``metrics._edge_sweep`` reads, from a table over
+    {0,1}^m whose points outside the kept set hold -1: ``(planes, kept)``
+    per 2^low points, cut from the table's planes."""
     planes = metrics._bit_planes(table, width + 1)
     # kept entries are below 2^width, so bit ``width`` is set only in the -1s
-    kept = ((1 << (1 << m)) - 1) ^ planes.pop()
+    planes.append(((1 << (1 << m)) - 1) ^ planes.pop())
+    full = (1 << (1 << low)) - 1
+    blocks = []
+    for start in range(0, 1 << m, 1 << low):
+        *cut, kept = [p >> start & full for p in planes]
+        blocks.append((cut, kept))
+    return blocks
+
+
+def _assert_sweeps_agree(table, m, width, low):
     best, bw, total, _, edges = _scalar_edge_sweep(table, m, width)
-    assert metrics._edge_sweep(planes, kept, m) == (best, bw, total, edges)
+    assert metrics._edge_sweep(_table_blocks(table, m, width, low), m) == (best, bw, total, edges)
 
 
 @pytest.mark.parametrize("kind", [PSI, PHI, NAIVE])
 @pytest.mark.parametrize("n", range(2, 15, 2))
 def test_edge_sweep_matches_scalar_sweep_on_map_tables(kind, n):
-    _assert_sweeps_agree(metrics.image_table(kind, n), n, n + 1)
-    _assert_sweeps_agree(metrics.preimage_table(kind, n), n + 1, n)
+    _assert_sweeps_agree(metrics.image_table(kind, n), n, n + 1, n)
+    _assert_sweeps_agree(metrics.preimage_table(kind, n), n + 1, n, n + 1)
 
 
 def _swap_table(n, delta):
@@ -122,17 +134,19 @@ def _swap_table(n, delta):
 def test_edge_sweep_matches_scalar_sweep_on_swap_tables(n):
     rng = random.Random(100 + n)
     for _ in range(6):
-        _assert_sweeps_agree(_swap_table(n, rng.randrange(1, 1 << n)), n + 1, n + 1)
+        _assert_sweeps_agree(_swap_table(n, rng.randrange(1, 1 << n)), n + 1, n + 1, n + 1)
 
 
 @st.composite
 def _sweep_tables(draw):
-    """A table over {0,1}^m for m <= 8 that keeps an up-set of points.
+    """A table over {0,1}^m for m <= 8 that keeps an up-set of points, and
+    a block width 2^low with 0 <= low <= m.
 
     The kept points hold values from a palette of at most four, so many
     edges tie at the largest distance; -1 marks the points left out.
     """
     m = draw(st.integers(1, 8))
+    low = draw(st.integers(0, m))
     width = draw(st.integers(1, 30))
     palette = draw(st.lists(st.integers(0, (1 << width) - 1), min_size=1, max_size=4))
     gens = draw(st.lists(st.integers(0, (1 << m) - 1), max_size=3))
@@ -142,7 +156,7 @@ def _sweep_tables(draw):
     table = array("i", [
         v if any(z & g == g for g in gens) else -1 for z, v in enumerate(values)
     ])
-    return table, m, width
+    return table, m, width, low
 
 
 @given(_sweep_tables())
@@ -236,9 +250,11 @@ def test_preimage_table_matches_checked_scatter_across_blocks(monkeypatch, fresh
         ({5: 0b00011, 6: 0b00011}, "psi collides at image 00011"),
         # two images leave the ball: the smaller point is named
         ({5: 0b01010, 6: 0b00011}, "psi image does not match the ball at 00011"),
+        # the smallest point that differs, 01100, sits in the second block of 8 points
+        ({5: 0b01100}, "psi image does not match the ball at 01100"),
     ],
     ids=["outside-then-collision", "collision-then-outside", "collision-outside",
-         "two-outside"],
+         "two-outside", "outside-second-block"],
 )
 def test_preimage_table_names_the_fault_as_the_checked_scatter_does(
     fresh_tables, monkeypatch, faults, message
@@ -249,8 +265,10 @@ def test_preimage_table_names_the_fault_as_the_checked_scatter_does(
     with pytest.raises(BijectivityError, match=f"^{message}$"):
         _checked_preimage_table(PSI, 4, faulty)
     monkeypatch.setattr(metrics, "image_table", lambda kind, n: faulty)
-    with pytest.raises(BijectivityError, match=f"^{message}$"):
-        metrics.preimage_table(PSI, 4)
+    for block_bits in (3, 16):  # the ball in four blocks of 8 points, and in one
+        monkeypatch.setattr(chains, "_BLOCK_BITS", block_bits)
+        with pytest.raises(BijectivityError, match=f"^{message}$"):
+            metrics.preimage_table(PSI, 4)
 
 
 def _assert_byte_columns_match_entries(table):
@@ -353,6 +371,27 @@ def test_exhaustive_sweeps_match_across_blocks(monkeypatch, kind):
     want = reports()
     monkeypatch.setattr(chains, "_BLOCK_BITS", 3)
     assert reports() == want
+
+
+def test_swap_audit_and_flip_counts_match_across_blocks(monkeypatch):
+    # blocks of 8 points: the swap map's ball edges and the flip counts span many blocks
+    rng = random.Random(21)
+    cases = []
+    for n in range(4, 11, 2):
+        ball = sorted(metrics.image_table(PSI, n))
+        cases += [(n, *rng.sample(ball, 2)) for _ in range(3)]
+
+    def reports():
+        analysis._flip_counts.cache_clear()
+        return ([metrics.transitivity_ratio_audit(x, y, n) for n, x, y in cases],
+                [analysis.flip_probability_exhaustive(n, i)
+                 for n in range(4, 11, 2) for i in range(1, n + 1)])
+
+    monkeypatch.setattr(chains, "_BLOCK_BITS", 16)
+    want = reports()
+    monkeypatch.setattr(chains, "_BLOCK_BITS", 3)
+    assert reports() == want
+    analysis._flip_counts.cache_clear()
 
 
 def _send_vertex(rule, v, image):
@@ -706,9 +745,7 @@ def _table_swap_audit(x, y, n):
     m = n + 1
     inv = metrics.preimage_table(PSI, n)
     swap = _swap_table(n, inv[x] ^ inv[y])
-    planes = metrics._bit_planes(swap, m + 1)
-    # swapped values are below 2^m, so bit m is set only in the -1s
-    s = metrics._edge_sweep(planes, ((1 << (1 << m)) - 1) ^ planes.pop(), m)[0]
+    s = metrics._edge_sweep(_table_blocks(swap, m, m, m), m)[0]
     size = 1 << n
     return (size * (size - 1) // 2, swap[x] == y and swap[y] == x, Fraction(1, s), Fraction(s))
 
