@@ -66,6 +66,12 @@ CASES = [
      ["verify", "--bijection", "naive", "--direction", "inv", "--n", "16"]),
     # the cube spans four blocks of 2^16 lanes
     ("verify_naive_fwd_n18", ["verify", "--bijection", "naive", "--n", "18"]),
+    # the ball spans eight blocks: the inverse rules' lane subtraction and
+    # the ball's weight counter in every one
+    ("verify_phi_inv_n18",
+     ["verify", "--bijection", "phi", "--direction", "inv", "--n", "18"]),
+    ("verify_naive_inv_n18",
+     ["verify", "--bijection", "naive", "--direction", "inv", "--n", "18"]),
     # above the default cap
     ("verify_psi_fwd_n20",
      ["verify", "--bijection", "psi", "--n", "20", "--allow-large"]),
@@ -97,6 +103,8 @@ CASES = [
     ("stats_chains", ["stats", "chains", "--n", "6"]),
     ("stats_chains_csv", ["stats", "chains", "--n", "5", "--format", "csv"]),
     ("stats_chains_n16", ["stats", "chains", "--n", "16"]),
+    # the counter comparisons across four cube blocks
+    ("stats_chains_n18", ["stats", "chains", "--n", "18"]),
     ("stats_profile", ["stats", "profile", "--n", "6", "--a", "2", "--b", "0"]),
     ("stats_profile_csv",
      ["stats", "profile", "--n", "7", "--a", "1", "--b", "2", "--format", "csv"]),
