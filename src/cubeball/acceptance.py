@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import io
 import random
-from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -34,6 +33,7 @@ from .bijections import BijectionKind
 from .bits import BitVector
 from .chains import (
     _cube_blocks,
+    _lowest_lane,
     _reference_planes,
     _split_planes,
     chain_code,
@@ -236,13 +236,15 @@ def _marked_planes(n: int) -> tuple[int, ...]:
     """The public ``mark`` run on every vertex of {0,1}^n, as planes indexed
     by shift like ``chains._cube_blocks``.
 
-    Each vertex's marks are packed into an ``array('i')`` table (coordinate
-    i at bit n - i) as it is marked, so no ``MarkedString`` outlives its
-    row, and the table is transposed once.
+    Each vertex's marks, one byte per coordinate, are appended to one
+    buffer as it is marked, so no ``MarkedString`` outlives its row.  In the
+    reversed buffer, plane s is every n-th byte from byte s, lane 0 last.
     """
-    table = array("i", (int(bytes(mark(BitVector(n, v)).marked).translate(_ASCII_BITS), 2)
-                        for v in range(1 << n)))
-    return tuple(metrics._bit_planes(table, n))
+    rows = bytearray()
+    for v in range(1 << n):
+        rows += bytes(mark(BitVector(n, v)).marked)
+    rows.reverse()
+    return tuple(int(rows[s::n].translate(_ASCII_BITS), 2) for s in range(n))
 
 
 def _differing_lanes(got: list[int], want: tuple[int, ...]) -> int:
@@ -253,11 +255,6 @@ def _differing_lanes(got: list[int], want: tuple[int, ...]) -> int:
     return lanes
 
 
-def _first_lane(lanes: int) -> int:
-    """The lowest lane set, that is the first vertex in enumeration order."""
-    return (lanes & -lanes).bit_length() - 1
-
-
 def _c11_dyck_equivalence() -> tuple[bool, str]:
     for n in range(1, 15):
         ((xs, full),) = _cube_blocks(n)
@@ -265,7 +262,7 @@ def _c11_dyck_equivalence() -> tuple[bool, str]:
         marked = _marked_planes(n)
         lanes = _differing_lanes(covered, marked)
         if lanes:
-            v = _first_lane(lanes)
+            v = _lowest_lane(lanes)  # the first vertex in enumeration order
             i = next(i for i in range(1, n + 1) if (covered[n - i] ^ marked[n - i]) >> v & 1)
             return False, f"disagreement at x={BitVector(n, v)}, i={i}"
     return True, "balanced-substring criterion equals the marking on every (x, i), n <= 14"
@@ -278,13 +275,13 @@ def _c12_marking_order_independence() -> tuple[bool, str]:
         lanes = _differing_lanes(_reference_planes(xs, full), base)
         lanes |= _differing_lanes(_reference_planes(xs, full, rightmost_first=True), base)
         if lanes:
-            x = BitVector(n, _first_lane(lanes))
+            x = BitVector(n, _lowest_lane(lanes))
             return False, f"pair-choice order changes the marking of {x}"
     for n in range(1, 13):
         ((xs, full),) = _cube_blocks(n)
         base = _marked_planes(n)
         misses = [  # (first vertex, i) per disagreeing i; a loop over x, then i, meets the least
-            (_first_lane(lanes), i) for i in range(1, n + 1)
+            (_lowest_lane(lanes), i) for i in range(1, n + 1)
             if (lanes := _differing_lanes(_split_planes(xs, full, i), base))
         ]
         if misses:

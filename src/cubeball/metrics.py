@@ -77,7 +77,7 @@ from typing import Callable, Iterator, Optional
 
 from .bijections import _MAPS, BijectionKind, _require_dimension
 from .bits import DEFAULT_ENUMERATION_CAP, BitVector, EdgeId, _low_mask, _require_cap
-from .chains import _cube_blocks, _increment, _profile, _subtract, _unmatched_planes
+from .chains import _cube_blocks, _increment, _lowest_lane, _profile, _subtract, _unmatched_planes
 from .errors import BijectivityError, EnumerationCapError, LengthMismatchError, NotInBallError
 
 # Above this domain size, or above 16 vertices per draw, sampled sweeps find
@@ -88,9 +88,8 @@ from .errors import BijectivityError, EnumerationCapError, LengthMismatchError, 
 # benchmark at n = 1024).
 _TABLE_LIMIT = 1 << 20
 
-# _DIGITS[b] is a bytes.translate table sending a byte to ASCII "1" where its
-# bit b is set and to "0" where it is clear.
-_DIGITS = tuple(bytes(48 | (v >> b & 1) for v in range(256)) for b in range(8))
+# bytes.translate table sending a byte to ASCII "1" where its top bit is set, else "0"
+_SIGN_DIGITS = bytes(48 | v >> 7 for v in range(256))
 
 # _SPREAD[b] is a bytes.translate table sending ASCII "0" and "1" to the
 # byte with bit b clear and set.
@@ -237,7 +236,7 @@ def _prove_bijective(kind: BijectionKind, n: int) -> None:
             wrong |= x ^ back
         bad = outside | wrong
         if bad:
-            r = (bad & -bad).bit_length() - 1
+            r = _lowest_lane(bad)
             v = f"{start + r:0{n}b}"
             if outside >> r & 1:
                 raise BijectivityError(f"{kind.value} sends vertex {v} outside the ball")
@@ -281,7 +280,7 @@ def preimage_table(kind: BijectionKind, n: int) -> array:
     # cube has vertices, so if they are exactly the ball, no two vertices
     # share an image and the images fill it.  The plane is compared with
     # the ball a block at a time.
-    unwritten = int(_byte_column(inv, inv.itemsize - 1).translate(_DIGITS[7]), 2)
+    unwritten = int(_byte_column(inv, inv.itemsize - 1).translate(_SIGN_DIGITS), 2)
     start = 0
     for zs, full in _cube_blocks(n + 1):
         differ = full ^ (unwritten >> start & full) ^ _ball_lanes(zs, full)
@@ -294,7 +293,7 @@ def preimage_table(kind: BijectionKind, n: int) -> array:
                 if z in seen:
                     raise BijectivityError(f"{kind.value} collides at image {z:0{n + 1}b}")
                 seen.add(z)
-            z = start + (differ & -differ).bit_length() - 1
+            z = start + _lowest_lane(differ)
             raise BijectivityError(f"{kind.value} image does not match the ball at {z:0{n + 1}b}")
         start += full.bit_length()
     return inv
@@ -314,29 +313,13 @@ def _byte_column(table: array, k: int) -> bytes:
     return b"".join(table[i : i + _CHUNK].tobytes()[::-1][off::size] for i in starts)
 
 
-def _bit_planes(table: array, bits: int) -> list[int]:
-    """Planes 0..bits-1 of ``table``: bit z of plane t is bit t of ``table[z]``.
-
-    Each byte column of the table is read once (:func:`_byte_column`), and
-    each plane parses from it as a base-2 string; base 2 is exempt from the
-    int-digits limit.
-    """
-    planes = []
-    for k in range((bits + 7) >> 3):
-        col = _byte_column(table, k)
-        for b in range(min(8, bits - 8 * k)):
-            planes.append(int(col.translate(_DIGITS[b]), 2))
-    return planes
-
-
 def _set_planes(table: array, start: int, planes: list[int], lanes: int) -> None:
     """Write entries ``start`` on: bit t of ``table[start + r]`` is bit r of ``planes[t]``.
 
-    The inverse of :func:`_bit_planes`, for ``lanes`` entries whose bits
-    above the planes are 0.  Each plane is written as a base-2 string, lane
-    0 last, and translated to one byte per lane holding its bit at the
-    plane's place in the byte; eight of them OR into a byte column, which
-    is written straight into the table's bytes.
+    The ``lanes`` entries are written whole, with 0 above the planes.  Each
+    plane is written as a base-2 string, lane 0 last, and translated to one
+    byte per lane holding its bit at the plane's place in the byte; eight of
+    them OR into a byte column, written straight into the table's bytes.
     """
     size = table.itemsize
     out = bytearray(lanes * size)
@@ -412,7 +395,7 @@ def _edge_sweep(blocks: _Blocks, m: int) -> tuple[int, tuple[int, int], int, int
             if hit:
                 at = hit
                 top |= 1 << j
-        z = start + (at & -at).bit_length() - 1
+        z = start + _lowest_lane(at)
         if top > best or (top == best and z < bz):
             best, bz, bi = top, z, i
     return best, (bz, bi), total, edges

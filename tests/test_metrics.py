@@ -100,7 +100,9 @@ def _table_blocks(table, m, width, low):
     """The blocks that ``metrics._edge_sweep`` reads, from a table over
     {0,1}^m whose points outside the kept set hold -1: ``(planes, kept)``
     per 2^low points, cut from the table's planes."""
-    planes = metrics._bit_planes(table, width + 1)
+    # each entry as width + 1 binary digits, last entry first; the -1s are all 1s
+    rows = [format(v & ((2 << width) - 1), f"0{width + 1}b") for v in reversed(table)]
+    planes = [int("".join(col), 2) for col in reversed(list(zip(*rows)))]
     # kept entries are below 2^width, so bit ``width`` is set only in the -1s
     planes.append(((1 << (1 << m)) - 1) ^ planes.pop())
     full = (1 << (1 << low)) - 1
@@ -278,7 +280,7 @@ def _assert_byte_columns_match_entries(table):
     for k in range(size):
         want = bytes(v >> 8 * k & 0xFF for v in reversed(table))
         assert metrics._byte_column(table, k) == want
-    signs = int(metrics._byte_column(table, size - 1).translate(metrics._DIGITS[7]), 2)
+    signs = int(metrics._byte_column(table, size - 1).translate(metrics._SIGN_DIGITS), 2)
     assert signs == sum(1 << z for z, v in enumerate(table) if v < 0)
 
 
