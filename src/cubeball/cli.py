@@ -3,9 +3,9 @@
 Every command prints one flat key=value record per result line (or CSV with
 ``--format csv``), embedding the tool version and the configuration that
 produced it.  Identical invocations, including the seed, give byte-identical
-output.  Exit codes: 0 success, 1 computation or domain error (reported as a
-one-line ``error=...`` record on stdout) or a failed selftest criterion, 2
-usage error, including an ``--out`` path that cannot be written.
+output.  Exit codes: 0 success, 1 computation or domain error (a one-line
+``error=...`` record on stdout), a failed selftest criterion or a stdout
+closed early by its reader, 2 usage error, including an unwritable ``--out``.
 
 Each flag is declared once, on the subparser that reads it, and each
 subparser names its handler through ``set_defaults``.  A record's
@@ -25,6 +25,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 from typing import Optional, TextIO
@@ -356,4 +357,10 @@ def run(argv: list[str], stdout: Optional[TextIO] = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader left; stdout to devnull, so exit's flush is quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)

@@ -39,14 +39,13 @@ def test_flip_probability_scaling(monkeypatch, capsys, argv, rows):
     assert lines[-1].split()[0] == "4"
 
 
-@pytest.mark.parametrize("name", ["stretch_tables", "flip_probability_scaling"])
-def test_closed_stdout_exits_without_traceback(name):
+def _run_with_closed_stdout(args):
     read_end, write_end = os.pipe()
     os.close(read_end)  # no reader, so every write to the pipe fails
     path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
     try:
         proc = subprocess.run(
-            [sys.executable, str(SCRIPTS / f"{name}.py"), "--max-n", "4"],
+            [sys.executable, *args],
             stdout=write_end,
             stderr=subprocess.PIPE,
             env={**os.environ, "PYTHONPATH": path},
@@ -56,6 +55,15 @@ def test_closed_stdout_exits_without_traceback(name):
         os.close(write_end)
     assert "Traceback" not in proc.stderr.decode()
     assert proc.returncode == 1
+
+
+@pytest.mark.parametrize("name", ["stretch_tables", "flip_probability_scaling"])
+def test_closed_stdout_exits_without_traceback(name):
+    _run_with_closed_stdout([str(SCRIPTS / f"{name}.py"), "--max-n", "4"])
+
+
+def test_cli_closed_stdout_exits_without_traceback():
+    _run_with_closed_stdout(["-m", "cubeball", "stats", "chains", "--n", "18"])
 
 
 def test_readme_library_quickstart_runs():
