@@ -114,21 +114,20 @@ def _psi_value(n: int, v: int) -> int:
 
 
 def _flip_last(xs: list[int], zeros: list[int], r: list[int]) -> list[int]:
-    """``xs`` with the last r unmatched 0s of each lane turned into 1s.
+    """``xs``, in place, with the last r unmatched 0s of each lane turned into 1s.
 
     A right-to-left pass over the coordinates that decrements the bit-sliced
     counter ``r`` wherever it is not 0 and the coordinate is an unmatched 0.
     """
-    out = list(xs)
     for s, z in enumerate(zeros):  # s = 0 is coordinate n
         live = _nonzero(r)
         if not live:
             break
         hit = z & live
         if hit:
-            out[s] |= hit
+            xs[s] |= hit
             _decrement(r, hit)
-    return out
+    return xs
 
 
 def _psi_planes(
@@ -137,14 +136,16 @@ def _psi_planes(
     up = list(a)
     _increment(up, full)
     # bit 0 of a + 1 marks the lanes where a is even; the rest is ceil(a / 2)
-    return [up[0]] + _flip_last(xs, zeros, up[1:])
+    return [up[0]] + _flip_last(list(xs), zeros, up[1:])
 
 
 def _mirror(xs: list[int], full: int) -> list[int]:
-    """Planes reversed and complemented; the unmatched 1s of x are the
-    unmatched 0s of its mirror, and the mirror of the mirror is x.
-    """
-    return [full ^ x for x in reversed(xs)]
+    """``xs`` reversed and complemented, in place: the unmatched 1s of x are
+    the unmatched 0s of its mirror, and the mirror of the mirror is x."""
+    xs.reverse()
+    for t, x in enumerate(xs):
+        xs[t] = full ^ x
+    return xs
 
 
 def _psi_inverse_value(n: int, z: int) -> int:
@@ -190,7 +191,7 @@ def _phi_planes(
     # a - (j - k) = a - b unmatched 0s flip
     diff, above = _subtract(a, b)
     low = full ^ above
-    return [low] + _flip_last(xs, zeros, [d & low for d in diff])
+    return [low] + _flip_last(list(xs), zeros, [d & low for d in diff])
 
 
 def _phi_inverse_value(n: int, z: int) -> int:

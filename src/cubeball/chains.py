@@ -78,11 +78,10 @@ _BLANK_OFFSETS = bytes.maketrans(b"01", bytes((0, ord(BLANK) - ord("0"))))
 # Whole-cube scans take the cube in blocks of 2^_BLOCK_BITS vertices.
 _BLOCK_BITS = 16
 
-# Lane arithmetic keeps every operand non-negative: CPython ints are sign and
-# magnitude, so ``&`` with ``~y`` or ``-x`` works on a two's complement copy.
-# On 2^16-lane ints (Python 3.11.7) ``x & ~y`` took 6.8 us, ``x ^ (x & y)``,
-# the same lanes, 1.3 us, and ``x & y`` 0.6 us; tests/test_lanes.py keeps
-# ``~`` and ``x & -x`` out of the package.
+# Lane arithmetic keeps every operand non-negative: ``&`` with ``~y`` or ``-x``
+# works on a two's complement copy of a sign-and-magnitude int.  On 2^16-lane
+# ints (Python 3.11.7) ``x & ~y`` took 6.8 us, ``x ^ (x & y)`` 1.3 us and
+# ``x & y`` 0.6 us; tests/test_lanes.py keeps ``~`` and ``x & -x`` out.
 
 
 def _increment(counter: list[int], mask: int) -> None:
