@@ -2,8 +2,10 @@
 
 Each row of ``CASES`` names one invocation and the file holding its stdout.
 A refactor that keeps the reports must keep every file; a change that moves
-a report on purpose rewrites the files and says which lines moved.  Rewrite
-them with ``PYTHONPATH=src python tests/test_golden.py``.
+a report on purpose deletes its file, rewrites it and says which lines
+moved.  ``PYTHONPATH=src python tests/test_golden.py`` writes the files that
+are missing, and only those, and prints their names; an existing file is
+never rewritten, so a run at a faulty commit cannot move the corpus.
 """
 
 import io
@@ -29,10 +31,20 @@ CASES = [
      ["invmap", "--bijection", "phi", "--input", "000" + "1101001" * 9 + "1"]),
     ("invmap_naive_n1030",
      ["invmap", "--bijection", "naive", "--input", "01" * 4 + "1101001" * 146 + "1"]),
+    # n % 8 == 4 or 0, forward and inverse: each leaves unmatched 0s and 1s
+    ("map_psi_n1028",
+     ["map", "--bijection", "psi", "--input", "0" * 5 + "1101001" * 146 + "1"]),
+    # weight 439 <= n / 2, so phi flips
+    ("map_phi_n1024", ["map", "--bijection", "phi", "--input", "1001001" * 146 + "10"]),
+    ("invmap_psi_n1028",
+     ["invmap", "--bijection", "psi", "--input", "00001" + "1101001" * 146 + "10"]),
+    ("invmap_phi_n1024",
+     ["invmap", "--bijection", "phi", "--input", "0001" + "1101001" * 145 + "011011"]),
     ("chain_full", ["chain", "--input", "01100110", "--full"]),
     ("chain_full_n22", ["chain", "--input", "0010" + "1101001" * 2 + "1001", "--full"]),
     # n % 8 == 6, with unmatched 0s and 1s
     ("chain_n1030", ["chain", "--input", "0001" + "1101001" * 146 + "1011"]),
+    ("chain_n1024", ["chain", "--input", "0001" + "1101001" * 145 + "01101"]),
     ("chain_csv", ["chain", "--input", "0011", "--format", "csv"]),
     ("verify_psi_fwd", ["verify", "--bijection", "psi", "--n", "10"]),
     ("verify_psi_inv_csv",
@@ -152,4 +164,7 @@ def test_cli_output_matches_golden(name, argv):
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for name, argv in CASES:
-        (GOLDEN / f"{name}.txt").write_text(_stdout(argv))
+        path = GOLDEN / f"{name}.txt"
+        if not path.exists():
+            path.write_text(_stdout(argv))
+            print(path.name)
