@@ -36,6 +36,7 @@ from .bits import BitVector
 from .chains import (
     _decrement,
     _increment,
+    _lowest,
     _nonzero,
     _subtract,
     _unmatched_ones,
@@ -106,11 +107,9 @@ def _as_ball_value(z: BallLike, who: str) -> tuple[int, int]:
 
 def _psi_value(n: int, v: int) -> int:
     zeros, _ = _unmatched_zeros(n, v)
-    ell = len(zeros)
-    out = v
-    for s in zeros[ell >> 1 :]:
-        out |= 1 << s
-    return (out << 1) | ((ell & 1) ^ 1)
+    ell = zeros.bit_count()
+    # the last ceil(ell / 2) unmatched 0s turn into 1s
+    return ((v | _lowest(zeros, ell - (ell >> 1))) << 1) | ((ell & 1) ^ 1)
 
 
 def _flip_last(xs: list[int], zeros: list[int], r: list[int]) -> list[int]:
@@ -154,13 +153,10 @@ def _psi_inverse_value(n: int, z: int) -> int:
     ones, ell = _unmatched_ones(n, x)
     # x is ell below its chain top and the preimage 2 ell + (tail ^ 1):
     # the leftmost ell + (tail ^ 1) unmatched 1s go back to 0
-    drop = ell + (tail ^ 1)
-    if drop > len(ones):
+    keep = ones.bit_count() - ell - (tail ^ 1)
+    if keep < 0:
         raise NotInBallError(f"value {z:b} is not reached from the cube")
-    out = x
-    for s in ones[:drop]:
-        out ^= 1 << s
-    return out
+    return (x ^ ones) | _lowest(ones, keep)
 
 
 def _psi_inverse_planes(zs: list[int], full: int) -> list[int]:
@@ -176,12 +172,10 @@ def _phi_value(n: int, v: int) -> int:
     j = v.bit_count()
     if 2 * j > n:
         return v << 1
-    zeros, ones_count = _unmatched_zeros(n, v)
-    k = (n - len(zeros) - ones_count) // 2
-    out = v
-    for s in zeros[j - k :]:
-        out |= 1 << s
-    return (out << 1) | 1
+    zeros, b = _unmatched_zeros(n, v)
+    # level j = k + b goes up to n - j = k + a: the last a - b unmatched 0s
+    # turn into 1s
+    return ((v | _lowest(zeros, zeros.bit_count() - b)) << 1) | 1
 
 
 def _phi_planes(
@@ -209,10 +203,7 @@ def _phi_inverse_value(n: int, z: int) -> int:
     ones, a = _unmatched_ones(n, x)
     # level j = k + b goes back to n - j = k + a: the leftmost b - a
     # unmatched 1s turn into 0s
-    out = x
-    for s in ones[: len(ones) - a]:
-        out ^= 1 << s
-    return out
+    return (x ^ ones) | _lowest(ones, a)
 
 
 def _phi_inverse_planes(zs: list[int], full: int) -> list[int]:

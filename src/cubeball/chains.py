@@ -24,26 +24,22 @@ Marking is reduction in the bicyclic monoid: any segment leaves a pair
 adjacent segments combine as
 ``(a1, b1) . (a2, b2) = (a1 + max(0, a2 - b1), b2 + max(0, b1 - a2))``:
 the first ``min(a2, b1)`` unmatched 0s of the right segment close open 1s
-of the left one.  :func:`_scan` applies this combine a byte at a time to a
-byte stream.  A 256-entry table, built once at import from the bit-sliced
-kernel below (:func:`_byte_tables`), holds ``(a, b, shifts of the unmatched
-0s)`` for every byte.
-:func:`_unmatched_zeros` scans the input padded on the right with 1s up to
-a whole number of bytes, which changes nothing because trailing 1s never
-match; it gives the unmatched 0s and the number of unmatched 1s, which is
-all a single evaluation of psi or phi needs.  :func:`_profile` folds the
-same stream through the counts alone and gives just (a, b), which is all
-the edge-distance rules in ``bijections`` need.  Marking is also symmetric:
-the unmatched 1s of x are the unmatched 0s of x reversed and complemented.
-So :func:`_unmatched_ones` runs the same scan over the mirrored bytes of x,
-whose high zero padding mirrors to trailing 1s; it gives the unmatched 1s,
-and its final depth less that padding is the number of unmatched 0s, which
-is all an inverse map needs.  :func:`_unmatched_masks` gives both sets, as
-masks, in one left-to-right pass; ``mark`` and ``position`` read it.  A
-byte's unmatched 0s close the most recent open 1s, so the pass keeps a stack
-of the bytes that still hold open 1s, and a second table row per byte holds
-its unmatched 0s for each incoming depth and its own unmatched 1s for each
-number of them closed later.
+of the left one.  The byte kernels apply this combine a byte at a time to
+the input padded on the right with 1s up to a whole number of bytes, which
+changes nothing because trailing 1s never match.  One 256-entry table, built
+once at import from the bit-sliced kernel below (:func:`_byte_rows`), holds
+per byte ``(a, b, zeros by incoming depth, ones by incoming depth)``.
+:func:`_unmatched_zeros` reads the stream left to right, 1s opening and 0s
+closing: a byte's unmatched 0s less those the open 1s close are unmatched.
+It gives their mask and the number of unmatched 1s, which is all psi or phi
+needs.  Marking is symmetric: the unmatched 1s of x are the unmatched 0s of
+x reversed and complemented.  So :func:`_unmatched_ones` is the same pass
+read right to left, 0s opening and 1s closing, from the table's fourth
+field; it gives the mask of unmatched 1s and the number of unmatched 0s,
+which is all an inverse map needs.  ``mark`` and ``position`` OR the two
+masks and run the 1s pass only when a 1 is unmatched.  :func:`_profile`
+folds the stream through the counts alone and gives just (a, b), which is
+all the edge-distance rules in ``bijections`` need.
 
 Whole-cube work marks every vertex at once, bit-sliced.
 :func:`_cube_blocks` cuts {0,1}^n into blocks of 2^16 consecutive vertices
@@ -192,71 +188,44 @@ def _lane_bytes(planes: list[int]) -> bytes:
     return lanes.to_bytes(256, "little")
 
 
-def _byte_tables() -> tuple[tuple, tuple, bytes]:
-    """The byte kernels' tables, from two plane runs over {0,1}^8.
+def _byte_rows() -> tuple[tuple[int, int, tuple[int, ...], tuple[int, ...]], ...]:
+    """The byte table, from two plane runs over {0,1}^8.
 
-    Returns ``(chunks, rows, mirror)``, each indexed by byte:
-    - ``chunks[byte]`` is ``(a, b, shifts of the unmatched 0s)``, for :func:`_scan`;
-    - ``rows[byte]`` is ``(a, b, zeros, ones)``, for :func:`_unmatched_masks`:
-      ``zeros[d]`` masks the unmatched 0s that stay unmatched after d open
-      1s come in (d < a), and ``ones[k]`` the byte's own unmatched 1s that
-      stay open after k later 0s close the most recent of them (k < b);
-    - ``mirror[byte]`` is the byte reversed and complemented.
+    ``rows[byte]`` is ``(a, b, zeros, ones)``: ``zeros[d]`` masks the
+    byte's unmatched 0s that stay unmatched after d open 1s come in from the
+    left (d < a), and ``ones[d]`` its unmatched 1s that stay unmatched after
+    d open 0s come in from the right (d < b).
     """
     ((xs, full),) = _cube_blocks(8)
-    mirrored = [full ^ x for x in reversed(xs)]
     zeros = _lane_bytes(_unmatched_planes(xs, full)[0])
     # the unmatched 1s of a byte are the unmatched 0s of its mirror, mirrored
-    ones = _lane_bytes(_unmatched_planes(mirrored, full)[0][::-1])
-    # per mask: its set shifts from the highest, and the mask less its d
-    # highest (less its k lowest) set bits for d (k) from 0
-    shifts: list[tuple[int, ...]] = [()]
+    ones = _lane_bytes(_unmatched_planes([full ^ x for x in reversed(xs)], full)[0][::-1])
+    # per mask: the mask less its d highest (less its d lowest) set bits, for d from 0
     highs: list[tuple[int, ...]] = [()]
     lows: list[tuple[int, ...]] = [()]
     for m in range(1, 256):
-        top = m.bit_length() - 1
-        shifts.append((top, *shifts[m ^ 1 << top]))
-        highs.append((m, *highs[m ^ 1 << top]))
+        highs.append((m, *highs[m ^ 1 << (m.bit_length() - 1)]))
         lows.append((m, *lows[m & (m - 1)]))
-    chunks = tuple((len(shifts[z]), o.bit_count(), shifts[z]) for z, o in zip(zeros, ones))
-    rows = tuple((len(shifts[z]), o.bit_count(), highs[z], lows[o]) for z, o in zip(zeros, ones))
-    return chunks, rows, _lane_bytes(mirrored)
+    return tuple((z.bit_count(), o.bit_count(), highs[z], lows[o]) for z, o in zip(zeros, ones))
 
 
-_CHUNKS, _ROWS, _MIRROR = _byte_tables()
-
-
-def _scan(stream: bytes, n: int) -> tuple[list[int], int]:
-    """Unmatched 0s of a byte stream read left to right, and the final depth.
-
-    A 0 at coordinate t of the stream gets the shift n - t.
-    """
-    zeros: list[int] = []
-    depth = 0  # unmatched 1s so far
-    base = n - 8  # shift of the byte's lowest bit
-    for byte in stream:
-        a, b, chunk_zeros = _CHUNKS[byte]
-        if a > depth:
-            for z in chunk_zeros[depth:]:
-                zeros.append(base + z)
-            depth = b
-        else:
-            depth += b - a
-        base -= 8
-    return zeros, depth
+_ROWS = _byte_rows()
+# _profile's view of the rows: unpacking all four fields cost it 2-11% more
+# per call at n = 16 to 1024 (Python 3.11.7)
+_COUNTS = tuple(row[:2] for row in _ROWS)
 
 
 def _profile(n: int, v: int) -> tuple[int, int]:
     """The marking profile (a, b): the numbers of unmatched 0s and 1s.
 
-    The count-only form of :func:`_unmatched_zeros`: the same padded byte
-    stream, folded through the (a, b) fields of the byte table alone.
+    The count-only form of :func:`_unmatched_zeros`: the same stream, folded
+    through the (a, b) fields of the byte table alone.
     """
     pad = -n & 7
     zeros = 0
     depth = 0
     for byte in (((v + 1) << pad) - 1).to_bytes((n + pad) >> 3, "big"):
-        a, b, _ = _CHUNKS[byte]
+        a, b = _COUNTS[byte]
         if a > depth:
             zeros += a - depth
             depth = b
@@ -265,65 +234,52 @@ def _profile(n: int, v: int) -> tuple[int, int]:
     return zeros, depth - pad
 
 
-def _unmatched_zeros(n: int, v: int) -> tuple[list[int], int]:
-    """Shifts (n - coordinate) of the unmatched 0s, leftmost first, and the
-    number of unmatched 1s.
-    """
+def _unmatched_zeros(n: int, v: int) -> tuple[int, int]:
+    """The mask, by shift like v, of the unmatched 0s, and the number of
+    unmatched 1s: v's bits padded on the right with 1s up to a whole number
+    of bytes (trailing 1s match nothing), read left to right, 1s opening and
+    0s closing."""
     pad = -n & 7
-    zeros, depth = _scan((((v + 1) << pad) - 1).to_bytes((n + pad) >> 3, "big"), n)
-    return zeros, depth - pad
-
-
-def _unmatched_ones(n: int, v: int) -> tuple[list[int], int]:
-    """Shifts of the unmatched 1s, leftmost first, and the number of
-    unmatched 0s.
-    """
-    # The unmatched 0s of the mirrored stream, from coordinate n back to 1,
-    # are the unmatched 1s of v; v's high zero bits mirror to trailing 1s.
-    mirrored, depth = _scan(v.to_bytes((n + 7) >> 3, "little").translate(_MIRROR), n)
-    return [n - 1 - s for s in reversed(mirrored)], depth - (-n & 7)
-
-
-def _unmatched_masks(n: int, v: int) -> tuple[int, int]:
-    """Masks, by shift like v, of the unmatched 0s and of the unmatched 1s.
-
-    One left-to-right pass over the padded byte stream of
-    :func:`_unmatched_zeros`.  The open 1s stack up by byte: ``stack`` holds
-    an entry for each byte that still has open 1s, oldest first, and the
-    byte holds the depths from the entry's bottom up to the next entry's
-    bottom (the depth, for the last entry).  A byte's unmatched 0s close the
-    most recent open 1s, which pops the entries they empty; when they
-    outnumber the open 1s, they close all of them and the rest stay
-    unmatched.  The entries left at the end hold the unmatched 1s, each
-    byte's leftmost ones; the padding's 1s are among them and shift out.
-    """
-    pad = -n & 7
-    size = (n + pad) >> 3
-    zeros = 0
-    stack: list[tuple[int, int, tuple[int, ...]]] = []  # (bottom, shift, one_masks)
+    mask = 0
     depth = 0  # open 1s
-    shift = 8 * size
-    for byte in (((v + 1) << pad) - 1).to_bytes(size, "big"):
+    shift = n + pad
+    for byte in (((v + 1) << pad) - 1).to_bytes((n + pad) >> 3, "big"):
         shift -= 8
-        a, b, zero_masks, one_masks = _ROWS[byte]
+        a, b, zeros, _ = _ROWS[byte]
         if a > depth:
-            zeros |= zero_masks[depth] << shift
-            stack = []
-            depth = 0
-        elif a:
-            depth -= a
-            while stack and stack[-1][0] >= depth:
-                stack.pop()
-        if b:
-            stack.append((depth, shift, one_masks))
-            depth += b
-    ones = 0
-    top = depth
-    for bottom, shift, one_masks in reversed(stack):
-        # the byte's b own 1s less the top - bottom still open are closed
-        ones |= one_masks[len(one_masks) - top + bottom] << shift
-        top = bottom
-    return zeros >> pad, ones >> pad
+            mask |= zeros[depth] << shift
+            depth = b
+        else:
+            depth += b - a
+    return mask >> pad, depth - pad
+
+
+def _unmatched_ones(n: int, v: int) -> tuple[int, int]:
+    """The mask of the unmatched 1s and the number of unmatched 0s: the
+    stream of :func:`_unmatched_zeros` read right to left (its bytes little
+    end first), 0s opening and 1s closing.  The padding's 1s come first and
+    close nothing; they shift out."""
+    pad = -n & 7
+    mask = 0
+    depth = 0  # open 0s
+    shift = 0
+    for byte in (((v + 1) << pad) - 1).to_bytes((n + pad) >> 3, "little"):
+        a, b, _, ones = _ROWS[byte]
+        if b > depth:
+            mask |= ones[depth] << shift
+            depth = a
+        else:
+            depth += a - b
+        shift += 8
+    return mask >> pad, depth
+
+
+def _lowest(mask: int, k: int) -> int:
+    """The k lowest set bits of ``mask``, which has at least k."""
+    rest = mask
+    for _ in range(k):
+        rest &= rest - 1
+    return mask ^ rest
 
 
 @dataclass(frozen=True, slots=True)
@@ -393,9 +349,11 @@ class ChainPosition:
 
 
 def mark(x: BitVector) -> MarkedString:
-    """Run the marking stage (one byte-table pass)."""
-    zeros, ones = _unmatched_masks(x.n, x.value)
-    marked = format(zeros | ones, f"0{x.n}b").encode().translate(_MARKED_FLAGS)
+    """Run the marking stage (one byte-table pass, two when a 1 is unmatched)."""
+    n = x.n
+    zeros, b = _unmatched_zeros(n, x.value)
+    ones = _unmatched_ones(n, x.value)[0] if b else 0
+    marked = format(zeros | ones, f"0{n}b").encode().translate(_MARKED_FLAGS)
     return MarkedString(x.bits(), tuple(memoryview(marked).cast("?")))
 
 
@@ -488,7 +446,8 @@ def chain_code(x: BitVector) -> ChainCode:
 def position(x: BitVector) -> ChainPosition:
     """Locate x on its chain: code, bottom level k, level j, distance ell."""
     n = x.n
-    zeros, ones = _unmatched_masks(n, x.value)
+    zeros, b = _unmatched_zeros(n, x.value)
+    ones = _unmatched_ones(n, x.value)[0] if b else 0
     unmarked = zeros | ones
     spec = f"0{n}b"
     # x's ASCII digits less its unmatched 1s, so "0" at the unmarked coordinates,

@@ -28,12 +28,12 @@ def unmatched_shifts(n: int, v: int) -> tuple[list[int], list[int]]:
     return zeros, ones
 
 
-def chunk_table() -> tuple[tuple[int, int, tuple[int, ...]], ...]:
-    """``(a, b, shifts of the unmatched 0s)`` for every byte, by the scan."""
+def chunk_table() -> tuple[tuple[int, int], ...]:
+    """``(a, b)``, the numbers of unmatched 0s and 1s, for every byte, by the scan."""
     table = []
     for byte in range(256):
         zeros, ones = unmatched_shifts(8, byte)
-        table.append((len(zeros), len(ones), tuple(zeros)))
+        table.append((len(zeros), len(ones)))
     return tuple(table)
 
 

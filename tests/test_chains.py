@@ -8,13 +8,13 @@ from cubeball import chains
 from cubeball.bits import BitVector, distance
 from cubeball.chains import (
     ChainCode,
+    _COUNTS,
     _cube_blocks,
-    _CHUNKS,
+    _lowest,
     _profile,
     _reference_planes,
     _ROWS,
     _split_planes,
-    _unmatched_masks,
     _unmatched_ones,
     _unmatched_planes,
     _unmatched_zeros,
@@ -196,10 +196,8 @@ def _mask(shifts):
 def _assert_scans_agree(n, v):
     zeros, ones = unmatched_shifts(n, v)
     assert _profile(n, v) == (len(zeros), len(ones))
-    assert _unmatched_zeros(n, v) == (zeros, len(ones))
-    assert _unmatched_ones(n, v) == (ones, len(zeros))
-    # the one-pass kernel agrees with the two scans
-    assert _unmatched_masks(n, v) == (_mask(zeros), _mask(ones))
+    assert _unmatched_zeros(n, v) == (_mask(zeros), len(ones))
+    assert _unmatched_ones(n, v) == (_mask(ones), len(zeros))
 
 
 @pytest.mark.parametrize("n", range(15))
@@ -212,44 +210,57 @@ def test_unmatched_zeros_matches_stack_scan_exhaustive(n):
 @pytest.mark.parametrize("residue", range(8))
 @given(st.data())
 def test_unmatched_zeros_matches_stack_scan_large_n(residue, data):
-    # every residue of n mod 8 pads both byte streams, the input and its
-    # mirror, with a different number of trailing 1s
+    # every residue of n mod 8 pads the byte stream with a different number
+    # of trailing 1s, which the right-to-left pass reads first
     n = data.draw(lengths_with_residue(residue))
     _assert_scans_agree(n, data.draw(st.integers(0, (1 << n) - 1)))
 
 
 def test_chunk_table_matches_stack_scan():
-    assert _CHUNKS == chunk_table()
+    assert _COUNTS == chunk_table()
 
 
 def test_byte_rows_match_stack_scan():
     for byte, (a, b, zeros, ones) in enumerate(_ROWS):
-        assert (a, b) == _CHUNKS[byte][:2]
-        # d open 1s ahead of the byte, or k 0s after it
+        assert (a, b) == chunk_table()[byte]
+        # d open 1s ahead of the byte, or d open 0s after it
         assert zeros == tuple(
             _mask(s for s in unmatched_shifts(8 + d, ((1 << d) - 1) << 8 | byte)[0] if s < 8)
             for d in range(a)
         )
         assert ones == tuple(
-            _mask(s - k for s in unmatched_shifts(8 + k, byte << k)[1] if s >= k)
-            for k in range(b)
+            _mask(s - d for s in unmatched_shifts(8 + d, byte << d)[1] if s >= d)
+            for d in range(b)
         )
+
+
+@given(st.sets(st.integers(0, 2099)))
+def test_lowest_takes_the_lowest_set_bits(shifts):
+    # every k costs k steps, so the masks are sparse to keep every k
+    mask = _mask(shifts)
+    want = 0
+    for k, s in enumerate(sorted(shifts)):
+        assert _lowest(mask, k) == want
+        want |= 1 << s
+    assert _lowest(mask, len(shifts)) == mask
 
 
 def test_mark_and_position_make_one_pass(monkeypatch):
     passes = []
-    for name in ("_unmatched_masks", "_scan"):
+    for name in ("_unmatched_zeros", "_unmatched_ones"):
         kernel = getattr(chains, name)
         monkeypatch.setattr(
-            chains, name, lambda *args, kernel=kernel: passes.append(args) or kernel(*args)
+            chains, name, lambda *args, name=name, kernel=kernel: passes.append(name) or kernel(*args)
         )
-    # every vertex at n <= 10, most of which leave 1s unmatched
+    # every vertex at n <= 10, most of which leave 1s unmatched; the 1s pass
+    # runs only for those
     for n in range(1, 11):
         for v in range(1 << n):
+            ones = unmatched_shifts(n, v)[1]
             for f in (mark, position):
                 passes.clear()
                 f(BitVector(n, v))
-                assert passes == [(n, v)]
+                assert passes == ["_unmatched_zeros"] + ["_unmatched_ones"] * bool(ones)
 
 
 @pytest.mark.parametrize("n", [*range(1, 11), 1030, 2050])
