@@ -205,7 +205,7 @@ def flip_probability_exact(n: int, i: int) -> Fraction:
     library ceiling, 2^28 bits, is refused.
     """
     _require_flip_exact(n, i)
-    return _flip_probability(n)
+    return Fraction(comb(n - 1, n // 2 - 1), 1 << n)
 
 
 def _require_flip_exact(n: int, i: int) -> None:
@@ -214,12 +214,6 @@ def _require_flip_exact(n: int, i: int) -> None:
         raise CoordinateRangeError(f"coordinate {i} out of [1, {n}]")
     if n > DEFAULT_ENUMERATION_CAP:
         raise EnumerationCapError(n, DEFAULT_ENUMERATION_CAP, "bits per binomial")
-
-
-@lru_cache(maxsize=8)
-def _flip_probability(n: int) -> Fraction:
-    """The one value of every coordinate, so a run over all n computes it once."""
-    return Fraction(comb(n - 1, n // 2 - 1), 1 << n)
 
 
 def flip_probability_exhaustive(

@@ -395,9 +395,10 @@ def _edge_sweep(blocks: _Blocks, m: int) -> tuple[int, tuple[int, int], int, int
             if hit:
                 at = hit
                 top |= 1 << j
-        z = start + _lowest_lane(at)
-        if top > best or (top == best and z < bz):
-            best, bz, bi = top, z, i
+        if top >= best:  # only then can this block move the witness
+            z = start + _lowest_lane(at)
+            if top > best or z < bz:
+                best, bz, bi = top, z, i
     return best, (bz, bi), total, edges
 
 

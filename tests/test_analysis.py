@@ -211,7 +211,6 @@ def test_exact_flipprob_computes_the_binomial_once(monkeypatch):
         return comb(n, k)
 
     monkeypatch.setattr(analysis, "comb", counting)
-    analysis._flip_probability.cache_clear()
     out = io.StringIO()
     assert run(["stats", "flipprob", "--n", "10"], stdout=out) == 0
     assert len(out.getvalue().splitlines()) == 10
