@@ -32,12 +32,12 @@ over the whole cube.  For each block of vertices the bit-sliced marking
 kernel and the map's plane rule, ``_MAPS[kind].planes``, give the images'
 planes.  The inverse sweep runs the map's inverse plane rule,
 ``_MAPS[kind].inverse_planes``, on every block of {0,1}^(n+1), and keeps
-the ball, found by a bit-sliced weight counter.
-Before that, ``_prove_bijective`` runs the inverse rule on the forward
-planes and checks lane by lane that it gives back every vertex and that
-every image lies in the ball: the map is then injective into a set as large
-as the cube, so it is a bijection onto the ball and the inverse rule is its
-inverse there.
+the ball, found by a bit-sliced weight counter.  In the same pass
+``_preimage_blocks`` runs the forward plane rule on the inverse rule's
+planes and checks lane by lane that it gives back every ball point: the
+inverse rule is then injective on the ball, a set as large as the cube, so
+the map is a bijection onto the ball and the inverse rule is its inverse
+there.  The sweep reads only planes that this proof checked.
 
 Both exhaustive sweeps and the swap audit share one sweep, ``_edge_sweep``,
 over the blocks' planes and kept lanes.  A coordinate whose stride lies
@@ -51,17 +51,18 @@ loops over the same pairing and popcounts the marks.  The pair and swap
 ratio audits read their extremes off edge sweeps, because the cube and the
 ball are geodesic (see :class:`RatioAudit`).
 
-The swap audit runs psi's inverse plane rule on {0,1}^(n+1), flips the
-planes of the swap's bits, and runs the forward plane rule on the result,
-so its sweep reads the swap map's planes with no table in between.
+The swap audit takes psi's proven inverse planes from ``_preimage_blocks``,
+flips the planes of the swap's bits, and runs the forward plane rule on the
+result, so its sweep reads the swap map's planes with no table in between.
 
 ``image_table`` and ``preimage_table`` are ``array('i')`` tables at 4 bytes
 per entry, for small sampled runs, the worked examples and the acceptance
-criteria.  ``image_table`` transposes the same block planes into the table
-(``_set_planes``).  ``preimage_table`` scatters the images into their
-lanes and proves, apart from the lane proof, that the table is a bijection
-onto the ball: the lanes written, read off the table's sign bits as one
-plane, must be the ball's lanes in each block.
+criteria; past the default enumeration cap they are refused before they
+allocate.  ``image_table`` transposes the same block planes into the table
+(``_set_planes``).  ``preimage_table`` scatters the images into their lanes
+and proves, apart from the lane proof, that the table is a bijection onto
+the ball: the lanes written, read off the table's sign bits as one plane,
+must be the ball's lanes in each block.
 """
 
 from __future__ import annotations
@@ -73,7 +74,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterator, Optional
+from typing import Iterator, Optional
 
 from .bijections import _MAPS, BijectionKind, _require_dimension
 from .bits import DEFAULT_ENUMERATION_CAP, BitVector, EdgeId, _low_mask, _require_cap
@@ -213,35 +214,30 @@ def _ball_lanes(zs: list[int], full: int) -> int:
     return full ^ _subtract(weight, bound)[1]  # the borrow marks weight < n/2 + 1
 
 
-def _ball_blocks(n: int, rule: Callable[[list[int], int], list[int]]) -> _Blocks:
-    """``rule``'s planes and the ball's lanes (:func:`_ball_lanes`) per block of {0,1}^(n+1)."""
-    return [(rule(zs, full), _ball_lanes(zs, full)) for zs, full in _cube_blocks(n + 1)]
+def _preimage_blocks(kind: BijectionKind, n: int) -> _Blocks:
+    """The inverse plane rule's planes and the ball's lanes per block of
+    {0,1}^(n+1), proven to be the map's inverse on the ball.
 
-
-def _prove_bijective(kind: BijectionKind, n: int) -> None:
-    """Prove, lane by lane, that the map is a bijection onto the ball with
-    its inverse plane rule as the inverse.
-
-    For every vertex x the rule G must give back x from F(x), and F(x) must
-    lie in the ball.  A left inverse makes F injective, and the ball has
-    2^n points, as many as the cube, so F is onto it and G is F^-1 there.
-    The first vertex that fails raises :class:`BijectivityError`.
+    For every ball point z the forward rule F must give back z from the
+    inverse rule's G(z).  A right inverse makes G injective on the ball,
+    which has 2^n points, as many as the cube, so G is onto the cube, F is a
+    bijection onto the ball and G is F^-1 there.  The first ball point that
+    fails raises :class:`BijectivityError`.
     """
-    inverse = _MAPS[kind].inverse_planes
-    start = 0
-    for xs, full, images in _image_blocks(kind, n):
-        outside = full ^ _ball_lanes(images, full)
+    rules = _MAPS[kind]
+    blocks: _Blocks = []
+    for k, (zs, full) in enumerate(_cube_blocks(n + 1)):
+        ball = _ball_lanes(zs, full)
+        back = rules.inverse_planes(zs, full)
         wrong = 0
-        for x, back in zip(xs, inverse(images, full), strict=True):
-            wrong |= x ^ back
-        bad = outside | wrong
-        if bad:
-            r = _lowest_lane(bad)
-            v = f"{start + r:0{n}b}"
-            if outside >> r & 1:
-                raise BijectivityError(f"{kind.value} sends vertex {v} outside the ball")
-            raise BijectivityError(f"{kind.value} inverse rule does not give back vertex {v}")
-        start += full.bit_length()
+        for p, q in zip(zs, rules.planes(back, full, *_unmatched_planes(back, full)), strict=True):
+            wrong |= p ^ q
+        wrong &= ball
+        if wrong:
+            z = k * full.bit_length() + _lowest_lane(wrong)
+            raise BijectivityError(f"{kind.value} does not give back ball point {z:0{n + 1}b}")
+        blocks.append((back, ball))
+    return blocks
 
 
 @lru_cache(maxsize=16)
@@ -254,16 +250,14 @@ def image_table(kind: BijectionKind, n: int) -> array:
     """
     kind = BijectionKind(kind)
     _require_dimension(n, kind.value)
+    _require_cap(n, DEFAULT_ENUMERATION_CAP, "table entries")
     table = array("i", [0]) * (1 << n)
-    start = 0
-    for _, full, images in _image_blocks(kind, n):
+    for k, (_, full, images) in enumerate(_image_blocks(kind, n)):
         lanes = full.bit_length()
-        _set_planes(table, start, images, lanes)
-        start += lanes
+        _set_planes(table, k * lanes, images, lanes)
     return table
 
 
-@lru_cache(maxsize=16)
 def preimage_table(kind: BijectionKind, n: int) -> array:
     """Preimage values indexed by length-(n+1) value; -1 outside the ball.
 
@@ -271,6 +265,8 @@ def preimage_table(kind: BijectionKind, n: int) -> array:
     table alone, apart from the lane proof: a collision or a ball point
     with no preimage raises :class:`BijectivityError`.
     """
+    _require_dimension(n, BijectionKind(kind).value)
+    _require_cap(n + 1, DEFAULT_ENUMERATION_CAP, "table entries")
     fwd = image_table(kind, n)
     inv = array("i", [-1]) * (1 << (n + 1))
     for v, z in enumerate(fwd):
@@ -281,8 +277,8 @@ def preimage_table(kind: BijectionKind, n: int) -> array:
     # share an image and the images fill it.  The plane is compared with
     # the ball a block at a time.
     unwritten = int(_byte_column(inv, inv.itemsize - 1).translate(_SIGN_DIGITS), 2)
-    start = 0
-    for zs, full in _cube_blocks(n + 1):
+    for k, (zs, full) in enumerate(_cube_blocks(n + 1)):
+        start = k * full.bit_length()
         differ = full ^ (unwritten >> start & full) ^ _ball_lanes(zs, full)
         if differ:
             # Name the fault as a checked scatter would: the first collision
@@ -295,7 +291,6 @@ def preimage_table(kind: BijectionKind, n: int) -> array:
                 seen.add(z)
             z = start + _lowest_lane(differ)
             raise BijectivityError(f"{kind.value} image does not match the ball at {z:0{n + 1}b}")
-        start += full.bit_length()
     return inv
 
 
@@ -443,16 +438,15 @@ def inverse_stretch_exhaustive(
 ) -> StretchReport:
     """Exact max and average inverse stretch over ball-induced edges.
 
-    Proves first that the map is a bijection onto the ball and that its
-    inverse plane rule inverts it there (:func:`_prove_bijective`), then
-    sweeps the rule's planes over {0,1}^(n+1) with the ball kept.
+    Sweeps the inverse plane rule's planes over {0,1}^(n+1) with the ball
+    kept, in the same pass that proves the map a bijection onto the ball
+    with that rule as its inverse (:func:`_preimage_blocks`).
     """
     kind = BijectionKind(kind)
     _require_dimension(n, kind.value)
     _require_cap(n + 1, cap, "(z, i) pairs", n + 1)
-    _prove_bijective(kind, n)
     return _exhaustive_report(
-        kind, Direction.INVERSE, n, _ball_blocks(n, _MAPS[kind].inverse_planes), n + 1,
+        kind, Direction.INVERSE, n, _preimage_blocks(kind, n), n + 1,
         "ordered induced (z,i) pairs on the ball subgraph",
     )
 
@@ -563,8 +557,8 @@ def transitivity_ratio_audit(
     g(z) = psi(psi^-1(z) ^ delta) with delta = psi^-1(x) ^ psi^-1(y).  Its
     planes over {0,1}^(n+1) come from psi's plane rules: the inverse rule,
     with the planes of delta's set bits complemented, then the forward
-    rule.  :func:`_prove_bijective` first shows that the inverse rule is
-    psi^-1 on the ball.  The audit checks g(x) = y and g(y) = x on the
+    rule, on the inverse rule's planes that :func:`_preimage_blocks` proves
+    to be psi^-1 on the ball.  The audit checks g(x) = y and g(y) = x on the
     planes and sweeps g's ball edges for the extreme distance ratios over
     all unordered ball pairs; ``cap`` bounds the (z, i) pairs swept.  No
     table is built.
@@ -576,24 +570,20 @@ def transitivity_ratio_audit(
     _require_cap(m, cap, "(z, i) pairs", m)
     if 2 * xv.bit_count() <= n or 2 * yv.bit_count() <= n:
         raise BijectivityError("audit endpoints must lie inside the ball")
-    # the inverse plane rule below is psi^-1 on the ball only once this holds
-    _prove_bijective(BijectionKind.PSI, n)
     psi = _MAPS[BijectionKind.PSI]
     delta = psi.inverse(BitVector(m, xv)).value ^ psi.inverse(BitVector(m, yv)).value
-
-    def swap(zs: list[int], full: int) -> list[int]:
-        back = psi.inverse_planes(zs, full)
+    blocks = _preimage_blocks(BijectionKind.PSI, n)
+    width = m + 1 - len(blocks).bit_length()  # 2^width lanes per block
+    full = (1 << (1 << width)) - 1
+    for k, (back, ball) in enumerate(blocks):
         xs = [p ^ full if delta >> t & 1 else p for t, p in enumerate(back)]
-        return psi.planes(xs, full, *_unmatched_planes(xs, full))
-
-    blocks = _ball_blocks(n, swap)
+        blocks[k] = psi.planes(xs, full, *_unmatched_planes(xs, full)), ball
     # The ball is geodesic, so no pair ratio of g exceeds its largest
     # ball-edge stretch s.  g is an involution, so d(a, b) =
     # d(g(g(a)), g(g(b))) <= s * d(g(a), g(b)): no ratio falls below 1/s,
     # and (g(a), g(b)) attains it for an edge (a, b) stretched by s.  The
     # ratios span exactly [1/s, s].
     s = _edge_sweep(blocks, m)[0]
-    width = m + 1 - len(blocks).bit_length()
 
     def g(z: int) -> int:
         b, r = divmod(z, 1 << width)

@@ -161,6 +161,11 @@ def test_cli_output_matches_golden(name, argv):
     assert _stdout(argv) == (GOLDEN / f"{name}.txt").read_text()
 
 
+def test_every_golden_file_is_named_by_exactly_one_case():
+    # a renamed case must not leave its old file behind, unchecked
+    assert sorted(f"{name}.txt" for name, _ in CASES) == sorted(p.name for p in GOLDEN.iterdir())
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for name, argv in CASES:

@@ -185,10 +185,8 @@ def test_image_table_matches_scalar_map_across_blocks(monkeypatch, fresh_tables,
 @pytest.fixture
 def fresh_tables():
     metrics.image_table.cache_clear()
-    metrics.preimage_table.cache_clear()
     yield
     metrics.image_table.cache_clear()
-    metrics.preimage_table.cache_clear()
 
 
 @pytest.mark.parametrize(
@@ -420,17 +418,19 @@ def _miss_point(rule, z):
 
 @pytest.mark.parametrize("block_bits", [3, 16])
 @pytest.mark.parametrize(
-    "fault,message",
+    "fault",
     [
-        # vertex 100101 collides with vertex 0, whose image the inverse gives back as 0
-        ("collision", "psi inverse rule does not give back vertex 100101"),
+        # vertex 100101 collides with vertex 0
+        "collision",
         # 0000111 has weight n/2 = 3, just outside the ball
-        ("outside-ball", "psi sends vertex 100101 outside the ball"),
-        ("inverse", "psi inverse rule does not give back vertex 100101"),
+        "outside-ball",
+        "inverse",
     ],
 )
-def test_inverse_sweep_proof_rejects_a_faulty_rule(monkeypatch, block_bits, fault, message):
-    # with blocks of 8 vertices, vertex 37 = 100101 sits in the fifth block
+def test_inverse_sweep_proof_rejects_a_faulty_rule(monkeypatch, block_bits, fault):
+    # Each fault breaks psi(100101) = 1011010 only: the forward rule sends
+    # the inverse rule's 100101 elsewhere, or the inverse rule misses it.
+    # With blocks of 8 points, 1011010 = 90 sits in the twelfth block.
     monkeypatch.setattr(chains, "_BLOCK_BITS", block_bits)
     n, v = 6, 0b100101
     rules = _MAPS[PSI]
@@ -441,7 +441,7 @@ def test_inverse_sweep_proof_rejects_a_faulty_rule(monkeypatch, block_bits, faul
         image = rules.value(n, 0) if fault == "collision" else 0b0000111
         faulty = dataclasses.replace(rules, planes=_send_vertex(rules.planes, v, image))
     monkeypatch.setitem(_MAPS, PSI, faulty)
-    with pytest.raises(BijectivityError, match=f"^{message}$"):
+    with pytest.raises(BijectivityError, match="^psi does not give back ball point 1011010$"):
         metrics.inverse_stretch_exhaustive(PSI, n)
 
 
@@ -452,9 +452,66 @@ def test_transitivity_audit_proves_the_inverse_rule_first(monkeypatch):
     faulty = dataclasses.replace(
         rules, inverse_planes=_miss_point(rules.inverse_planes, rules.value(n, v)))
     monkeypatch.setitem(_MAPS, PSI, faulty)
-    message = "^psi inverse rule does not give back vertex 100101$"
+    message = "^psi does not give back ball point 1011010$"
     with pytest.raises(BijectivityError, match=message):
         metrics.transitivity_ratio_audit(0b1111111, 0b0111111, n)
+
+
+def test_inverse_sweep_and_swap_audit_run_the_inverse_rule_once_per_block(monkeypatch):
+    # blocks of 8 points: 8 cover {0,1}^6 and 16 cover {0,1}^7
+    monkeypatch.setattr(chains, "_BLOCK_BITS", 3)
+    rules = _MAPS[PSI]
+    forward_inputs, inverse_outputs = [], []
+
+    def planes(xs, full, *marking):
+        forward_inputs.append(list(xs))
+        return rules.planes(xs, full, *marking)
+
+    def inverse_planes(zs, full):
+        inverse_outputs.append(rules.inverse_planes(zs, full))
+        return list(inverse_outputs[-1])
+
+    monkeypatch.setitem(
+        _MAPS, PSI, dataclasses.replace(rules, planes=planes, inverse_planes=inverse_planes))
+    metrics.inverse_stretch_exhaustive(PSI, 6)
+    # the forward rule reads the inverse rule's planes only, never a block of {0,1}^6
+    assert (len(forward_inputs), len(inverse_outputs)) == (16, 16)
+    assert forward_inputs == inverse_outputs
+    forward_inputs.clear()
+    inverse_outputs.clear()
+    metrics.transitivity_ratio_audit(0b1111111, 0b0111111, 6)
+    # 16 to prove the inverse planes, then 16 for the swap map's planes
+    assert (len(forward_inputs), len(inverse_outputs)) == (32, 16)
+    assert forward_inputs[:16] == inverse_outputs
+
+
+def _complement_outside_ball(rule):
+    """An inverse plane rule that gives the complement of ``rule``'s lanes
+    outside the ball, where the values mean nothing."""
+
+    def other(zs, full):
+        outside = full ^ metrics._ball_lanes(zs, full)
+        return [p ^ outside for p in rule(zs, full)]
+
+    return other
+
+
+@pytest.mark.parametrize("block_bits", [3, 16])
+def test_inverse_rules_lanes_outside_the_ball_change_no_report(monkeypatch, block_bits):
+    # the proof runs the forward rule on those lanes too
+    monkeypatch.setattr(chains, "_BLOCK_BITS", block_bits)
+
+    def reports():
+        return ([metrics.inverse_stretch_exhaustive(kind, n).to_record()
+                 for kind in (PSI, PHI, NAIVE) for n in (2, 4, 6, 8)],
+                metrics.transitivity_ratio_audit(0b1111111, 0b0111111, 6))
+
+    want = reports()
+    for kind in (PSI, PHI, NAIVE):
+        rules = _MAPS[kind]
+        other = _complement_outside_ball(rules.inverse_planes)
+        monkeypatch.setitem(_MAPS, kind, dataclasses.replace(rules, inverse_planes=other))
+    assert reports() == want
 
 
 @pytest.mark.parametrize("kind", [PSI, PHI, NAIVE])
@@ -820,9 +877,11 @@ def test_enumeration_caps():
         lambda n: analysis.chain_count_enumerated(n),
         lambda n: analysis.unmarked_profile_histogram(n),
         lambda n: analysis.flip_probability_exhaustive(n, 1),
+        lambda n: metrics.image_table(PSI, n),
+        lambda n: metrics.preimage_table(PSI, n),
     ],
     ids=["forward", "inverse", "pairwise", "transitivity", "influence", "chains",
-         "histogram", "flip-exhaustive"],
+         "histogram", "flip-exhaustive", "image-table", "preimage-table"],
 )
 def test_cap_rejects_huge_n_before_building_two_to_the_n(entry):
     # 2^(10^8) alone would take 12 MiB
@@ -859,6 +918,17 @@ def test_n_past_the_library_ceiling_is_refused_without_building_it(entry):
         entry(n + 1)
     with pytest.raises(DimensionError):
         entry(0)
+
+
+def test_table_builders_refuse_just_past_the_cap(monkeypatch, fresh_tables):
+    # a cap of 2^8 entries admits the image table at n = 8 but not its
+    # preimage table, which has 2^9 entries
+    monkeypatch.setattr(metrics, "DEFAULT_ENUMERATION_CAP", 1 << 8)
+    assert len(metrics.image_table(PSI, 8)) == 1 << 8
+    with pytest.raises(EnumerationCapError, match="^enumeration of 512 table entries exceeds"):
+        metrics.preimage_table(PSI, 8)
+    with pytest.raises(EnumerationCapError, match="^enumeration of 1024 table entries exceeds"):
+        metrics.image_table(PSI, 10)
 
 
 def test_preimage_table_inverts_image_table():
