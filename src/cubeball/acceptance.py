@@ -11,8 +11,8 @@ criterion, repeated deletion of the leftmost or rightmost ``10`` pair, and
 the three-scan split marking.  Each oracle runs lane-parallel, one lane per
 vertex, on the bit planes of the whole cube (``analysis._dyck_planes``,
 ``chains._reference_planes``, ``chains._split_planes``).  ``mark`` itself
-runs once per vertex; its marks are transposed into planes that both
-criteria share, and the criteria compare plane against plane.  A
+runs once per vertex; the digits of its mask are transposed into planes
+that both criteria share, and the criteria compare plane against plane.  A
 disagreement is reported at the first (x, i) that a per-vertex loop would
 meet.  The per-vertex forms of the oracles (``dyck_marked_coordinates``,
 ``mark_reference``, ``mark_via_split``) live in ``tests/marking_oracle.py``,
@@ -62,10 +62,6 @@ NAIVE_RATIO_HI = Fraction(107, 100)
 # 0.3750 (n=4) to 0.3919 (n=14); 2/5 holds at every even n, because
 # p = C(n, n/2)/2^(n+1) gives p * sqrt(n) < 1/sqrt(2 pi) ~ 0.3989.
 FLIP_SCALING_BOUND = Fraction(2, 5)
-
-# bytes.translate table sending the bytes 0 and 1 to ASCII "0" and "1"
-_ASCII_BITS = bytes.maketrans(b"\0\1", b"01")
-
 
 @dataclass(frozen=True, slots=True)
 class CriterionResult:
@@ -236,15 +232,16 @@ def _marked_planes(n: int) -> tuple[int, ...]:
     """The public ``mark`` run on every vertex of {0,1}^n, as planes indexed
     by shift like ``chains._cube_blocks``.
 
-    Each vertex's marks, one byte per coordinate, are appended to one
-    buffer as it is marked, so no ``MarkedString`` outlives its row.  In the
-    reversed buffer, plane s is every n-th byte from byte s, lane 0 last.
+    Each vertex's mask, n ASCII digits, is appended to one buffer as it is
+    marked, so no ``MarkedString`` outlives its row.  In the reversed buffer,
+    plane s is every n-th digit from digit s, lane 0 last.
     """
+    spec = f"0{n}b"
     rows = bytearray()
     for v in range(1 << n):
-        rows += bytes(mark(BitVector(n, v)).marked)
+        rows += format(mark(BitVector(n, v)).mask, spec).encode()
     rows.reverse()
-    return tuple(int(rows[s::n].translate(_ASCII_BITS), 2) for s in range(n))
+    return tuple(int(rows[s::n], 2) for s in range(n))
 
 
 def _differing_lanes(got: list[int], want: tuple[int, ...]) -> int:

@@ -37,9 +37,10 @@ x reversed and complemented.  So :func:`_unmatched_ones` is the same pass
 read right to left, 0s opening and 1s closing, from the table's fourth
 field; it gives the mask of unmatched 1s and the number of unmatched 0s,
 which is all an inverse map needs.  ``mark`` and ``position`` OR the two
-masks and run the 1s pass only when a 1 is unmatched.  :func:`_profile`
-folds the stream through the counts alone and gives just (a, b), which is
-all the edge-distance rules in ``bijections`` need.
+masks and run the 1s pass only when a 1 is unmatched; ``mark`` keeps their
+complement, laid out like x's value, as the mask of its :class:`MarkedString`.
+:func:`_profile` folds the stream through the counts alone and gives just
+(a, b), which is all the edge-distance rules in ``bijections`` need.
 
 Whole-cube work marks every vertex at once, bit-sliced.
 :func:`_cube_blocks` cuts {0,1}^n into blocks of 2^16 consecutive vertices
@@ -66,9 +67,7 @@ from .errors import LevelRangeError
 BLANK = "_"
 _CODE_ALPHABET = frozenset("01" + BLANK)
 
-# The ASCII digits of a mask of unmarked coordinates, to mark()'s flags, and
-# to what position() adds to a "0" to make it a blank.
-_MARKED_FLAGS = bytes.maketrans(b"01", b"\1\0")
+# The ASCII digits of the unmarked mask, to what position() adds to a "0" to make it a blank
 _BLANK_OFFSETS = bytes.maketrans(b"01", bytes((0, ord(BLANK) - ord("0"))))
 
 # Whole-cube scans take the cube in blocks of 2^_BLOCK_BITS vertices.
@@ -284,21 +283,22 @@ def _lowest(mask: int, k: int) -> int:
 
 @dataclass(frozen=True, slots=True)
 class MarkedString:
-    """Per-coordinate (bit, marked) pairs produced by the marking stage."""
+    """A vertex and its marks: bit n - i of ``mask`` is set iff coordinate i is marked."""
 
-    bits: tuple[int, ...]
-    marked: tuple[bool, ...]
+    vertex: BitVector
+    mask: int
 
     def __post_init__(self):
-        if len(self.bits) != len(self.marked) or not self.bits:
-            raise ValueError("bits and marks must be non-empty and equally long")
+        if not 0 <= self.mask < 1 << self.vertex.n:
+            raise ValueError(f"mask {self.mask} out of range for length {self.vertex.n}")
 
     @property
-    def n(self) -> int:
-        return len(self.bits)
+    def marked(self) -> tuple[bool, ...]:
+        """Per coordinate, from coordinate 1 on, whether it is marked."""
+        return tuple(c == "1" for c in format(self.mask, f"0{self.vertex.n}b"))
 
     def marked_coordinates(self) -> tuple[int, ...]:
-        return tuple(i + 1 for i, m in enumerate(self.marked) if m)
+        return tuple(i for i, m in enumerate(self.marked, 1) if m)
 
 
 @dataclass(frozen=True, slots=True)
@@ -353,8 +353,7 @@ def mark(x: BitVector) -> MarkedString:
     n = x.n
     zeros, b = _unmatched_zeros(n, x.value)
     ones = _unmatched_ones(n, x.value)[0] if b else 0
-    marked = format(zeros | ones, f"0{n}b").encode().translate(_MARKED_FLAGS)
-    return MarkedString(x.bits(), tuple(memoryview(marked).cast("?")))
+    return MarkedString(x, ((1 << n) - 1) ^ (zeros | ones))
 
 
 def _reference_planes(xs: list[int], full: int, rightmost_first: bool = False) -> list[int]:

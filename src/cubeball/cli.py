@@ -59,6 +59,8 @@ def _check_sampled(ns: argparse.Namespace) -> None:
             raise UsageError("sampled sweeps are forward only")
         if ns.samples < 1:
             raise UsageError("--samples must be >= 1")
+        if ns.seed < 0:
+            raise UsageError("--seed must be >= 0")
 
 
 def _require_digits(bits: int, what: str) -> None:

@@ -464,8 +464,8 @@ def forward_stretch_sampled(
     _require_dimension(n, kind.value)
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
-    if seed is None:
-        raise ValueError("sampled mode requires an explicit seed")
+    if seed is None or seed < 0:  # random.Random(-s) would draw the stream of s
+        raise ValueError(f"sampled mode requires an explicit seed >= 0, got {seed}")
     if n > DEFAULT_ENUMERATION_CAP:
         raise EnumerationCapError(n, DEFAULT_ENUMERATION_CAP, "bits per draw")
     rng = random.Random(seed)

@@ -59,7 +59,7 @@ def mark_reference(x: BitVector, rightmost_first: bool = False) -> MarkedString:
             break
         marked[active[hit]] = marked[active[hit + 1]] = True
         del active[hit : hit + 2]
-    return MarkedString(bits, tuple(marked))
+    return MarkedString(x, sum(m << (x.n - 1 - t) for t, m in enumerate(marked)))
 
 
 def mark_via_split(x: BitVector, i: int) -> MarkedString:
@@ -89,7 +89,7 @@ def mark_via_split(x: BitVector, i: int) -> MarkedString:
     stage(range(1, i))
     stage(range(i + 1, n + 1))
     stage(p for p in range(1, n + 1) if not marked[p])
-    return MarkedString(x.bits(), tuple(marked[1:]))
+    return MarkedString(x, sum(marked[p] << (n - p) for p in range(1, n + 1)))
 
 
 def dyck_is_marked(x: BitVector, i: int) -> bool:

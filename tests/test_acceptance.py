@@ -38,18 +38,30 @@ def fresh_marks():
     acceptance._marked_planes.cache_clear()
 
 
-def test_dropped_mark_is_named_by_criteria_11_and_12(monkeypatch, fresh_marks):
+def _mark_with_flipped_bit(monkeypatch, bit):
+    """Patch ``mark`` so that the marking of 000000010 has mask bit ``bit`` flipped."""
     real = acceptance.mark
 
-    def dropping(x):  # forgets that coordinate 9 of 000000010 is marked
+    def faulty(x):
         ms = real(x)
         if (x.n, x.value) == (9, 0b000000010):
-            return MarkedString(ms.bits, ms.marked[:8] + (False,))
+            return MarkedString(ms.vertex, ms.mask ^ 1 << bit)
         return ms
 
-    monkeypatch.setattr(acceptance, "mark", dropping)
+    monkeypatch.setattr(acceptance, "mark", faulty)
+
+
+def test_dropped_mark_is_named_by_criteria_11_and_12(monkeypatch, fresh_marks):
+    _mark_with_flipped_bit(monkeypatch, 0)  # forgets that coordinate 9 is marked
     c11, c12 = acceptance.run_criterion(11), acceptance.run_criterion(12)
     assert not c11.passed and c11.detail == "disagreement at x=000000010, i=9"
+    assert not c12.passed and c12.detail == "pair-choice order changes the marking of 000000010"
+
+
+def test_spurious_mark_is_named_by_criteria_11_and_12(monkeypatch, fresh_marks):
+    _mark_with_flipped_bit(monkeypatch, 8)  # claims that coordinate 1 is marked
+    c11, c12 = acceptance.run_criterion(11), acceptance.run_criterion(12)
+    assert not c11.passed and c11.detail == "disagreement at x=000000010, i=1"
     assert not c12.passed and c12.detail == "pair-choice order changes the marking of 000000010"
 
 

@@ -8,6 +8,7 @@ from cubeball import chains
 from cubeball.bits import BitVector, distance
 from cubeball.chains import (
     ChainCode,
+    MarkedString,
     _COUNTS,
     _cube_blocks,
     _lowest,
@@ -33,7 +34,8 @@ from strategies import bit_vectors, lengths_with_residue
 def test_mark_worked_example():
     ms = mark(BitVector.parse("01100110"))
     assert ms.marked_coordinates() == (2, 3, 4, 5, 7, 8)
-    assert ms.bits == (0, 1, 1, 0, 0, 1, 1, 0)
+    assert ms.mask == 0b01111011
+    assert ms.vertex.bits() == (0, 1, 1, 0, 0, 1, 1, 0)
 
 
 def test_mark_nothing_to_mark():
@@ -123,13 +125,13 @@ def test_chain_code_accepts_exactly_the_balanced_codes(n):
 @given(bit_vectors(max_n=48))
 def test_unmarked_bits_read_zeros_then_ones(v):
     ms = mark(v)
-    pattern = [b for b, m in zip(ms.bits, ms.marked) if not m]
+    pattern = [b for b, m in zip(ms.vertex.bits(), ms.marked) if not m]
     assert pattern == sorted(pattern)
-    marked_bits = [b for b, m in zip(ms.bits, ms.marked) if m]
+    marked_bits = [b for b, m in zip(ms.vertex.bits(), ms.marked) if m]
     assert marked_bits.count(0) == marked_bits.count(1)
 
 
-@given(bit_vectors(max_n=24))
+@given(bit_vectors(max_n=2050))
 def test_mark_matches_both_reference_orders(v):
     base = mark(v)
     assert mark_reference(v) == base
@@ -269,8 +271,25 @@ def test_marked_string_element_types(n):
     values = range(1 << n) if n <= 10 else [(1 << n) // 3, (1 << n) // 7, (1 << n) - 1, 0]
     for v in values:
         ms = mark(BitVector(n, v))
-        assert {type(b) for b in ms.bits} == {int}
         assert {type(m) for m in ms.marked} == {bool}
+        assert ms.marked == tuple(bool(ms.mask >> (n - i) & 1) for i in range(1, n + 1))
+        assert ms.marked_coordinates() == tuple(
+            i for i in range(1, n + 1) if ms.mask >> (n - i) & 1)
+
+
+@pytest.mark.parametrize("mask", [-1, 1 << 4, 1 << 9])
+def test_marked_string_rejects_a_mask_outside_its_length(mask):
+    with pytest.raises(ValueError):
+        MarkedString(BitVector.parse("1100"), mask)
+
+
+def test_marked_string_equality_and_hash_go_by_vertex_and_mask():
+    x = BitVector.parse("1100")
+    ms = mark(x)
+    assert ms == MarkedString(x, 0b1111) and hash(ms) == hash(MarkedString(x, 0b1111))
+    assert ms != MarkedString(x, 0b0110)
+    assert ms != MarkedString(BitVector.parse("1010"), 0b1111)
+    assert len({ms, MarkedString(x, 0b1111), MarkedString(x, 0b0110)}) == 2
 
 
 def _oracle_code(n, v):

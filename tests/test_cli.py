@@ -330,6 +330,7 @@ def test_success_and_error_records_carry_the_same_command(name, ok, bad):
         (["--direction", "inv", "--seed", "1"], "sampled sweeps are forward only"),
         (["--seed", "1", "--samples", "0"], "--samples must be >= 1"),
         ([], "sampled mode requires an explicit --seed"),
+        (["--seed", "-5"], "--seed must be >= 0"),
     ],
 )
 def test_sampled_mode_usage_errors(capsys, extra, message):

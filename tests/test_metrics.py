@@ -609,6 +609,12 @@ def test_sampled_is_deterministic_per_seed():
     assert c != a
 
 
+def test_sampled_refuses_a_negative_seed():
+    # random.Random(-5) draws the stream of random.Random(5)
+    with pytest.raises(ValueError, match="explicit seed >= 0"):
+        metrics.forward_stretch_sampled(PSI, 64, 50, -5)
+
+
 def _sampled_by_map_evaluation(kind, n, samples, seed):
     """The per-draw loop that evaluates the map on both endpoints of each
     draw: the oracle for the sampled sweep's profile rule."""
