@@ -37,6 +37,7 @@ from .chains import (
     _decrement,
     _increment,
     _lowest,
+    _majority_lanes,
     _nonzero,
     _subtract,
     _unmatched_ones,
@@ -96,13 +97,13 @@ def _as_ball_value(z: BallLike, who: str) -> tuple[int, int]:
 
 # integer-valued fast paths; coordinate i of an n-bit value sits at bit n-i
 #
-# Each forward map also has a plane rule, ``_*_planes(xs, full, zeros, a,
-# b)``, that maps a block of vertices at once (see chains._cube_blocks and
-# chains._unmatched_planes): it returns the image's bit planes, entry t
-# holding bit t of every lane's image.  Each inverse map has one too,
-# ``_*_inverse_planes(zs, full)``, from the n + 1 planes of a block of
-# points of {0,1}^(n+1) to the n planes of their preimages.  Its lanes
-# outside the ball hold values that mean nothing.
+# Each map also has two plane rules, ``_*_planes(xs, full)`` and
+# ``_*_inverse_planes(zs, full)``, that map a block of points at once (see
+# chains._cube_blocks) from its bit planes, entry t holding bit t of every
+# lane, to the planes of the lanes' images: n to n + 1 forward, n + 1 to n
+# inverse.  psi's and phi's move a vertex along its chain, so they run the
+# marking kernel on the block; naive's reads only the weight.  An inverse
+# rule's lanes outside the ball hold values that mean nothing.
 
 
 def _psi_value(n: int, v: int) -> int:
@@ -129,13 +130,11 @@ def _flip_last(xs: list[int], zeros: list[int], r: list[int]) -> list[int]:
     return xs
 
 
-def _psi_planes(
-    xs: list[int], full: int, zeros: list[int], a: list[int], b: list[int]
-) -> list[int]:
-    up = list(a)
-    _increment(up, full)
+def _psi_planes(xs: list[int], full: int) -> list[int]:
+    zeros, a, _ = _unmatched_planes(xs, full)
+    _increment(a, full)
     # bit 0 of a + 1 marks the lanes where a is even; the rest is ceil(a / 2)
-    return [up[0]] + _flip_last(list(xs), zeros, up[1:])
+    return [a[0]] + _flip_last(list(xs), zeros, a[1:])
 
 
 def _mirror(xs: list[int], full: int) -> list[int]:
@@ -178,9 +177,8 @@ def _phi_value(n: int, v: int) -> int:
     return ((v | _lowest(zeros, zeros.bit_count() - b)) << 1) | 1
 
 
-def _phi_planes(
-    xs: list[int], full: int, zeros: list[int], a: list[int], b: list[int]
-) -> list[int]:
+def _phi_planes(xs: list[int], full: int) -> list[int]:
+    zeros, a, b = _unmatched_planes(xs, full)
     # level j = k + b, so 2j <= n exactly where b <= a; there the last
     # a - (j - k) = a - b unmatched 0s flip
     diff, above = _subtract(a, b)
@@ -221,10 +219,8 @@ def _naive_value(n: int, v: int) -> int:
     return v << 1
 
 
-def _naive_planes(
-    xs: list[int], full: int, zeros: list[int], a: list[int], b: list[int]
-) -> list[int]:
-    low = full ^ _subtract(a, b)[1]  # 2|x| <= n exactly where b <= a
+def _naive_planes(xs: list[int], full: int) -> list[int]:
+    low = full ^ _majority_lanes(xs, full)  # 2|x| <= n
     return [low] + [x ^ low for x in xs]
 
 
@@ -347,7 +343,7 @@ class _Map:
     """One map's integer form, plane rules, edge-distance rule and public pair."""
 
     value: Callable[[int, int], int]
-    planes: Callable[..., list[int]]
+    planes: Callable[[list[int], int], list[int]]
     inverse_planes: Callable[[list[int], int], list[int]]
     edge_distance: Callable[[int, int, int, int, int], int]
     forward: Callable[[BitVector], BallVector]

@@ -51,8 +51,9 @@ a 1 increments and a 0 decrements where it is not 0, and a 0 meeting depth
 0 is unmatched.  A coordinate costs O(log n) big-int operations per block
 and no Python step per vertex.  The result, a mask of unmatched 0s per
 coordinate and the counts a and b as bit-sliced counters, is the fixed
-counting circuit that puts psi in TC0; the maps' plane rules in
-``bijections`` and the counting routines in ``analysis`` read it.
+counting circuit that puts psi in TC0; psi's and phi's plane rules in
+``bijections`` and the counting routines in ``analysis`` read it.  naive's
+rule and the ball read only the weight (:func:`_majority_lanes`).
 """
 
 from __future__ import annotations
@@ -133,6 +134,17 @@ def _subtract(a: list[int], b: list[int]) -> tuple[list[int], int]:
         diff.append(d := x ^ t)
         borrow = (t & d) | (y & borrow)  # y + borrow > x: both set, or one (t) and not x (d)
     return diff, borrow
+
+
+def _majority_lanes(planes: list[int], full: int) -> int:
+    """The lanes where more than half of ``planes`` are set: the ball on
+    {0,1}^(n+1), 2|x| > n on the cube."""
+    weight: list[int] = []
+    for p in planes:
+        _increment(weight, p)
+    least = len(planes) // 2 + 1
+    bound = [full if least >> j & 1 else 0 for j in range(least.bit_length())]
+    return full ^ _subtract(weight, bound)[1]  # the borrow marks weight < least
 
 
 def _lowest_lane(lanes: int) -> int:

@@ -28,11 +28,11 @@ case form of a few integer comparisons.
 Whole-cube work runs on bit planes, one big int per bit with one bit (a
 lane) per point, and takes no Python step per vertex or edge.  The planes
 stay in blocks of points (see ``chains._cube_blocks``) and are never joined
-over the whole cube.  For each block of vertices the bit-sliced marking
-kernel and the map's plane rule, ``_MAPS[kind].planes``, give the images'
-planes.  The inverse sweep runs the map's inverse plane rule,
-``_MAPS[kind].inverse_planes``, on every block of {0,1}^(n+1), and keeps
-the ball, found by a bit-sliced weight counter.  In the same pass
+over the whole cube.  For each block of vertices the map's plane rule,
+``_MAPS[kind].planes``, gives the images' planes.  The inverse sweep runs
+the map's inverse plane rule, ``_MAPS[kind].inverse_planes``, on every
+block of {0,1}^(n+1), and keeps the ball, the lanes of weight above n/2
+(``chains._majority_lanes``).  In the same pass
 ``_preimage_blocks`` runs the forward plane rule on the inverse rule's
 planes and checks lane by lane that it gives back every ball point: the
 inverse rule is then injective on the ball, a set as large as the cube, so
@@ -78,7 +78,7 @@ from typing import Iterator, Optional
 
 from .bijections import _MAPS, BijectionKind, _require_dimension
 from .bits import DEFAULT_ENUMERATION_CAP, BitVector, EdgeId, _low_mask, _require_cap
-from .chains import _cube_blocks, _increment, _lowest_lane, _profile, _subtract, _unmatched_planes
+from .chains import _cube_blocks, _increment, _lowest_lane, _majority_lanes, _profile
 from .errors import BijectivityError, EnumerationCapError, LengthMismatchError, NotInBallError
 
 # Above this domain size, or above 16 vertices per draw, sampled sweeps find
@@ -196,22 +196,12 @@ class TransitivityAudit:
 def _image_blocks(kind: BijectionKind, n: int) -> Iterator[tuple[list[int], int, list[int]]]:
     """``(xs, full, images)`` per block of ``chains._cube_blocks(n)``.
 
-    ``images`` holds the n + 1 planes of the block's images, from the
-    marking kernel and the map's plane rule.
+    ``images`` holds the n + 1 planes of the block's images, from the map's
+    plane rule.
     """
     rule = _MAPS[kind].planes
     for xs, full in _cube_blocks(n):
-        yield xs, full, rule(xs, full, *_unmatched_planes(xs, full))
-
-
-def _ball_lanes(zs: list[int], full: int) -> int:
-    """The lanes whose point, n + 1 planes ``zs``, lies in the ball: weight above n/2."""
-    weight: list[int] = []
-    for z in zs:
-        _increment(weight, z)
-    least = len(zs) // 2 + 1  # n/2 + 1
-    bound = [full if least >> j & 1 else 0 for j in range(least.bit_length())]
-    return full ^ _subtract(weight, bound)[1]  # the borrow marks weight < n/2 + 1
+        yield xs, full, rule(xs, full)
 
 
 def _preimage_blocks(kind: BijectionKind, n: int) -> _Blocks:
@@ -227,10 +217,10 @@ def _preimage_blocks(kind: BijectionKind, n: int) -> _Blocks:
     rules = _MAPS[kind]
     blocks: _Blocks = []
     for k, (zs, full) in enumerate(_cube_blocks(n + 1)):
-        ball = _ball_lanes(zs, full)
+        ball = _majority_lanes(zs, full)
         back = rules.inverse_planes(zs, full)
         wrong = 0
-        for p, q in zip(zs, rules.planes(back, full, *_unmatched_planes(back, full)), strict=True):
+        for p, q in zip(zs, rules.planes(back, full), strict=True):
             wrong |= p ^ q
         wrong &= ball
         if wrong:
@@ -279,7 +269,7 @@ def preimage_table(kind: BijectionKind, n: int) -> array:
     unwritten = int(_byte_column(inv, inv.itemsize - 1).translate(_SIGN_DIGITS), 2)
     for k, (zs, full) in enumerate(_cube_blocks(n + 1)):
         start = k * full.bit_length()
-        differ = full ^ (unwritten >> start & full) ^ _ball_lanes(zs, full)
+        differ = full ^ (unwritten >> start & full) ^ _majority_lanes(zs, full)
         if differ:
             # Name the fault as a checked scatter would: the first collision
             # in vertex order, else the smallest point where images and ball
@@ -569,15 +559,13 @@ def transitivity_ratio_audit(
     yv = _audit_endpoint(y, m)
     _require_cap(m, cap, "(z, i) pairs", m)
     if 2 * xv.bit_count() <= n or 2 * yv.bit_count() <= n:
-        raise BijectivityError("audit endpoints must lie inside the ball")
+        raise NotInBallError("audit endpoints must lie inside the ball")
     psi = _MAPS[BijectionKind.PSI]
     delta = psi.inverse(BitVector(m, xv)).value ^ psi.inverse(BitVector(m, yv)).value
     blocks = _preimage_blocks(BijectionKind.PSI, n)
-    width = m + 1 - len(blocks).bit_length()  # 2^width lanes per block
-    full = (1 << (1 << width)) - 1
-    for k, (back, ball) in enumerate(blocks):
+    for k, ((back, ball), (_, full)) in enumerate(zip(blocks, _cube_blocks(m), strict=True)):
         xs = [p ^ full if delta >> t & 1 else p for t, p in enumerate(back)]
-        blocks[k] = psi.planes(xs, full, *_unmatched_planes(xs, full)), ball
+        blocks[k] = psi.planes(xs, full), ball
     # The ball is geodesic, so no pair ratio of g exceeds its largest
     # ball-edge stretch s.  g is an involution, so d(a, b) =
     # d(g(g(a)), g(g(b))) <= s * d(g(a), g(b)): no ratio falls below 1/s,
@@ -586,7 +574,7 @@ def transitivity_ratio_audit(
     s = _edge_sweep(blocks, m)[0]
 
     def g(z: int) -> int:
-        b, r = divmod(z, 1 << width)
+        b, r = divmod(z, full.bit_length())
         return sum((p >> r & 1) << t for t, p in enumerate(blocks[b][0]))
 
     size = 1 << n

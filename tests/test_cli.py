@@ -340,6 +340,20 @@ def test_sampled_mode_usage_errors(capsys, extra, message):
     assert capsys.readouterr().err == f"cubeball: usage error: {message}\n"
 
 
+def test_sampled_mode_accepts_seed_zero():
+    args = ["verify", "--bijection", "psi", "--n", "8", "--mode", "sample",
+            "--samples", "10", "--seed", "0"]
+    code, out = _run(args)
+    assert code == 0
+    assert _fields(out)["seed"] == "0"
+
+
+@pytest.mark.parametrize("flag", ["--help", "--version"])
+def test_help_and_version_exit_0(capsys, flag):
+    assert run([flag]) == 0
+    assert capsys.readouterr().out
+
+
 def test_selftest_failed_criterion_exits_1(monkeypatch):
     from cubeball import acceptance
 
@@ -531,3 +545,17 @@ def test_digit_count_at_powers_of_ten(monkeypatch, k):
     for x, digits in ((10**k - 1, k), (10**k, k + 1)):
         with pytest.raises(DigitLimitError, match=f"^x has {digits} decimal digits"):
             cli._decimal(x, "x")
+
+
+@pytest.mark.parametrize("limit,bits", [(640, 2126), (4300, 14284)])
+def test_digit_limit_checks_at_their_thresholds(monkeypatch, limit, bits):
+    # the largest 2^bits the precheck lets through, whose answer may still
+    # print, and 10^limit, the smallest answer past the limit
+    monkeypatch.setattr(cli, "_digit_limit", lambda: limit)
+    cli._require_digits(bits, "count")
+    message = f"^count has at least {limit + 1} decimal digits, over the limit of {limit}$"
+    with pytest.raises(DigitLimitError, match=message):
+        cli._require_digits(bits + 1, "count")
+    assert cli._decimal(10**limit - 1, "x") == "9" * limit
+    with pytest.raises(DigitLimitError, match=f"^x has {limit + 1} decimal digits, over the limit"):
+        cli._decimal(10**limit, "x")

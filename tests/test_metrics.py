@@ -397,10 +397,10 @@ def test_swap_audit_and_flip_counts_match_across_blocks(monkeypatch):
 def _send_vertex(rule, v, image):
     """A forward plane rule that gives vertex ``v`` the image ``image``."""
 
-    def faulty(xs, full, *marking):
+    def faulty(xs, full):
         lane = chains._equal(xs, v, full)
         return [p & ~lane | (lane if image >> t & 1 else 0)
-                for t, p in enumerate(rule(xs, full, *marking))]
+                for t, p in enumerate(rule(xs, full))]
 
     return faulty
 
@@ -445,6 +445,23 @@ def test_inverse_sweep_proof_rejects_a_faulty_rule(monkeypatch, block_bits, faul
         metrics.inverse_stretch_exhaustive(PSI, n)
 
 
+@pytest.mark.parametrize("block_bits", [3, 16])
+@pytest.mark.parametrize("fault", ["collision", "inverse"])
+def test_inverse_sweep_proof_pads_the_ball_point_it_names(monkeypatch, block_bits, fault):
+    # psi(000101) = 0111010 starts with 0, so the message shows all n + 1 digits
+    monkeypatch.setattr(chains, "_BLOCK_BITS", block_bits)
+    n, v = 6, 0b000101
+    rules = _MAPS[PSI]
+    if fault == "inverse":
+        faulty = dataclasses.replace(
+            rules, inverse_planes=_miss_point(rules.inverse_planes, rules.value(n, v)))
+    else:
+        faulty = dataclasses.replace(rules, planes=_send_vertex(rules.planes, v, rules.value(n, 0)))
+    monkeypatch.setitem(_MAPS, PSI, faulty)
+    with pytest.raises(BijectivityError, match="^psi does not give back ball point 0111010$"):
+        metrics.inverse_stretch_exhaustive(PSI, n)
+
+
 def test_transitivity_audit_proves_the_inverse_rule_first(monkeypatch):
     # the swap map reads the inverse plane rule, so a rule wrong in one lane must stop it
     n, v = 6, 0b100101
@@ -463,9 +480,9 @@ def test_inverse_sweep_and_swap_audit_run_the_inverse_rule_once_per_block(monkey
     rules = _MAPS[PSI]
     forward_inputs, inverse_outputs = [], []
 
-    def planes(xs, full, *marking):
+    def planes(xs, full):
         forward_inputs.append(list(xs))
-        return rules.planes(xs, full, *marking)
+        return rules.planes(xs, full)
 
     def inverse_planes(zs, full):
         inverse_outputs.append(rules.inverse_planes(zs, full))
@@ -490,7 +507,7 @@ def _complement_outside_ball(rule):
     outside the ball, where the values mean nothing."""
 
     def other(zs, full):
-        outside = full ^ metrics._ball_lanes(zs, full)
+        outside = full ^ chains._majority_lanes(zs, full)
         return [p ^ outside for p in rule(zs, full)]
 
     return other
@@ -512,6 +529,47 @@ def test_inverse_rules_lanes_outside_the_ball_change_no_report(monkeypatch, bloc
         other = _complement_outside_ball(rules.inverse_planes)
         monkeypatch.setitem(_MAPS, kind, dataclasses.replace(rules, inverse_planes=other))
     assert reports() == want
+
+
+def _checked_rule(rule, name, calls):
+    """``rule``, recording ``(name, full)`` per call and checking that every
+    plane it returns lies in [0, full]."""
+
+    def checked(planes, full):
+        calls.add((name, full))
+        out = rule(planes, full)
+        assert all(0 <= p <= full for p in out), (name, full)
+        return out
+
+    return checked
+
+
+@pytest.mark.parametrize("block_bits", [3, 16])
+def test_plane_rules_get_their_blocks_full_and_return_planes_within_it(monkeypatch, block_bits):
+    monkeypatch.setattr(chains, "_BLOCK_BITS", block_bits)
+    calls = set()
+    for kind in (PSI, PHI, NAIVE):
+        rules = _MAPS[kind]
+        monkeypatch.setitem(_MAPS, kind, dataclasses.replace(
+            rules,
+            planes=_checked_rule(rules.planes, "forward", calls),
+            inverse_planes=_checked_rule(rules.inverse_planes, "inverse", calls)))
+
+    def full(m):  # every lane of a block of {0,1}^m
+        return (1 << (1 << min(m, block_bits))) - 1
+
+    for n in (2, 4, 6, 8):
+        for kind in (PSI, PHI, NAIVE):
+            calls.clear()
+            metrics.forward_stretch_exhaustive(kind, n)
+            assert calls == {("forward", full(n))}
+            calls.clear()
+            metrics.inverse_stretch_exhaustive(kind, n)
+            assert calls == {("forward", full(n + 1)), ("inverse", full(n + 1))}
+        calls.clear()
+        top = (1 << (n + 1)) - 1
+        metrics.transitivity_ratio_audit(top, top ^ 1, n)
+        assert calls == {("forward", full(n + 1)), ("inverse", full(n + 1))}
 
 
 @pytest.mark.parametrize("kind", [PSI, PHI, NAIVE])
@@ -847,7 +905,7 @@ def test_transitivity_audit_builds_no_table(monkeypatch):
         (0b1111111, -1, None, NotInBallError, r"audit endpoint -1 is not a point of \{0,1\}\^7"),
         (0b1111111, 1 << 7, None, NotInBallError,
          r"audit endpoint 128 is not a point of \{0,1\}\^7"),
-        (0b1111111, 0b0000111, None, BijectivityError, "audit endpoints must lie inside the ball"),
+        (0b1111111, 0b0000111, None, NotInBallError, "audit endpoints must lie inside the ball"),
         # the cap is checked before the ball
         (0b0000111, 0b1111111, 100, EnumerationCapError,
          r"enumeration of 896 \(z, i\) pairs exceeds cap 100"),
@@ -858,6 +916,19 @@ def test_transitivity_audit_endpoint_errors(x, y, cap, error, message):
     kwargs = {} if cap is None else {"cap": cap}
     with pytest.raises(error, match=f"^{message}$"):
         metrics.transitivity_ratio_audit(x, y, 6, **kwargs)
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_transitivity_audit_endpoints_at_the_ball_boundary(n):
+    # weight n/2 is just outside the ball, weight n/2 + 1 just inside
+    top = (1 << (n + 1)) - 1
+    outside = (1 << (n // 2)) - 1
+    inside = (1 << (n // 2 + 1)) - 1
+    for x, y in ((outside, top), (top, outside)):
+        with pytest.raises(NotInBallError, match="^audit endpoints must lie inside the ball$"):
+            metrics.transitivity_ratio_audit(x, y, n)
+    for x, y in ((inside, top), (top, inside)):
+        assert metrics.transitivity_ratio_audit(x, y, n).swaps_ok
 
 
 def test_enumeration_caps():
@@ -935,6 +1006,16 @@ def test_table_builders_refuse_just_past_the_cap(monkeypatch, fresh_tables):
         metrics.preimage_table(PSI, 8)
     with pytest.raises(EnumerationCapError, match="^enumeration of 1024 table entries exceeds"):
         metrics.image_table(PSI, 10)
+
+
+def test_sampled_draws_at_the_library_ceiling_and_refuses_past_it(monkeypatch):
+    # the ceiling lowered to 64 bits per draw: n = 64 draws, n = 66 is refused
+    monkeypatch.setattr(metrics, "DEFAULT_ENUMERATION_CAP", 64)
+    want = _sampled_by_map_evaluation(PSI, 64, 50, 1).to_record()
+    assert metrics.forward_stretch_sampled(PSI, 64, 50, 1).to_record() == want
+    message = "^enumeration of 66 bits per draw exceeds cap 64$"
+    with pytest.raises(EnumerationCapError, match=message):
+        metrics.forward_stretch_sampled(PSI, 66, 50, 1)
 
 
 def test_preimage_table_inverts_image_table():
