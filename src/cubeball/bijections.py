@@ -85,11 +85,20 @@ def _require_dimension(n: int, who: str) -> None:
         raise DimensionError(f"{who} requires n >= 2, got {n}")
 
 
+def _inverse_input(z: BallLike, who: str) -> tuple[int, BitVector]:
+    """n and the vector of an inverse map's input, a point of {0,1}^(n+1)
+    whose length must be odd and at least 3, so that n is in the maps' domain."""
+    vec = z.vector if isinstance(z, BallVector) else z
+    if vec.n % 2 == 0:
+        raise OddLengthError(f"{who} requires odd input length, got {vec.n}")
+    if vec.n < 3:
+        raise DimensionError(f"{who} requires input length >= 3, got {vec.n}")
+    return vec.n - 1, vec
+
+
 def _as_ball_value(z: BallLike, who: str) -> tuple[int, int]:
     """Return (n, integer value) for a length-(n+1) ball point, validating."""
-    vec = z.vector if isinstance(z, BallVector) else z
-    n = vec.n - 1
-    _require_dimension(n, who)
+    n, vec = _inverse_input(z, who)
     if 2 * vec.weight() <= n:
         raise NotInBallError(f"{vec} has weight {vec.weight()}, not above {n}/2")
     return n, vec.value
@@ -297,9 +306,7 @@ def phi_inverse(z: BallLike) -> BitVector:
     outside the ball (the image check runs first, so direct misuse with a raw
     BitVector is reported precisely).
     """
-    vec = z.vector if isinstance(z, BallVector) else z
-    n = vec.n - 1
-    _require_dimension(n, "phi_inverse")
+    n, vec = _inverse_input(z, "phi_inverse")
     return BitVector(n, _phi_inverse_value(n, vec.value))
 
 

@@ -26,9 +26,10 @@ to the map's edge-distance rule, ``bijections._MAPS[kind].edge_distance``, a
 case form of a few integer comparisons.
 
 Whole-cube work runs on bit planes, one big int per bit with one bit (a
-lane) per point, and takes no Python step per vertex or edge.  The planes
-stay in blocks of points (see ``chains._cube_blocks``) and are never joined
-over the whole cube.  For each block of vertices the map's plane rule,
+lane) per point, and takes no Python step per vertex or edge, but for
+``preimage_table``'s scatter.  The planes stay in blocks of points (see
+``chains._cube_blocks``) and are never joined over the whole cube.  For
+each block of vertices the map's plane rule,
 ``_MAPS[kind].planes``, gives the images' planes.  The inverse sweep runs
 the map's inverse plane rule, ``_MAPS[kind].inverse_planes``, on every
 block of {0,1}^(n+1), and keeps the ball, the lanes of weight above n/2
@@ -59,10 +60,11 @@ result, so its sweep reads the swap map's planes with no table in between.
 per entry, for small sampled runs, the worked examples and the acceptance
 criteria; past the default enumeration cap they are refused before they
 allocate.  ``image_table`` transposes the same block planes into the table
-(``_set_planes``).  ``preimage_table`` scatters the images into their lanes
-and proves, apart from the lane proof, that the table is a bijection onto
-the ball: the lanes written, read off the table's sign bits as one plane,
-must be the ball's lanes in each block.
+(``_set_planes``).  ``preimage_table`` scatters the images into their
+entries and proves, apart from the lane proof and without a plane, that the
+map is a bijection onto the ball, with two counts: 2^n entries must be left
+at -1, so no two vertices share an image, and the images' weights must sum
+to the ball's, which 2^n distinct points do only when they are the ball.
 """
 
 from __future__ import annotations
@@ -74,6 +76,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
+from math import comb
 from typing import Iterator, Optional
 
 from .bijections import _MAPS, BijectionKind, _require_dimension
@@ -89,15 +92,9 @@ from .errors import BijectivityError, EnumerationCapError, LengthMismatchError, 
 # benchmark at n = 1024).
 _TABLE_LIMIT = 1 << 20
 
-# bytes.translate table sending a byte to ASCII "1" where its top bit is set, else "0"
-_SIGN_DIGITS = bytes(48 | v >> 7 for v in range(256))
-
 # _SPREAD[b] is a bytes.translate table sending ASCII "0" and "1" to the
 # byte with bit b clear and set.
 _SPREAD = tuple(bytes.maketrans(b"01", bytes((0, 1 << b))) for b in range(8))
-
-# Table entries per tobytes() copy while a byte column is read.
-_CHUNK = 1 << 16
 
 # (planes, kept lanes) per block of chains._cube_blocks, blocks in point order.
 _Blocks = list[tuple[list[int], int]]
@@ -255,47 +252,39 @@ def preimage_table(kind: BijectionKind, n: int) -> array:
     table alone, apart from the lane proof: a collision or a ball point
     with no preimage raises :class:`BijectivityError`.
     """
-    _require_dimension(n, BijectionKind(kind).value)
+    kind = BijectionKind(kind)
+    _require_dimension(n, kind.value)
     _require_cap(n + 1, DEFAULT_ENUMERATION_CAP, "table entries")
     fwd = image_table(kind, n)
+    # The images' total weight, taken before ``inv`` is allocated, from the
+    # even and the odd entries, so that no temporary outgrows the byte column
+    # read below.  glibc raises its mmap threshold to the largest block
+    # freed, and one whole-table temporary left the sweeps that follow with
+    # 0.1 MiB more peak RSS for psi at n = 18 (CPython 3.11, x86-64 Linux).
+    weight = sum(int.from_bytes(fwd[k::2], "little").bit_count() for k in (0, 1))
     inv = array("i", [-1]) * (1 << (n + 1))
     for v, z in enumerate(fwd):
         inv[z] = v
-    # The lanes written, read off the sign bits as one plane, are the
-    # distinct images.  The ball {2|z| > n} has 2^n points, as many as the
-    # cube has vertices, so if they are exactly the ball, no two vertices
-    # share an image and the images fill it.  The plane is compared with
-    # the ball a block at a time.
-    unwritten = int(_byte_column(inv, inv.itemsize - 1).translate(_SIGN_DIGITS), 2)
-    for k, (zs, full) in enumerate(_cube_blocks(n + 1)):
-        start = k * full.bit_length()
-        differ = full ^ (unwritten >> start & full) ^ _majority_lanes(zs, full)
-        if differ:
-            # Name the fault as a checked scatter would: the first collision
-            # in vertex order, else the smallest point where images and ball
-            # differ, which lies in this block.
-            seen = set()
-            for z in fwd:
-                if z in seen:
-                    raise BijectivityError(f"{kind.value} collides at image {z:0{n + 1}b}")
-                seen.add(z)
-            z = start + _lowest_lane(differ)
-            raise BijectivityError(f"{kind.value} image does not match the ball at {z:0{n + 1}b}")
+    # Preimages lie below 2^26 at the cap, so -1 is the only entry with a
+    # top byte of 0xFF.  If 2^n entries still hold it, the 2^n vertices
+    # have distinct images.  The ball has 2^n points, and each outweighs
+    # every point outside it, so 2^n distinct points are the ball exactly
+    # when their weights sum to the ball's: over w > n/2, w C(n+1, w) =
+    # (n+1) C(n, w-1), and the C(n, j) for j >= n/2 sum to (2^n + C(n, n/2))/2.
+    top = inv.itemsize - 1 if sys.byteorder == "little" else 0
+    with memoryview(inv) as view, view.cast("B") as raw:
+        unwritten = bytes(raw[top :: inv.itemsize]).count(0xFF)
+    if unwritten != 1 << n or weight != (n + 1) * ((1 << n) + comb(n, n // 2)) // 2:
+        # Name the fault as a checked scatter would: the first collision in
+        # vertex order, else the smallest point where images and ball differ.
+        seen = set()
+        for z in fwd:
+            if z in seen:
+                raise BijectivityError(f"{kind.value} collides at image {z:0{n + 1}b}")
+            seen.add(z)
+        z = next(z for z, v in enumerate(inv) if (2 * z.bit_count() > n) != (v >= 0))
+        raise BijectivityError(f"{kind.value} image does not match the ball at {z:0{n + 1}b}")
     return inv
-
-
-def _byte_column(table: array, k: int) -> bytes:
-    """Byte k (0 = least significant) of every entry of ``table``, last entry first.
-
-    The table is copied in chunks, last chunk first, so that a plane parses
-    from the column as a base-2 string with bit 0 last.
-    """
-    size = table.itemsize
-    # Reversing a chunk's bytes reverses its entries and puts byte k of
-    # each at offset ``off`` of its ``size``.
-    off = size - 1 - k if sys.byteorder == "little" else k
-    starts = range(0, len(table), _CHUNK)[::-1]
-    return b"".join(table[i : i + _CHUNK].tobytes()[::-1][off::size] for i in starts)
 
 
 def _set_planes(table: array, start: int, planes: list[int], lanes: int) -> None:

@@ -19,7 +19,7 @@ from cubeball.bijections import (
     transitivity_map,
 )
 from cubeball.chains import chain_member, mark, position
-from cubeball.errors import NotInBallError, NotInImageError, OddLengthError
+from cubeball.errors import DimensionError, NotInBallError, NotInImageError, OddLengthError
 
 from edge_oracle import RANK_EDGE_RULES
 from marking_oracle import unmatched_shifts
@@ -81,6 +81,23 @@ def test_inverse_rejects_odd_cube_dimension(kind):
     # length 4 input would invert to a 3-bit cube
     with pytest.raises(OddLengthError):
         inverse_map(kind)(BitVector.parse("1111"))
+
+
+@pytest.mark.parametrize(
+    "inverse,who",
+    [(psi_inverse, "psi_inverse"), (phi_inverse, "phi_inverse"),
+     (naive_inverse, "naive_inverse"), (lambda z: transitivity_map(z, z, z), "transitivity_map")],
+    ids=["psi", "phi", "naive", "transitivity"],
+)
+@pytest.mark.parametrize(
+    "bits,error,rule",
+    [("1111", OddLengthError, "odd input length, got 4"),
+     ("11", OddLengthError, "odd input length, got 2"),
+     ("1", DimensionError, "input length >= 3, got 1")],
+)
+def test_inverse_names_the_input_length_it_was_given(inverse, who, bits, error, rule):
+    with pytest.raises(error, match=f"^{who} requires {rule}$"):
+        inverse(BitVector.parse(bits))
 
 
 def test_psi_inverse_rejects_points_outside_ball():

@@ -221,6 +221,17 @@ def test_dimension_below_domain_is_a_one_line_error(argv):
     assert _fields(out)["error"] == "DimensionError"
 
 
+@pytest.mark.parametrize(
+    "bits,error,detail",
+    [("0011", "OddLengthError", "naive_inverse requires odd input length, got 4"),
+     ("1", "DimensionError", "naive_inverse requires input length >= 3, got 1")],
+)
+def test_invmap_error_names_the_input_length_given(bits, error, detail):
+    code, out = _run(["invmap", "--bijection", "naive", "--input", bits])
+    assert code == 1
+    assert (_fields(out)["error"], _fields(out)["detail"]) == (error, detail)
+
+
 def test_usage_error_exit_code():
     code, _ = _run(["map", "--bijection", "nope", "--input", "0000"])
     assert code == 2
@@ -511,6 +522,23 @@ def test_flipprob_digit_bound_holds_below_the_reduced_numerator():
     for n in range(2, 1001, 2):
         numerator = cli.analysis.flip_probability_exact(n, 1).numerator
         assert numerator.bit_length() - 1 >= n - 1 - 2 * n.bit_length(), n
+
+
+@pytest.mark.parametrize("limit,n,digits", [(640, 2150, 644), (600, 2016, 604)])
+def test_flipprob_digit_precheck_at_its_threshold(monkeypatch, limit, n, digits):
+    # n is the largest even n the pre-check lets through, so the rendering
+    # names the numerator's exact size, and n + 2 is refused before the
+    # binomial.  At 600 the bound at n is one bit below the pre-check's
+    # threshold, so a bound one larger is refused there.
+    monkeypatch.setattr(cli, "_digit_limit", lambda: limit)
+    argv = ["stats", "flipprob", "--bit", "1", "--n"]
+    code, out = _run(argv + [str(n)])
+    assert code == 1
+    assert _fields(out)["detail"] == f"numerator has {digits} decimal digits, over the limit of {limit}"
+    code, out = _run(argv + [str(n + 2)])
+    assert code == 1
+    assert _fields(out)["detail"] == (
+        f"numerator has at least {limit + 1} decimal digits, over the limit of {limit}")
 
 
 def test_flipprob_renders_each_probability_once(monkeypatch):

@@ -271,36 +271,58 @@ def test_preimage_table_names_the_fault_as_the_checked_scatter_does(
             metrics.preimage_table(PSI, 4)
 
 
-def _assert_byte_columns_match_entries(table):
-    """Each byte column against the entries read one by one, and the top
-    column's sign bits against the negative entries."""
-    size = table.itemsize
-    for k in range(size):
-        want = bytes(v >> 8 * k & 0xFF for v in reversed(table))
-        assert metrics._byte_column(table, k) == want
-    signs = int(metrics._byte_column(table, size - 1).translate(metrics._SIGN_DIGITS), 2)
-    assert signs == sum(1 << z for z, v in enumerate(table) if v < 0)
+def test_preimage_table_counts_a_collision_that_keeps_the_ball_weight(fresh_tables, monkeypatch):
+    # vertex 3's image 01111 becomes vertex 7's 11110, of the same weight: the
+    # images still weigh as much as the ball, so only the count of entries
+    # left at -1 sees the collision
+    fwd = metrics.image_table(PSI, 4)
+    faulty = array("i", fwd)
+    faulty[3] = faulty[7]
+    assert sum(z.bit_count() for z in faulty) == sum(z.bit_count() for z in fwd)
+    monkeypatch.setattr(metrics, "image_table", lambda kind, n: faulty)
+    with pytest.raises(BijectivityError, match="^psi collides at image 11110$"):
+        metrics.preimage_table(PSI, 4)
 
 
-@pytest.mark.parametrize("extra", [-1, 1, 5 + metrics._CHUNK])
-def test_byte_column_matches_entries_across_chunks(extra):
-    table = array("i", range(-3, metrics._CHUNK + extra - 3))
-    table[0] = table[-1] = -1
-    _assert_byte_columns_match_entries(table)
+def test_preimage_table_accepts_two_vertices_that_exchange_images(fresh_tables, monkeypatch):
+    faulty = array("i", metrics.image_table(PSI, 4))
+    faulty[3], faulty[12] = faulty[12], faulty[3]
+    want = _checked_preimage_table(PSI, 4, faulty)
+    assert want != metrics.preimage_table(PSI, 4)
+    monkeypatch.setattr(metrics, "image_table", lambda kind, n: faulty)
+    assert metrics.preimage_table(PSI, 4).tobytes() == want.tobytes()
 
 
-@given(
-    st.sampled_from([1, 3, 8]),
-    st.lists(st.integers(-(1 << 31), (1 << 31) - 1) | st.just(-1), min_size=1, max_size=40),
-    st.booleans(),
-)
-def test_byte_column_matches_entries(chunk, values, ends):
-    table = array("i", values)
-    if ends:
-        table[0] = table[-1] = -1
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(metrics, "_CHUNK", chunk)  # several chunks, the last one short
-        _assert_byte_columns_match_entries(table)
+@pytest.mark.parametrize("kind", [PSI, PHI, NAIVE])
+def test_preimage_table_reads_no_planes(fresh_tables, monkeypatch, kind):
+    fwd = metrics.image_table(kind, 8)  # built and cached while the planes still work
+
+    def planes(*args):
+        raise AssertionError("preimage_table read bit planes")
+
+    for module in (chains, metrics):
+        monkeypatch.setattr(module, "_cube_blocks", planes)
+        monkeypatch.setattr(module, "_majority_lanes", planes)
+    want = _checked_preimage_table(kind, 8, fwd)
+    assert metrics.preimage_table(kind, 8).tobytes() == want.tobytes()
+
+
+def test_preimage_table_names_the_fault_for_a_kind_given_by_name(fresh_tables, monkeypatch):
+    faulty = array("i", metrics.image_table(PSI, 4))
+    faulty[5] = 0b00011
+    monkeypatch.setattr(metrics, "image_table", lambda kind, n: faulty)
+    with pytest.raises(BijectivityError, match="^psi image does not match the ball at 00011$"):
+        metrics.preimage_table("psi", 4)
+
+
+@pytest.mark.parametrize("n", range(2, 21, 2))
+def test_preimage_table_takes_the_ball_weight_in_closed_form(fresh_tables, monkeypatch, n):
+    # an image table that lists the ball point by point, in order, so the
+    # images weigh what the ball does exactly when the closed form is right
+    ball = array("i", (z for z in range(2 << n) if 2 * z.bit_count() > n))
+    monkeypatch.setattr(metrics, "image_table", lambda kind, m: ball)
+    inv = metrics.preimage_table(PSI, n)
+    assert all(inv[z] == v for v, z in enumerate(ball))
 
 
 def _assert_inverse_planes_match_scalar_inverse(kind, n):
