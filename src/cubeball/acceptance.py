@@ -17,6 +17,12 @@ disagreement is reported at the first (x, i) that a per-vertex loop would
 meet.  The per-vertex forms of the oracles (``dyck_marked_coordinates``,
 ``mark_reference``, ``mark_via_split``) live in ``tests/marking_oracle.py``,
 and the tests check the lane forms against them on every vertex of n <= 10.
+
+Criterion 10 runs lane-parallel too: psi's plane rule maps the blown-up
+planes of the whole cube (``analysis._majority_reduction_planes``), and its
+coordinate-1 plane is compared with the majority lanes.  The tests tie the
+planes to the per-vertex ``majority_reduction`` and
+``first_output_bit_of_reduction``.
 """
 
 from __future__ import annotations
@@ -29,11 +35,12 @@ from functools import lru_cache
 from typing import Callable
 
 from . import analysis, metrics
-from .bijections import BijectionKind
+from .bijections import _MAPS, BijectionKind
 from .bits import BitVector
 from .chains import (
     _cube_blocks,
     _lowest_lane,
+    _majority_lanes,
     _reference_planes,
     _split_planes,
     chain_code,
@@ -220,10 +227,11 @@ def _c09_influence_identity() -> tuple[bool, str]:
 
 def _c10_majority_reduction() -> tuple[bool, str]:
     for n in range(1, 14, 2):
-        for v in range(1 << n):
-            x = BitVector(n, v)
-            if analysis.first_output_bit_of_reduction(x) != analysis.majority(x):
-                return False, f"mismatch at x={x}"
+        ((xs, full),) = _cube_blocks(n)
+        images = _MAPS[PSI].planes(analysis._majority_reduction_planes(xs, full), full)
+        lanes = images[3 * n + 1] ^ _majority_lanes(xs, full)  # coordinate 1 against majority
+        if lanes:
+            return False, f"mismatch at x={BitVector(n, _lowest_lane(lanes))}"
     return True, "majority equals the first output bit of the blown-up input for odd n <= 13"
 
 

@@ -309,6 +309,13 @@ def majority_reduction(x: BitVector) -> BitVector:
     return BitVector(3 * n + 1, ((1 << n) - 1) << 2 * n | int(format(x.value, "b"), 4) << 1)
 
 
+def _majority_reduction_planes(xs: list[int], full: int) -> list[int]:
+    """``majority_reduction`` of a block's lanes (see ``chains._cube_blocks``),
+    as 3n + 1 planes: input bit s at shift 2s + 1 over a 0 plane, then the n
+    ones and the leading 0."""
+    return [p for x in xs for p in (0, x)] + [full] * len(xs) + [0]
+
+
 def influence_profile(
     kind: BijectionKind, n: int, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> tuple[Fraction, ...]:

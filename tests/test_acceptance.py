@@ -4,13 +4,14 @@ Each test prints one PASS/FAIL line (visible with ``pytest -s`` or on
 failure); the same checklist backs the ``cubeball selftest`` command.
 """
 
+import dataclasses
 import importlib
 import pkgutil
 
 import pytest
 
 import cubeball
-from cubeball import acceptance, analysis
+from cubeball import acceptance, analysis, bijections
 from cubeball.chains import MarkedString
 
 _IDS = [f"{num:02d}_{name.replace(' ', '_').replace('-', '_')}"
@@ -108,3 +109,33 @@ def test_criteria_11_and_12_mark_each_vertex_once(monkeypatch, fresh_marks):
                             for info in pkgutil.iter_modules(cubeball.__path__)]
     oracles = ("mark_reference", "mark_via_split", "dyck_marked_coordinates", "dyck_is_marked")
     assert [(m.__name__, name) for m in modules for name in oracles if hasattr(m, name)] == []
+
+
+def test_majority_mismatch_is_named_at_the_first_odd_n_then_vertex(monkeypatch):
+    real = acceptance._majority_lanes
+
+    def faulty(xs, full):  # wrong at x=01001 and x=00110 (n=5), and x=0000000 (n=7)
+        lanes = real(xs, full)
+        flips = {5: 1 << 9 | 1 << 6, 7: 1 << 0}.get(len(xs), 0)
+        return lanes ^ flips
+
+    monkeypatch.setattr(acceptance, "_majority_lanes", faulty)
+    result = acceptance.run_criterion(10)
+    assert not result.passed and result.detail == "mismatch at x=00110"
+
+
+def test_criterion_10_evaluates_no_vertex_on_its_own(monkeypatch):
+    # the per-vertex forms of the reduction are tied to its planes in
+    # tests/test_analysis.py; the criterion itself must not run them
+    def per_vertex(*args):
+        raise AssertionError("criterion 10 evaluated one vertex")
+
+    for module, name in ((analysis, "first_output_bit_of_reduction"),
+                         (analysis, "majority_reduction"), (analysis, "majority"),
+                         (analysis, "_psi_value"), (bijections, "_psi_value")):
+        monkeypatch.setattr(module, name, per_vertex)
+    kind = acceptance.PSI
+    rule = dataclasses.replace(bijections._MAPS[kind], value=per_vertex, forward=per_vertex)
+    monkeypatch.setitem(bijections._MAPS, kind, rule)
+    result = acceptance.run_criterion(10)
+    assert result.passed, result.detail

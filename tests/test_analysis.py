@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 
 from cubeball.bits import BitVector
-from cubeball.bijections import BijectionKind, forward_map, psi
+from cubeball.bijections import _MAPS, BijectionKind, forward_map, psi
 from cubeball.chains import mark
 from cubeball.cli import run
 from cubeball.errors import (
@@ -300,9 +300,15 @@ def _majority_reduction_by_loop(x):
 
 @pytest.mark.parametrize("n", range(1, 14, 2))
 def test_majority_reduction_matches_loop_exhaustive(n):
+    # lane v of the reduction's plane layout holds the reduction of vertex v
+    ((xs, full),) = chains._cube_blocks(n)
+    planes = analysis._majority_reduction_planes(xs, full)
+    assert len(planes) == 3 * n + 1
     for value in range(1 << n):
         x = BitVector(n, value)
-        assert analysis.majority_reduction(x) == _majority_reduction_by_loop(x)
+        r = analysis.majority_reduction(x)
+        assert r == _majority_reduction_by_loop(x)
+        assert sum((p >> value & 1) << t for t, p in enumerate(planes)) == r.value
 
 
 def test_majority_reduction_rejects_even_length():
@@ -318,9 +324,14 @@ def test_majority_of_all_ones():
 
 @pytest.mark.parametrize("n", [1, 3, 5, 7, 9])
 def test_majority_equals_first_output_bit_exhaustive(n):
+    # psi's plane rule on the reduction's planes gives the same bit, lane by lane
+    ((xs, full),) = chains._cube_blocks(n)
+    images = _MAPS[PSI].planes(analysis._majority_reduction_planes(xs, full), full)
+    assert len(images) == 3 * n + 2
     for value in range(1 << n):
         x = BitVector(n, value)
-        assert analysis.first_output_bit_of_reduction(x) == analysis.majority(x)
+        bit = analysis.first_output_bit_of_reduction(x)
+        assert bit == analysis.majority(x) == images[3 * n + 1] >> value & 1
 
 
 def test_reduction_output_bits_depend_on_single_input_bits():

@@ -232,7 +232,8 @@ def test_preimage_table_matches_checked_scatter(kind, n):
 
 @pytest.mark.parametrize("kind", [PSI, PHI, NAIVE])
 def test_preimage_table_matches_checked_scatter_across_blocks(monkeypatch, fresh_tables, kind):
-    # blocks of 8 points: the ball plane is joined from several blocks
+    # blocks of 8 vertices: the image table is transposed from several
+    # blocks of planes; preimage_table then reads only that table
     monkeypatch.setattr(chains, "_BLOCK_BITS", 3)
     for n in range(2, 11, 2):
         want = _checked_preimage_table(kind, n, metrics.image_table(kind, n))
@@ -250,7 +251,7 @@ def test_preimage_table_matches_checked_scatter_across_blocks(monkeypatch, fresh
         ({5: 0b00011, 6: 0b00011}, "psi collides at image 00011"),
         # two images leave the ball: the smaller point is named
         ({5: 0b01010, 6: 0b00011}, "psi image does not match the ball at 00011"),
-        # the smallest point that differs, 01100, sits in the second block of 8 points
+        # 01100 gains a preimage and 11010 loses one: the smaller point is named
         ({5: 0b01100}, "psi image does not match the ball at 01100"),
     ],
     ids=["outside-then-collision", "collision-then-outside", "collision-outside",
@@ -265,10 +266,8 @@ def test_preimage_table_names_the_fault_as_the_checked_scatter_does(
     with pytest.raises(BijectivityError, match=f"^{message}$"):
         _checked_preimage_table(PSI, 4, faulty)
     monkeypatch.setattr(metrics, "image_table", lambda kind, n: faulty)
-    for block_bits in (3, 16):  # the ball in four blocks of 8 points, and in one
-        monkeypatch.setattr(chains, "_BLOCK_BITS", block_bits)
-        with pytest.raises(BijectivityError, match=f"^{message}$"):
-            metrics.preimage_table(PSI, 4)
+    with pytest.raises(BijectivityError, match=f"^{message}$"):
+        metrics.preimage_table(PSI, 4)
 
 
 def test_preimage_table_counts_a_collision_that_keeps_the_ball_weight(fresh_tables, monkeypatch):
