@@ -14,10 +14,9 @@ per n, at coordinate 1: the smallest of the tied coordinates.
 
 import argparse
 import math
-import os
-import sys
 
-from cubeball.analysis import flip_probability_exact
+from cubeball.analysis import _require_flip_domain, _require_flip_exact, flip_probability_exact
+from cubeball.cli import _exit_after
 
 
 def main() -> None:
@@ -25,9 +24,13 @@ def main() -> None:
     parser.add_argument("--min-n", type=int, default=4)
     parser.add_argument("--max-n", type=int, default=20)
     args = parser.parse_args()
+    ns = range(args.min_n, args.max_n + 1, 2)
+    if ns:  # a bad range is refused before the header
+        _require_flip_domain(ns[0])
+        _require_flip_exact(ns[-1], 1)
 
     print(f"{'n':>4} {'worst_i':>8} {'probability':>16} {'p*sqrt(n)':>12}")
-    for n in range(args.min_n, args.max_n + 1, 2):
+    for n in ns:
         worst_i = 1
         worst = flip_probability_exact(n, worst_i)
         print(
@@ -37,11 +40,4 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    try:
-        main()
-        sys.stdout.flush()
-    except BrokenPipeError:
-        # the reader left early; point stdout at devnull so that the flush
-        # at exit does not raise again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        sys.exit(1)
+    _exit_after(main)

@@ -9,10 +9,11 @@ plotting.  Example:
 
 import argparse
 import csv
-import os
 import sys
 
-from cubeball.bijections import BijectionKind
+from cubeball.bijections import BijectionKind, _require_dimension
+from cubeball.bits import DEFAULT_ENUMERATION_CAP, _require_cap
+from cubeball.cli import _exit_after
 from cubeball.metrics import forward_stretch_exhaustive, inverse_stretch_exhaustive
 
 
@@ -21,13 +22,17 @@ def main() -> None:
     parser.add_argument("--min-n", type=int, default=2)
     parser.add_argument("--max-n", type=int, default=16)
     args = parser.parse_args()
+    ns = range(args.min_n, args.max_n + 1, 2)
+    if ns:  # a bad range is refused before the header; the inverse sweep's cap binds
+        _require_dimension(ns[0], "stretch tables")
+        _require_cap(ns[-1] + 1, DEFAULT_ENUMERATION_CAP, "(z, i) pairs", ns[-1] + 1)
 
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(
         ["bijection", "direction", "n", "max_stretch", "avg_stretch",
          "avg_stretch_dec", "edges"]
     )
-    for n in range(args.min_n, args.max_n + 1, 2):
+    for n in ns:
         for kind in BijectionKind:
             for report in (
                 forward_stretch_exhaustive(kind, n),
@@ -41,11 +46,4 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    try:
-        main()
-        sys.stdout.flush()
-    except BrokenPipeError:
-        # the reader left early; point stdout at devnull so that the flush
-        # at exit does not raise again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        sys.exit(1)
+    _exit_after(main)

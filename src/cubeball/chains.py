@@ -53,16 +53,19 @@ and no Python step per vertex.  The result, a mask of unmatched 0s per
 coordinate and the counts a and b as bit-sliced counters, is the fixed
 counting circuit that puts psi in TC0; psi's and phi's plane rules in
 ``bijections`` and the counting routines in ``analysis`` read it.  naive's
-rule and the ball read only the weight (:func:`_majority_lanes`).
+rule and the ball read only the weight (:func:`_majority_lanes`).  The byte
+table and ``metrics.image_table`` fill their entries with :func:`_set_planes`.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
 from itertools import zip_longest
 from typing import Iterator
 
-from .bits import _BIT_VALUES, BitVector, _low_mask
+from .bits import BitVector, _low_mask
 from .errors import LevelRangeError
 
 BLANK = "_"
@@ -73,6 +76,8 @@ _BLANK_OFFSETS = bytes.maketrans(b"01", bytes((0, ord(BLANK) - ord("0"))))
 
 # Whole-cube scans take the cube in blocks of 2^_BLOCK_BITS vertices.
 _BLOCK_BITS = 16
+
+_SPREAD = tuple(bytes.maketrans(b"01", bytes((0, 1 << b))) for b in range(8))
 
 # Lane arithmetic keeps every operand non-negative: ``&`` with ``~y`` or ``-x``
 # works on a two's complement copy of a sign-and-magnitude int.  On 2^16-lane
@@ -167,6 +172,26 @@ def _cube_blocks(n: int) -> Iterator[tuple[list[int], int]]:
         yield cycle + [full if high >> t & 1 else 0 for t in range(n - low)], full
 
 
+def _set_planes(table: array, start: int, planes: list[int], lanes: int) -> None:
+    """Write entries ``start`` on: bit t of ``table[start + r]`` is bit r of ``planes[t]``.
+
+    The ``lanes`` entries are written whole, with 0 above the planes.  Each
+    plane goes out as a base-2 string, lane 0 last; ``_SPREAD[b]`` turns the
+    string of the b-th plane of eight into one byte per lane with its bit at
+    bit b, and the eight OR into a byte column written into the table's bytes.
+    """
+    size = table.itemsize
+    out = bytearray(lanes * size)
+    for k in range(0, len(planes), 8):
+        col = 0
+        for b, p in enumerate(planes[k : k + 8]):
+            col |= int.from_bytes(format(p, f"0{lanes}b").encode().translate(_SPREAD[b]), "big")
+        off = k >> 3 if sys.byteorder == "little" else size - 1 - (k >> 3)
+        out[off::size] = col.to_bytes(lanes, "little")
+    with memoryview(table) as view, view.cast("B") as raw:
+        raw[start * size : (start + lanes) * size] = out
+
+
 def _unmatched_planes(xs: list[int], full: int) -> tuple[list[int], list[int], list[int]]:
     """Marking of every lane at once, bit-sliced.
 
@@ -190,15 +215,6 @@ def _unmatched_planes(xs: list[int], full: int) -> tuple[list[int], list[int], l
     return zeros, a, depth
 
 
-def _lane_bytes(planes: list[int]) -> bytes:
-    """The 256 lanes of 8 planes over {0,1}^8 as bytes: byte r holds lane r
-    of ``planes[s]`` at bit s."""
-    lanes = 0
-    for s, plane in enumerate(planes):
-        lanes |= int.from_bytes(format(plane, "0256b").encode().translate(_BIT_VALUES), "big") << s
-    return lanes.to_bytes(256, "little")
-
-
 def _byte_rows() -> tuple[tuple[int, int, tuple[int, ...], tuple[int, ...]], ...]:
     """The byte table, from two plane runs over {0,1}^8.
 
@@ -208,9 +224,10 @@ def _byte_rows() -> tuple[tuple[int, int, tuple[int, ...], tuple[int, ...]], ...
     d open 0s come in from the right (d < b).
     """
     ((xs, full),) = _cube_blocks(8)
-    zeros = _lane_bytes(_unmatched_planes(xs, full)[0])
+    zeros, ones = array("B", bytes(256)), array("B", bytes(256))
+    _set_planes(zeros, 0, _unmatched_planes(xs, full)[0], 256)
     # the unmatched 1s of a byte are the unmatched 0s of its mirror, mirrored
-    ones = _lane_bytes(_unmatched_planes([full ^ x for x in reversed(xs)], full)[0][::-1])
+    _set_planes(ones, 0, _unmatched_planes([full ^ x for x in reversed(xs)], full)[0][::-1], 256)
     # per mask: the mask less its d highest (less its d lowest) set bits, for d from 0
     highs: list[tuple[int, ...]] = [()]
     lows: list[tuple[int, ...]] = [()]

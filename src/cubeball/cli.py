@@ -28,7 +28,7 @@ import math
 import os
 import sys
 from fractions import Fraction
-from typing import Optional, TextIO
+from typing import Callable, NoReturn, Optional, TextIO
 
 from . import __version__, analysis, metrics
 from .bijections import BijectionKind, forward_map, inverse_map
@@ -358,11 +358,18 @@ def run(argv: list[str], stdout: Optional[TextIO] = None) -> int:
     return int(any(rec.get("status") == "FAIL" for rec in records))
 
 
-def main() -> None:
+def _exit_after(fn: Callable[[], Optional[int]]) -> NoReturn:
+    """Run ``fn`` and exit with its code (None is 0): the CLI's and the scripts' one exit."""
     try:
-        code = run(sys.argv[1:])
+        code = fn()
         sys.stdout.flush()
+    except CubeballError as exc:  # sys.exit prints a string to stderr and exits 1
+        code = f"{os.path.basename(sys.argv[0])}: error: {type(exc).__name__}: {exc}"
     except BrokenPipeError:  # the reader left; stdout to devnull, so exit's flush is quiet
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = 1
     sys.exit(code)
+
+
+def main() -> None:
+    _exit_after(lambda: run(sys.argv[1:]))

@@ -60,7 +60,7 @@ result, so its sweep reads the swap map's planes with no table in between.
 per entry, for small sampled runs, the worked examples and the acceptance
 criteria; past the default enumeration cap they are refused before they
 allocate.  ``image_table`` transposes the same block planes into the table
-(``_set_planes``).  ``preimage_table`` scatters the images into their
+(``chains._set_planes``).  ``preimage_table`` scatters the images into their
 entries and proves, apart from the lane proof and without a plane, that the
 map is a bijection onto the ball, with two counts: 2^n entries must be left
 at -1, so no two vertices share an image, and the images' weights must sum
@@ -81,7 +81,7 @@ from typing import Iterator, Optional
 
 from .bijections import _MAPS, BijectionKind, _require_dimension
 from .bits import DEFAULT_ENUMERATION_CAP, BitVector, EdgeId, _low_mask, _require_cap
-from .chains import _cube_blocks, _increment, _lowest_lane, _majority_lanes, _profile
+from .chains import _cube_blocks, _increment, _lowest_lane, _majority_lanes, _profile, _set_planes
 from .errors import BijectivityError, EnumerationCapError, LengthMismatchError, NotInBallError
 
 # Above this domain size, or above 16 vertices per draw, sampled sweeps find
@@ -91,10 +91,6 @@ from .errors import BijectivityError, EnumerationCapError, LengthMismatchError, 
 # limit (acceptance criterion 13 at 0.2 per draw, the verify-sampled
 # benchmark at n = 1024).
 _TABLE_LIMIT = 1 << 20
-
-# _SPREAD[b] is a bytes.translate table sending ASCII "0" and "1" to the
-# byte with bit b clear and set.
-_SPREAD = tuple(bytes.maketrans(b"01", bytes((0, 1 << b))) for b in range(8))
 
 # (planes, kept lanes) per block of chains._cube_blocks, blocks in point order.
 _Blocks = list[tuple[list[int], int]]
@@ -285,26 +281,6 @@ def preimage_table(kind: BijectionKind, n: int) -> array:
         z = next(z for z, v in enumerate(inv) if (2 * z.bit_count() > n) != (v >= 0))
         raise BijectivityError(f"{kind.value} image does not match the ball at {z:0{n + 1}b}")
     return inv
-
-
-def _set_planes(table: array, start: int, planes: list[int], lanes: int) -> None:
-    """Write entries ``start`` on: bit t of ``table[start + r]`` is bit r of ``planes[t]``.
-
-    The ``lanes`` entries are written whole, with 0 above the planes.  Each
-    plane is written as a base-2 string, lane 0 last, and translated to one
-    byte per lane holding its bit at the plane's place in the byte; eight of
-    them OR into a byte column, written straight into the table's bytes.
-    """
-    size = table.itemsize
-    out = bytearray(lanes * size)
-    for k in range(0, len(planes), 8):
-        col = 0
-        for b, p in enumerate(planes[k : k + 8]):
-            col |= int.from_bytes(format(p, f"0{lanes}b").encode().translate(_SPREAD[b]), "big")
-        off = k >> 3 if sys.byteorder == "little" else size - 1 - (k >> 3)
-        out[off::size] = col.to_bytes(lanes, "little")
-    with memoryview(table) as view, view.cast("B") as raw:
-        raw[start * size : (start + lanes) * size] = out
 
 
 def _block_edges(blocks: _Blocks, m: int) -> Iterator[tuple[int, int, list[int], list[int], int]]:

@@ -1,15 +1,19 @@
-"""Lane arithmetic: the bit-sliced counter primitives of ``chains`` against
-per-lane integer arithmetic, and a guard that keeps negative operands out of
-the package's bit operations (see the note at the primitives in chains.py)."""
+"""Lane arithmetic: the bit-sliced counter primitives of ``chains`` and its
+planes-to-entries transpose against per-lane integer arithmetic, and a guard
+that keeps negative operands out of the package's bit operations (see the
+note at the primitives in chains.py)."""
 
 import ast
+from array import array
 from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
-from cubeball.chains import _decrement, _equal, _increment, _lowest_lane, _nonzero, _subtract
+from cubeball.chains import (
+    _decrement, _equal, _increment, _lowest_lane, _nonzero, _set_planes, _subtract,
+)
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "cubeball"
 
@@ -85,6 +89,25 @@ def test_nonzero_marks_the_lanes_above_zero(counter):
 def test_lowest_lane_is_the_lowest_set_bit(lanes):
     r = _lowest_lane(lanes)
     assert lanes >> r & 1 and not lanes & ((1 << r) - 1)
+
+
+@given(st.lists(st.integers(0, 255), min_size=256, max_size=256))
+def test_set_planes_writes_eight_planes_as_bytes(values):
+    table = array("B", [0xFF]) * 256  # every bit is written over
+    _set_planes(table, 0, _planes(values, 8), 256)
+    assert table.tolist() == values
+
+
+@given(st.data())
+def test_set_planes_writes_only_its_lanes_from_start(data):
+    width = data.draw(st.integers(9, 30))
+    lanes = data.draw(st.integers(1, 70))
+    values = data.draw(st.lists(st.integers(0, (1 << width) - 1), min_size=lanes, max_size=lanes))
+    before = data.draw(st.lists(st.integers(-(1 << 31), (1 << 31) - 1), min_size=1, max_size=9))
+    after = data.draw(st.lists(st.integers(-(1 << 31), (1 << 31) - 1), max_size=9))
+    table = array("i", before + [-1] * lanes + after)  # 0 must be written above the planes
+    _set_planes(table, len(before), _planes(values, width), lanes)
+    assert table.tolist() == before + values + after
 
 
 def _negative_operands(tree):

@@ -66,6 +66,29 @@ def test_cli_closed_stdout_exits_without_traceback():
     _run_with_closed_stdout(["-m", "cubeball", "stats", "chains", "--n", "18"])
 
 
+@pytest.mark.parametrize("name,argv,error", [
+    ("flip_probability_scaling", ["--min-n", "3"], "OddLengthError"),
+    ("flip_probability_scaling", ["--min-n", "0"], "DimensionError"),
+    # the largest n asked for is past the 2^28-bit ceiling; refused before n = 4 is printed
+    ("flip_probability_scaling", ["--min-n", "4", "--max-n", "268435458"], "EnumerationCapError"),
+    ("stretch_tables", ["--min-n", "1"], "OddLengthError"),
+    # every even n up to 22 fits under the cap; refused before any is computed
+    ("stretch_tables", ["--max-n", "40"], "EnumerationCapError"),
+])
+def test_bad_range_is_refused_before_any_output(name, argv, error):
+    path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / f"{name}.py"), *argv],
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=120,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == b""
+    (line,) = proc.stderr.decode().splitlines()  # one line, so no traceback
+    assert line.startswith(f"{name}.py: error: {error}: ")
+
+
 def test_readme_library_quickstart_runs():
     readme = (ROOT / "README.md").read_text()
     block = re.search(r"## Library quickstart\n\n```python\n(.*?)```", readme, re.S)
