@@ -52,10 +52,9 @@ from functools import lru_cache
 from math import comb
 
 from .bijections import BijectionKind, _psi_value, _require_dimension
-from .bits import DEFAULT_ENUMERATION_CAP, BitVector, _require_cap
+from .bits import DEFAULT_ENUMERATION_CAP, BitVector, _require_cap, _require_coordinate
 from .chains import _cube_blocks, _equal, _unmatched_planes
 from .errors import (
-    CoordinateRangeError,
     DimensionError,
     EnumerationCapError,
     OddLengthError,
@@ -210,8 +209,7 @@ def flip_probability_exact(n: int, i: int) -> Fraction:
 
 def _require_flip_exact(n: int, i: int) -> None:
     _require_flip_domain(n)
-    if not 1 <= i <= n:
-        raise CoordinateRangeError(f"coordinate {i} out of [1, {n}]")
+    _require_coordinate(i, n)
     if n > DEFAULT_ENUMERATION_CAP:
         raise EnumerationCapError(n, DEFAULT_ENUMERATION_CAP, "bits per binomial")
 
@@ -225,8 +223,7 @@ def flip_probability_exhaustive(
     bit i and the images' plane of output bit i differ.
     """
     _require_flip_domain(n)
-    if not 1 <= i <= n:
-        raise CoordinateRangeError(f"coordinate {i} out of [1, {n}]")
+    _require_coordinate(i, n)
     _require_cap(n, cap, "vertices")
     count = _flip_counts(n)[i - 1]
     return BitAgreementStat(
@@ -238,7 +235,7 @@ def flip_probability_exhaustive(
 def _flip_counts(n: int) -> tuple[int, ...]:
     """The disagree counts of coordinates 1..n, from one build of psi's image planes."""
     counts = [0] * n
-    for xs, _, images in _image_blocks(BijectionKind.PSI, n):
+    for (xs, _), (images, _) in zip(_cube_blocks(n), _image_blocks(BijectionKind.PSI, n)):
         # input coordinate i is plane n - i, output coordinate i is plane n + 1 - i
         for i in range(1, n + 1):
             counts[i - 1] += (xs[n - i] ^ images[n + 1 - i]).bit_count()
@@ -331,9 +328,8 @@ def influence_profile(
     kind = BijectionKind(kind)
     _require_dimension(n, kind.value)
     _require_cap(n, cap, "(x, j) pairs", n)
-    blocks = [(images, full) for _, full, images in _image_blocks(kind, n)]
     counts = [0] * (n + 1)  # by output shift
-    for _, _, planes, partner, e in _block_edges(blocks, n):
+    for _, _, planes, partner, e in _block_edges(list(_image_blocks(kind, n)), n):
         for t, (p, q) in enumerate(zip(planes, partner)):
             counts[t] += ((p ^ q) & e).bit_count()
     size = 1 << n

@@ -60,11 +60,10 @@ class BallVector:
     vector: BitVector
 
     def __post_init__(self):
-        m = self.vector.n
-        if 2 * self.vector.weight() <= m - 1:
+        n, vec = _inverse_input(self.vector, "BallVector")
+        if 2 * vec.weight() <= n:
             raise NotInBallError(
-                f"weight {self.vector.weight()} not above {(m - 1) / 2} "
-                f"for length {m}"
+                f"weight {vec.weight()} not above {n / 2} for length {n + 1}"
             )
 
     def render(self) -> str:

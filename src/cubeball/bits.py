@@ -53,7 +53,7 @@ class BitVector:
         return self.n
 
     def bit(self, i: int) -> int:
-        self._check_coordinate(i)
+        _require_coordinate(i, self.n)
         return (self.value >> (self.n - i)) & 1
 
     def bits(self) -> tuple[int, ...]:
@@ -63,17 +63,13 @@ class BitVector:
         return self.value.bit_count()
 
     def flip_at(self, i: int) -> "BitVector":
-        self._check_coordinate(i)
+        _require_coordinate(i, self.n)
         return BitVector(self.n, self.value ^ (1 << (self.n - i)))
 
     def __xor__(self, other: "BitVector") -> "BitVector":
         if self.n != other.n:
             raise LengthMismatchError(f"length {self.n} vs {other.n}")
         return BitVector(self.n, self.value ^ other.value)
-
-    def _check_coordinate(self, i: int) -> None:
-        if not 1 <= i <= self.n:
-            raise CoordinateRangeError(f"coordinate {i} out of [1, {self.n}]")
 
 
 @dataclass(frozen=True, slots=True)
@@ -84,13 +80,16 @@ class EdgeId:
     coordinate: int
 
     def __post_init__(self):
-        if not 1 <= self.coordinate <= self.vertex.n:
-            raise CoordinateRangeError(
-                f"coordinate {self.coordinate} out of [1, {self.vertex.n}]"
-            )
+        _require_coordinate(self.coordinate, self.vertex.n)
 
     def other_endpoint(self) -> BitVector:
         return self.vertex.flip_at(self.coordinate)
+
+
+def _require_coordinate(i: int, n: int) -> None:
+    """Reject a coordinate outside [1, n]."""
+    if not 1 <= i <= n:
+        raise CoordinateRangeError(f"coordinate {i} out of [1, {n}]")
 
 
 def distance(a: BitVector, b: BitVector) -> int:

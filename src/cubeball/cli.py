@@ -7,16 +7,17 @@ output.  Exit codes: 0 success, 1 computation or domain error (a one-line
 ``error=...`` record on stdout), a failed selftest criterion or a stdout
 closed early by its reader, 2 usage error, including an unwritable ``--out``.
 
-Each flag is declared once, on the subparser that reads it, and each
-subparser names its handler through ``set_defaults``.  A record's
-``command`` is its subparser's name, or for a ``stats`` subcommand the
-``command`` its ``set_defaults`` gives, the only place that name is
-written.  Handlers take the parsed ``argparse.Namespace`` and return only
-their own fields; ``run()`` puts the header (``tool``, ``version``,
-``command``) in front of every record, error records included.
-``--allow-large`` sits on a parent parser shared by the commands whose work
-the cap bounds (the enumerating ones, and ``chain`` for the size of
-``--full``), and stores the cap itself as ``cap``.
+Each flag is declared once, on the subparser that reads it or, when
+several read it, on a parent parser they share, and each subparser names
+its handler through ``set_defaults``.  A record's ``command`` is its
+subparser's name, or for a ``stats`` subcommand the ``command`` its
+``set_defaults`` gives, the only place that name is written.  Handlers
+take the parsed ``argparse.Namespace`` and return only their own fields;
+``run()`` puts the header (``tool``, ``version``, ``command``) in front of
+every record, error records included.  ``--allow-large`` sits on a parent
+parser shared by the commands whose work the cap bounds (the enumerating
+ones, and ``chain`` for the size of ``--full``), and stores the cap itself
+as ``cap``.
 """
 
 from __future__ import annotations
@@ -251,6 +252,12 @@ def build_parser() -> argparse.ArgumentParser:
     capped.add_argument("--allow-large", dest="cap", action="store_const",
                         const=DEFAULT_ENUMERATION_CAP, default=CLI_ENUMERATION_CAP,
                         help="lift the enumeration cap from 2^24 to 2^28")
+    bijection = argparse.ArgumentParser(add_help=False)
+    bijection.add_argument("--bijection", choices=_KINDS, required=True)
+    dimension = argparse.ArgumentParser(add_help=False)
+    dimension.add_argument("--n", type=int, required=True)
+    vector = argparse.ArgumentParser(add_help=False)
+    vector.add_argument("--input", required=True, metavar="BITS")
 
     parser = argparse.ArgumentParser(
         prog="cubeball",
@@ -259,67 +266,56 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"cubeball {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("map", parents=[common], help="apply a bijection")
+    p = sub.add_parser("map", parents=[common, bijection, vector],
+                       help="apply a bijection")
     p.set_defaults(handler=_cmd_map)
-    p.add_argument("--bijection", choices=_KINDS, required=True)
-    p.add_argument("--input", required=True, metavar="BITS")
 
-    p = sub.add_parser("invmap", parents=[common], help="apply an inverse bijection")
+    p = sub.add_parser("invmap", parents=[common, bijection, vector],
+                       help="apply an inverse bijection")
     p.set_defaults(handler=_cmd_invmap)
-    p.add_argument("--bijection", choices=_KINDS, required=True)
-    p.add_argument("--input", required=True, metavar="BITS")
 
-    p = sub.add_parser("chain", parents=[capped], help="locate a vertex on its chain")
+    p = sub.add_parser("chain", parents=[capped, vector], help="locate a vertex on its chain")
     p.set_defaults(handler=_cmd_chain)
-    p.add_argument("--input", required=True, metavar="BITS")
     p.add_argument("--full", action="store_true", help="also list the whole chain")
 
-    p = sub.add_parser("verify", parents=[capped], help="stretch sweep")
+    p = sub.add_parser("verify", parents=[capped, bijection, dimension], help="stretch sweep")
     p.set_defaults(handler=_cmd_verify)
-    p.add_argument("--bijection", choices=_KINDS, required=True)
     p.add_argument("--direction", choices=["fwd", "inv"], default="fwd")
-    p.add_argument("--n", type=int, required=True)
     p.add_argument("--mode", choices=["exhaustive", "sample"], default="exhaustive")
     p.add_argument("--samples", type=int, default=100000)
     p.add_argument("--seed", type=int, default=None)
 
-    p = sub.add_parser("pairs-audit", parents=[capped],
+    p = sub.add_parser("pairs-audit", parents=[capped, bijection, dimension],
                        help="extreme pairwise distance ratios")
     p.set_defaults(handler=_cmd_pairs_audit)
-    p.add_argument("--bijection", choices=_KINDS, required=True)
-    p.add_argument("--n", type=int, required=True)
 
     stats = sub.add_parser("stats", help="exact counting statistics")
     stats_sub = stats.add_subparsers(dest="stats_command", required=True)
 
-    p = stats_sub.add_parser("chains", parents=[capped], help="chain counts by length")
+    p = stats_sub.add_parser("chains", parents=[capped, dimension],
+                             help="chain counts by length")
     p.set_defaults(handler=_cmd_stats_chains, command="stats-chains")
-    p.add_argument("--n", type=int, required=True)
 
-    p = stats_sub.add_parser("profile", parents=[common],
+    p = stats_sub.add_parser("profile", parents=[common, dimension],
                              help="count vertices by unmarked profile")
     p.set_defaults(handler=_cmd_stats_profile, command="stats-profile")
-    p.add_argument("--n", type=int, required=True)
     p.add_argument("--a", type=int, required=True, help="unmarked zeros")
     p.add_argument("--b", type=int, required=True, help="unmarked ones")
 
-    p = stats_sub.add_parser("flipprob", parents=[capped],
+    p = stats_sub.add_parser("flipprob", parents=[capped, dimension],
                              help="per-bit disagreement probability")
     p.set_defaults(handler=_cmd_stats_flipprob, command="stats-flipprob")
-    p.add_argument("--n", type=int, required=True)
     p.add_argument("--bit", type=int, default=None, metavar="I")
     p.add_argument("--mode", choices=["exact", "exhaustive"], default="exact")
 
-    p = stats_sub.add_parser("influence", parents=[capped],
+    p = stats_sub.add_parser("influence", parents=[capped, dimension],
                              help="total influence of each output bit")
     p.set_defaults(handler=_cmd_stats_influence, command="stats-influence")
-    p.add_argument("--n", type=int, required=True)
     p.add_argument("--bijection", choices=_KINDS, default="psi")
 
-    p = sub.add_parser("reduce-majority", parents=[common],
+    p = sub.add_parser("reduce-majority", parents=[common, vector],
                        help="blow a vector up so bit 1 of its image is majority")
     p.set_defaults(handler=_cmd_reduce_majority)
-    p.add_argument("--input", required=True, metavar="BITS")
 
     p = sub.add_parser("selftest", parents=[common], help="run the acceptance checklist")
     p.set_defaults(handler=_cmd_selftest)

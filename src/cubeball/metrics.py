@@ -186,15 +186,16 @@ class TransitivityAudit:
     max_ratio: Fraction
 
 
-def _image_blocks(kind: BijectionKind, n: int) -> Iterator[tuple[list[int], int, list[int]]]:
-    """``(xs, full, images)`` per block of ``chains._cube_blocks(n)``.
+def _image_blocks(kind: BijectionKind, n: int) -> Iterator[tuple[list[int], int]]:
+    """``(images, full)`` per block of ``chains._cube_blocks(n)``, the
+    :data:`_Blocks` element shape, one block at a time.
 
     ``images`` holds the n + 1 planes of the block's images, from the map's
     plane rule.
     """
     rule = _MAPS[kind].planes
     for xs, full in _cube_blocks(n):
-        yield xs, full, rule(xs, full)
+        yield rule(xs, full), full
 
 
 def _preimage_blocks(kind: BijectionKind, n: int) -> _Blocks:
@@ -235,7 +236,7 @@ def image_table(kind: BijectionKind, n: int) -> array:
     _require_dimension(n, kind.value)
     _require_cap(n, DEFAULT_ENUMERATION_CAP, "table entries")
     table = array("i", [0]) * (1 << n)
-    for k, (_, full, images) in enumerate(_image_blocks(kind, n)):
+    for k, (images, full) in enumerate(_image_blocks(kind, n)):
         lanes = full.bit_length()
         _set_planes(table, k * lanes, images, lanes)
     return table
@@ -381,9 +382,8 @@ def forward_stretch_exhaustive(
     kind = BijectionKind(kind)
     _require_dimension(n, kind.value)
     _require_cap(n, cap, "(x, i) pairs", n)
-    blocks = [(images, full) for _, full, images in _image_blocks(kind, n)]
     return _exhaustive_report(
-        kind, Direction.FORWARD, n, blocks, n,
+        kind, Direction.FORWARD, n, list(_image_blocks(kind, n)), n,
         "ordered (x,i) pairs, i uniform in [n]",
     )
 

@@ -86,8 +86,9 @@ def test_inverse_rejects_odd_cube_dimension(kind):
 @pytest.mark.parametrize(
     "inverse,who",
     [(psi_inverse, "psi_inverse"), (phi_inverse, "phi_inverse"),
-     (naive_inverse, "naive_inverse"), (lambda z: transitivity_map(z, z, z), "transitivity_map")],
-    ids=["psi", "phi", "naive", "transitivity"],
+     (naive_inverse, "naive_inverse"), (lambda z: transitivity_map(z, z, z), "transitivity_map"),
+     (BallVector, "BallVector")],
+    ids=["psi", "phi", "naive", "transitivity", "ball_vector"],
 )
 @pytest.mark.parametrize(
     "bits,error,rule",

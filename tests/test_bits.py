@@ -1,11 +1,17 @@
+import ast
+from pathlib import Path
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
+from cubeball.analysis import flip_probability_exact, flip_probability_exhaustive
 from cubeball.bits import BitVector, EdgeId, distance
 from cubeball.errors import CoordinateRangeError, LengthMismatchError
 
 from strategies import bit_vectors
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "cubeball"
 
 
 @pytest.mark.parametrize(
@@ -76,3 +82,40 @@ def test_edge_id():
     assert e.other_endpoint().render() == "0001"
     with pytest.raises(CoordinateRangeError):
         EdgeId(BitVector.parse("0101"), 5)
+
+
+@pytest.mark.parametrize(
+    "check",
+    [lambda i: BitVector(4, 0).bit(i), lambda i: BitVector(4, 0).flip_at(i),
+     lambda i: EdgeId(BitVector(4, 0), i), lambda i: flip_probability_exact(4, i),
+     lambda i: flip_probability_exhaustive(4, i)],
+    ids=["bit", "flip_at", "EdgeId", "flip_probability_exact", "flip_probability_exhaustive"],
+)
+@pytest.mark.parametrize("i", [0, 5])
+def test_coordinate_out_of_range_message(check, i):
+    with pytest.raises(CoordinateRangeError, match=rf"^coordinate {i} out of \[1, 4\]$"):
+        check(i)
+
+
+def _names_coordinate_error(node):
+    return getattr(node, "id", getattr(node, "attr", None)) == "CoordinateRangeError"
+
+
+def test_coordinate_range_error_is_constructed_in_one_place():
+    """``bits._require_coordinate`` is the one place in src/cubeball that
+    calls or raises ``CoordinateRangeError``; every coordinate check calls it."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for scope in [tree, *(f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef))]:
+            # each node counts once, for the innermost function that holds it
+            inner = {id(node) for f in ast.walk(scope)
+                     if f is not scope and isinstance(f, ast.FunctionDef) for node in ast.walk(f)}
+            found += [
+                f"{path.stem}.{getattr(scope, 'name', '<module>')}"
+                for node in ast.walk(scope)
+                if id(node) not in inner and (
+                    isinstance(node, ast.Call) and _names_coordinate_error(node.func)
+                    or isinstance(node, ast.Raise) and _names_coordinate_error(node.exc))
+            ]
+    assert found == ["bits._require_coordinate"]

@@ -406,30 +406,58 @@ def _subparsers(parser, prefix=()):
     yield " ".join(prefix), parser
 
 
-COMMON = ["-h", "--help", "--format", "--out"]
-CAPPED = COMMON + ["--allow-large"]
+# dest -> (option strings, required, default, choices, type) of each flag
+COMMON = {
+    "help": (("-h", "--help"), False, argparse.SUPPRESS, None, None),
+    "format": (("--format",), False, "text", ["text", "csv"], None),
+    "out": (("--out",), False, None, None, None),
+}
+CAPPED = {**COMMON, "cap": (("--allow-large",), False, CLI_ENUMERATION_CAP, None, None)}
+BIJECTION = {"bijection": (("--bijection",), True, None, ["psi", "phi", "naive"], None)}
+N = {"n": (("--n",), True, None, None, int)}
+INPUT = {"input": (("--input",), True, None, None, None)}
 
-OPTIONS = {
-    "map": COMMON + ["--bijection", "--input"],
-    "invmap": COMMON + ["--bijection", "--input"],
-    "chain": CAPPED + ["--input", "--full"],
-    "verify": CAPPED + ["--bijection", "--direction", "--n", "--mode", "--samples", "--seed"],
-    "pairs-audit": CAPPED + ["--bijection", "--n"],
-    "stats chains": CAPPED + ["--n"],
-    "stats profile": COMMON + ["--n", "--a", "--b"],
-    "stats flipprob": CAPPED + ["--n", "--bit", "--mode"],
-    "stats influence": CAPPED + ["--n", "--bijection"],
-    "reduce-majority": COMMON + ["--input"],
+FLAGS = {
+    "map": {**COMMON, **BIJECTION, **INPUT},
+    "invmap": {**COMMON, **BIJECTION, **INPUT},
+    "chain": {**CAPPED, **INPUT, "full": (("--full",), False, False, None, None)},
+    "verify": {
+        **CAPPED, **BIJECTION, **N,
+        "direction": (("--direction",), False, "fwd", ["fwd", "inv"], None),
+        "mode": (("--mode",), False, "exhaustive", ["exhaustive", "sample"], None),
+        "samples": (("--samples",), False, 100000, None, int),
+        "seed": (("--seed",), False, None, None, int),
+    },
+    "pairs-audit": {**CAPPED, **BIJECTION, **N},
+    "stats chains": {**CAPPED, **N},
+    "stats profile": {
+        **COMMON, **N,
+        "a": (("--a",), True, None, None, int),
+        "b": (("--b",), True, None, None, int),
+    },
+    "stats flipprob": {
+        **CAPPED, **N,
+        "bit": (("--bit",), False, None, None, int),
+        "mode": (("--mode",), False, "exact", ["exact", "exhaustive"], None),
+    },
+    "stats influence": {
+        **CAPPED, **N,
+        "bijection": (("--bijection",), False, "psi", ["psi", "phi", "naive"], None),
+    },
+    "reduce-majority": {**COMMON, **INPUT},
     "selftest": COMMON,
 }
 
 
-def test_option_strings_of_each_subcommand():
+def test_flags_of_each_subcommand():
     got = {
-        name: sorted(s for a in p._actions for s in a.option_strings)
+        name: {
+            a.dest: (tuple(a.option_strings), a.required, a.default, a.choices, a.type)
+            for a in p._actions
+        }
         for name, p in _subparsers(build_parser())
     }
-    assert got == {name: sorted(opts) for name, opts in OPTIONS.items()}
+    assert got == FLAGS
 
 
 def test_allow_large_sets_the_cap():
