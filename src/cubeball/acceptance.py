@@ -29,14 +29,13 @@ from __future__ import annotations
 
 import io
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable
 
 from . import analysis, metrics
 from .bijections import _MAPS, BijectionKind
-from .bits import BitVector
+from .bits import BitVector, _record
 from .chains import (
     _cube_blocks,
     _lowest_lane,
@@ -70,7 +69,7 @@ NAIVE_RATIO_HI = Fraction(107, 100)
 # p = C(n, n/2)/2^(n+1) gives p * sqrt(n) < 1/sqrt(2 pi) ~ 0.3989.
 FLIP_SCALING_BOUND = Fraction(2, 5)
 
-@dataclass(frozen=True, slots=True)
+@_record
 class CriterionResult:
     number: int
     name: str

@@ -46,13 +46,12 @@ All counts are arbitrary-precision integers and all probabilities exact
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
 from .bijections import BijectionKind, _psi_value, _require_dimension
-from .bits import DEFAULT_ENUMERATION_CAP, BitVector, _require_cap, _require_coordinate
+from .bits import DEFAULT_ENUMERATION_CAP, BitVector, _record, _require_cap, _require_coordinate
 from .chains import _cube_blocks, _equal, _unmatched_planes
 from .errors import (
     DimensionError,
@@ -63,7 +62,7 @@ from .errors import (
 from .metrics import _block_edges, _image_blocks
 
 
-@dataclass(frozen=True, slots=True)
+@_record
 class ChainCountTable:
     """Chain counts by length for the decomposition of {0,1}^n."""
 
@@ -77,7 +76,7 @@ class ChainCountTable:
         return sum(t * m for t, m in self.entries.items())
 
 
-@dataclass(frozen=True, slots=True)
+@_record
 class BitAgreementStat:
     """How often an output bit disagrees with its input bit."""
 

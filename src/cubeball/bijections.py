@@ -28,11 +28,10 @@ average) are checked only as far as the exhaustive sweeps reach.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Union
+from typing import Callable, NamedTuple, Union
 
-from .bits import BitVector
+from .bits import BitVector, _record
 from .chains import (
     _decrement,
     _increment,
@@ -53,7 +52,7 @@ class BijectionKind(str, Enum):
     NAIVE = "naive"
 
 
-@dataclass(frozen=True, slots=True)
+@_record
 class BallVector:
     """A vector of length n+1 with weight strictly above n/2."""
 
@@ -344,8 +343,7 @@ def transitivity_map(x: BallVector, y: BallVector, z: BallVector) -> BallVector:
     return BallVector(BitVector(n + 1, _psi_value(n, moved)))
 
 
-@dataclass(frozen=True, slots=True)
-class _Map:
+class _Map(NamedTuple):
     """One map's integer form, plane rules, edge-distance rule and public pair."""
 
     value: Callable[[int, int], int]

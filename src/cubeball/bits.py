@@ -8,8 +8,6 @@ rendered strings.  Lengths are arbitrary (not capped at machine-word width).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import (
     CoordinateRangeError,
     EnumerationCapError,
@@ -23,7 +21,41 @@ DEFAULT_ENUMERATION_CAP = 1 << 28
 _BIT_VALUES = bytes.maketrans(b"01", b"\0\1")
 
 
-@dataclass(frozen=True, slots=True)
+def _record(cls):
+    """Rebuild ``cls`` as a frozen, slotted record of its annotated fields.
+
+    It gives what ``dataclasses.dataclass(frozen=True, slots=True)`` gives,
+    without importing ``dataclasses`` and the modules it loads.  Each class
+    gets one generated ``__init__``: the fields in order, class-level values
+    as defaults, then ``__post_init__`` if the class has one.  ``==`` holds
+    only within the class, ``hash`` and ``repr`` read the fields in order,
+    and ``copy`` and ``pickle`` rebuild through the constructor.
+    """
+    names = tuple(cls.__annotations__)
+    body = {k: v for k, v in cls.__dict__.items() if k not in ("__dict__", "__weakref__")}
+    defaults = {f: body.pop(f) for f in names if f in body}
+    params = ", ".join(f"{f}={f}" if f in defaults else f for f in names)
+    sets = "".join(f" _set(self, {f!r}, {f})\n" for f in names)
+    post = " self.__post_init__()\n" if "__post_init__" in body else ""
+    shown = ", ".join(f"{f}={{self.{f}!r}}" for f in names)
+    row = "".join(f"self.{f}, " for f in names)  # a tuple even for one field
+    exec(
+        f"def __init__(self, {params}):\n{sets}{post}"
+        f"def __repr__(self):\n return f'{{self.__class__.__qualname__}}({shown})'\n"
+        f"def __eq__(self, other):\n return ({row}) == ({row.replace('self.', 'other.')})"
+        " if other.__class__ is self.__class__ else NotImplemented\n"
+        f"def __hash__(self):\n return hash(({row}))\n"
+        f"def __reduce__(self):\n return self.__class__, ({row})\n",
+        {"_set": object.__setattr__, **defaults}, body)
+    body.update(__slots__=names, __setattr__=_frozen, __delattr__=_frozen)
+    return type(cls)(cls.__name__, cls.__bases__, body)
+
+
+def _frozen(self, name, value=None):
+    raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+
+@_record
 class BitVector:
     """An immutable word in {0,1}^n."""
 
@@ -72,7 +104,7 @@ class BitVector:
         return BitVector(self.n, self.value ^ other.value)
 
 
-@dataclass(frozen=True, slots=True)
+@_record
 class EdgeId:
     """A cube edge named by one endpoint and the coordinate that flips."""
 

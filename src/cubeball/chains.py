@@ -61,11 +61,10 @@ from __future__ import annotations
 
 import sys
 from array import array
-from dataclasses import dataclass
 from itertools import zip_longest
 from typing import Iterator
 
-from .bits import BitVector, _low_mask
+from .bits import BitVector, _low_mask, _record
 from .errors import LevelRangeError
 
 BLANK = "_"
@@ -310,7 +309,7 @@ def _lowest(mask: int, k: int) -> int:
     return mask ^ rest
 
 
-@dataclass(frozen=True, slots=True)
+@_record
 class MarkedString:
     """A vertex and its marks: bit n - i of ``mask`` is set iff coordinate i is marked."""
 
@@ -330,7 +329,7 @@ class MarkedString:
         return tuple(i for i, m in enumerate(self.marked, 1) if m)
 
 
-@dataclass(frozen=True, slots=True)
+@_record
 class ChainCode:
     """A chain's moving coordinates, as a string over '0', '1' and '_'."""
 
@@ -366,7 +365,7 @@ class ChainCode:
         return self.symbols
 
 
-@dataclass(frozen=True, slots=True)
+@_record
 class ChainPosition:
     """Where a vertex sits: its chain code, bottom level k, level j, and the
     distance ell from the chain top."""

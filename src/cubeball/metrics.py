@@ -72,7 +72,6 @@ from __future__ import annotations
 import random
 import sys
 from array import array
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
@@ -80,7 +79,7 @@ from math import comb
 from typing import Iterator, Optional
 
 from .bijections import _MAPS, BijectionKind, _require_dimension
-from .bits import DEFAULT_ENUMERATION_CAP, BitVector, EdgeId, _low_mask, _require_cap
+from .bits import DEFAULT_ENUMERATION_CAP, BitVector, EdgeId, _low_mask, _record, _require_cap
 from .chains import _cube_blocks, _increment, _lowest_lane, _majority_lanes, _profile, _set_planes
 from .errors import BijectivityError, EnumerationCapError, LengthMismatchError, NotInBallError
 
@@ -106,7 +105,7 @@ class SweepMode(Enum):
     SAMPLED = "sample"
 
 
-@dataclass(frozen=True, slots=True)
+@_record
 class StretchReport:
     kind: BijectionKind
     direction: Direction
@@ -145,7 +144,7 @@ class StretchReport:
         return rec
 
 
-@dataclass(frozen=True, slots=True)
+@_record
 class RatioAudit:
     """Extremes of distance(f(x), f(y)) / distance(x, y) over unordered pairs.
 
@@ -169,7 +168,7 @@ class RatioAudit:
     max_witness: tuple[BitVector, BitVector]
 
 
-@dataclass(frozen=True, slots=True)
+@_record
 class TransitivityAudit:
     """Distortion of the swap map built from two ball points.
 

@@ -4,7 +4,6 @@ Each test prints one PASS/FAIL line (visible with ``pytest -s`` or on
 failure); the same checklist backs the ``cubeball selftest`` command.
 """
 
-import dataclasses
 import importlib
 import pkgutil
 
@@ -135,7 +134,7 @@ def test_criterion_10_evaluates_no_vertex_on_its_own(monkeypatch):
                          (analysis, "_psi_value"), (bijections, "_psi_value")):
         monkeypatch.setattr(module, name, per_vertex)
     kind = acceptance.PSI
-    rule = dataclasses.replace(bijections._MAPS[kind], value=per_vertex, forward=per_vertex)
+    rule = bijections._MAPS[kind]._replace(value=per_vertex, forward=per_vertex)
     monkeypatch.setitem(bijections._MAPS, kind, rule)
     result = acceptance.run_criterion(10)
     assert result.passed, result.detail

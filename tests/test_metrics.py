@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 import tracemalloc
@@ -456,11 +455,11 @@ def test_inverse_sweep_proof_rejects_a_faulty_rule(monkeypatch, block_bits, faul
     n, v = 6, 0b100101
     rules = _MAPS[PSI]
     if fault == "inverse":
-        faulty = dataclasses.replace(
-            rules, inverse_planes=_miss_point(rules.inverse_planes, rules.value(n, v)))
+        faulty = rules._replace(
+            inverse_planes=_miss_point(rules.inverse_planes, rules.value(n, v)))
     else:
         image = rules.value(n, 0) if fault == "collision" else 0b0000111
-        faulty = dataclasses.replace(rules, planes=_send_vertex(rules.planes, v, image))
+        faulty = rules._replace(planes=_send_vertex(rules.planes, v, image))
     monkeypatch.setitem(_MAPS, PSI, faulty)
     with pytest.raises(BijectivityError, match="^psi does not give back ball point 1011010$"):
         metrics.inverse_stretch_exhaustive(PSI, n)
@@ -474,10 +473,10 @@ def test_inverse_sweep_proof_pads_the_ball_point_it_names(monkeypatch, block_bit
     n, v = 6, 0b000101
     rules = _MAPS[PSI]
     if fault == "inverse":
-        faulty = dataclasses.replace(
-            rules, inverse_planes=_miss_point(rules.inverse_planes, rules.value(n, v)))
+        faulty = rules._replace(
+            inverse_planes=_miss_point(rules.inverse_planes, rules.value(n, v)))
     else:
-        faulty = dataclasses.replace(rules, planes=_send_vertex(rules.planes, v, rules.value(n, 0)))
+        faulty = rules._replace(planes=_send_vertex(rules.planes, v, rules.value(n, 0)))
     monkeypatch.setitem(_MAPS, PSI, faulty)
     with pytest.raises(BijectivityError, match="^psi does not give back ball point 0111010$"):
         metrics.inverse_stretch_exhaustive(PSI, n)
@@ -487,8 +486,8 @@ def test_transitivity_audit_proves_the_inverse_rule_first(monkeypatch):
     # the swap map reads the inverse plane rule, so a rule wrong in one lane must stop it
     n, v = 6, 0b100101
     rules = _MAPS[PSI]
-    faulty = dataclasses.replace(
-        rules, inverse_planes=_miss_point(rules.inverse_planes, rules.value(n, v)))
+    faulty = rules._replace(
+        inverse_planes=_miss_point(rules.inverse_planes, rules.value(n, v)))
     monkeypatch.setitem(_MAPS, PSI, faulty)
     message = "^psi does not give back ball point 1011010$"
     with pytest.raises(BijectivityError, match=message):
@@ -510,7 +509,7 @@ def test_inverse_sweep_and_swap_audit_run_the_inverse_rule_once_per_block(monkey
         return list(inverse_outputs[-1])
 
     monkeypatch.setitem(
-        _MAPS, PSI, dataclasses.replace(rules, planes=planes, inverse_planes=inverse_planes))
+        _MAPS, PSI, rules._replace(planes=planes, inverse_planes=inverse_planes))
     metrics.inverse_stretch_exhaustive(PSI, 6)
     # the forward rule reads the inverse rule's planes only, never a block of {0,1}^6
     assert (len(forward_inputs), len(inverse_outputs)) == (16, 16)
@@ -548,7 +547,7 @@ def test_inverse_rules_lanes_outside_the_ball_change_no_report(monkeypatch, bloc
     for kind in (PSI, PHI, NAIVE):
         rules = _MAPS[kind]
         other = _complement_outside_ball(rules.inverse_planes)
-        monkeypatch.setitem(_MAPS, kind, dataclasses.replace(rules, inverse_planes=other))
+        monkeypatch.setitem(_MAPS, kind, rules._replace(inverse_planes=other))
     assert reports() == want
 
 
@@ -571,8 +570,7 @@ def test_plane_rules_get_their_blocks_full_and_return_planes_within_it(monkeypat
     calls = set()
     for kind in (PSI, PHI, NAIVE):
         rules = _MAPS[kind]
-        monkeypatch.setitem(_MAPS, kind, dataclasses.replace(
-            rules,
+        monkeypatch.setitem(_MAPS, kind, rules._replace(
             planes=_checked_rule(rules.planes, "forward", calls),
             inverse_planes=_checked_rule(rules.inverse_planes, "inverse", calls)))
 
