@@ -328,7 +328,7 @@ def influence_profile(
     _require_dimension(n, kind.value)
     _require_cap(n, cap, "(x, j) pairs", n)
     counts = [0] * (n + 1)  # by output shift
-    for _, _, planes, partner, e in _block_edges(list(_image_blocks(kind, n)), n):
+    for _, _, planes, partner, e, _ in _block_edges(list(_image_blocks(kind, n)), n):
         for t, (p, q) in enumerate(zip(planes, partner)):
             counts[t] += ((p ^ q) & e).bit_count()
     size = 1 << n

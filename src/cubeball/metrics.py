@@ -30,20 +30,28 @@ lane) per point, and takes no Python step per vertex or edge, but for
 ``preimage_table``'s scatter.  The planes stay in blocks of points (see
 ``chains._cube_blocks``) and are never joined over the whole cube.  For
 each block of vertices the map's plane rule,
-``_MAPS[kind].planes``, gives the images' planes.  The inverse sweep runs
-the map's inverse plane rule, ``_MAPS[kind].inverse_planes``, on every
-block of {0,1}^(n+1), and keeps the ball, the lanes of weight above n/2
-(``chains._majority_lanes``).  In the same pass
-``_preimage_blocks`` runs the forward plane rule on the inverse rule's
-planes and checks lane by lane that it gives back every ball point: the
-inverse rule is then injective on the ball, a set as large as the cube, so
-the map is a bijection onto the ball and the inverse rule is its inverse
-there.  The sweep reads only planes that this proof checked.
+``_MAPS[kind].planes``, gives the images' planes.
+
+The inverse side runs on the ball alone.  n + 1 is odd, so exactly one of
+a point of {0,1}^(n+1) and its complement lies in the ball (the lanes of
+weight above n/2, ``chains._majority_lanes``).  ``_preimage_blocks`` takes
+the blocks of {0,1}^n, the points with bit n clear, and complements every
+lane whose point is outside the ball: every lane then holds a ball point,
+and each ball point appears once.  It runs the map's inverse plane rule,
+``_MAPS[kind].inverse_planes``, on those lanes, then the forward plane
+rule on the inverse rule's planes, and checks lane by lane that it gives
+back every ball point: the inverse rule is then injective on the ball, a
+set as large as the cube, so the map is a bijection onto the ball and the
+inverse rule is its inverse there.  The sweep reads only planes that this
+proof checked.
 
 Both exhaustive sweeps and the swap audit share one sweep, ``_edge_sweep``,
 over the blocks' planes and kept lanes.  A coordinate whose stride lies
 within a block pairs each lane with the lane one stride above; a higher one
-pairs two blocks lane for lane (``_block_edges``).  A plane XOR its partner
+pairs two blocks lane for lane (``_block_edges``).  On the packed ball two
+complemented lanes pair as well, the upper one holding the edge's 0-bit
+endpoint, and the top coordinate pairs each block with another one
+mirrored lane for lane.  A plane XOR its partner
 marks the edges whose values differ in that bit, and a bit-sliced counter
 over the marks gives each edge's distance.  The distance total is read off
 the counter's planes, one popcount per counter bit, so no mark is
@@ -54,7 +62,8 @@ ball are geodesic (see :class:`RatioAudit`).
 
 The swap audit takes psi's proven inverse planes from ``_preimage_blocks``,
 flips the planes of the swap's bits, and runs the forward plane rule on the
-result, so its sweep reads the swap map's planes with no table in between.
+result, so its sweep reads the swap map's planes, in the same packed
+layout, with no table in between.
 
 ``image_table`` and ``preimage_table`` are ``array('i')`` tables at 4 bytes
 per entry, for small sampled runs, the worked examples and the acceptance
@@ -92,7 +101,14 @@ from .errors import BijectivityError, EnumerationCapError, LengthMismatchError, 
 _TABLE_LIMIT = 1 << 20
 
 # (planes, kept lanes) per block of chains._cube_blocks, blocks in point order.
+# In the ball's packed blocks (see _preimage_blocks) the kept lanes are those
+# that hold their own point.
 _Blocks = list[tuple[list[int], int]]
+
+# Bit r of _REVERSE[v] is bit 7 - r of v: the multiply spreads five copies of
+# v, the mask keeps each bit once in mirrored order, and mod 1023 sums the
+# 10-bit groups (Bit Twiddling Hacks, "reverse the bits in a byte").
+_REVERSE = bytes((v * 0x0202020202 & 0x010884422010) % 1023 for v in range(256))
 
 
 class Direction(Enum):
@@ -198,28 +214,40 @@ def _image_blocks(kind: BijectionKind, n: int) -> Iterator[tuple[list[int], int]
 
 
 def _preimage_blocks(kind: BijectionKind, n: int) -> _Blocks:
-    """The inverse plane rule's planes and the ball's lanes per block of
-    {0,1}^(n+1), proven to be the map's inverse on the ball.
+    """The inverse plane rule's planes per block of the ball, complement-packed,
+    proven to be the map's inverse on the ball.
+
+    The blocks are those of ``chains._cube_blocks(n)``, the points of
+    {0,1}^(n+1) with bit n clear.  n + 1 is odd, so exactly one of z and its
+    complement lies in the ball: a lane whose point is outside the ball takes
+    its complement instead, every plane XOR-ed with the lanes outside the
+    ball.  So every lane holds a ball point and each ball point appears
+    once: a point with bit n clear at its own lane (the block's kept lanes),
+    and a point with bit n set at its complement's lane.
 
     For every ball point z the forward rule F must give back z from the
     inverse rule's G(z).  A right inverse makes G injective on the ball,
     which has 2^n points, as many as the cube, so G is onto the cube, F is a
-    bijection onto the ball and G is F^-1 there.  The first ball point that
+    bijection onto the ball and G is F^-1 there.  The least ball point that
     fails raises :class:`BijectivityError`.
     """
     rules = _MAPS[kind]
     blocks: _Blocks = []
-    for k, (zs, full) in enumerate(_cube_blocks(n + 1)):
-        ball = _majority_lanes(zs, full)
+    bad = []
+    for k, (xs, full) in enumerate(_cube_blocks(n)):
+        ball = _majority_lanes(xs, full)
+        out = full ^ ball
+        zs = [p ^ out for p in xs] + [out]
         back = rules.inverse_planes(zs, full)
         wrong = 0
         for p, q in zip(zs, rules.planes(back, full), strict=True):
             wrong |= p ^ q
-        wrong &= ball
         if wrong:
-            z = k * full.bit_length() + _lowest_lane(wrong)
-            raise BijectivityError(f"{kind.value} does not give back ball point {z:0{n + 1}b}")
+            start = k * full.bit_length()
+            bad.append(_least_point(wrong, ball, start, start, n + 1))
         blocks.append((back, ball))
+    if bad:
+        raise BijectivityError(f"{kind.value} does not give back ball point {min(bad):0{n + 1}b}")
     return blocks
 
 
@@ -283,36 +311,75 @@ def preimage_table(kind: BijectionKind, n: int) -> array:
     return inv
 
 
-def _block_edges(blocks: _Blocks, m: int) -> Iterator[tuple[int, int, list[int], list[int], int]]:
+def _least_point(lanes: int, kept: int, start: int, upper: int, m: int) -> int:
+    """The least point of {0,1}^m among the non-zero ``lanes`` of a packed
+    block: lane r holds start + r where ``kept``, and else the complement of
+    upper + r.
+
+    Every kept lane's point has bit m - 1 clear and every other one's has it
+    set, so the least is the lowest kept lane's, and failing one the highest
+    lane's.
+    """
+    low = lanes & kept
+    return start + _lowest_lane(low) if low else ((1 << m) - 1) ^ (upper + lanes.bit_length() - 1)
+
+
+def _block_edges(
+    blocks: _Blocks, m: int, n: Optional[int] = None
+) -> Iterator[tuple[int, int, list[int], list[int], int, int]]:
     """The edges of the kept points' induced subgraph of {0,1}^m, a block at a time.
 
-    ``blocks`` are :data:`_Blocks` over {0,1}^m: bit r of ``planes[t]`` is
-    bit t of the value at lane r.  Every kept set here is an up-set (the
-    whole cube, or the ball), so the edges along coordinate m - s are the
-    kept z with bit s clear, named by that endpoint.  Yields ``(i, start,
-    planes, partner, e)`` for coordinates i = 1..m and, within each, blocks
-    in order: lane r of ``e`` marks the edge from point start + r, and
-    ``partner`` holds its other endpoint's value in the same lane.  A stride
-    2^s within a block pairs each lane with the lane 2^s above it; a higher
-    one pairs block b with block b | 2^(s - width), for the b with that bit
-    clear.
+    ``blocks`` are :data:`_Blocks` over {0,1}^n, with n = m unless given:
+    bit r of ``planes[t]`` is bit t of the value at lane r.  Every kept set
+    here is an up-set (the whole cube, or the ball), so the edges along
+    coordinate m - s are the kept z with bit s clear, named by that
+    endpoint.  With n = m - 1 the blocks hold the ball of {0,1}^m
+    complement-packed, as :func:`_preimage_blocks` makes them: a lane
+    outside ``kept`` holds the complement of its own point, and the lanes of
+    two such points pair the other way round.
+
+    Yields ``(i, start, planes, partner, e, kept)`` for coordinates i = 1..m
+    and, within each, blocks in order: lane r of ``e`` marks an edge and
+    ``partner`` holds its other endpoint's value in the same lane.  The
+    edge's 0-bit endpoint is start + r where r is kept, and else the
+    complement of the point at the partner lane, start + 2^(m - i) + r.  A
+    stride 2^s within a block pairs each lane with the lane 2^s above it; a
+    higher one pairs block b with block b | 2^(s - width), for the b with
+    that bit clear.  The packed blocks' top coordinate, s = n, takes the
+    point z at kept lane r of block b to z + 2^n, the complement of the
+    point at lane 2^width - 1 - r of block B - 1 - b, where B is the number
+    of blocks: it pairs each block with that one, mirrored lane for lane.
     """
-    width = m + 1 - len(blocks).bit_length()  # 2^width lanes per block
+    n = m if n is None else n
+    width = n + 1 - len(blocks).bit_length()  # 2^width lanes per block
+    lanes = 1 << width
+    full = (1 << lanes) - 1
+    outs = [full ^ kept if m > n else 0 for _, kept in blocks]  # the complemented lanes
     for s in range(m - 1, -1, -1):
         if s < width:
             inner = _low_mask(width, s)
             for b, (planes, kept) in enumerate(blocks):
-                e = inner & kept
+                e = inner & (kept | outs[b] >> (1 << s))
                 if e:
-                    yield m - s, b << width, planes, [p >> (1 << s) for p in planes], e
-        else:
+                    yield m - s, b << width, planes, [p >> (1 << s) for p in planes], e, kept
+        elif s < n:
             bit = 1 << (s - width)
             for b, (planes, kept) in enumerate(blocks):
-                if kept and not b & bit:
-                    yield m - s, b << width, planes, blocks[b | bit][0], kept
+                e = kept | outs[b | bit]
+                if e and not b & bit:
+                    yield m - s, b << width, planes, blocks[b | bit][0], e, kept
+        else:
+            size = (lanes + 7) >> 3
+            for b, ((planes, kept), (other, _)) in enumerate(zip(blocks, reversed(blocks))):
+                if kept:
+                    rev = [p.to_bytes(size, "little").translate(_REVERSE) for p in other]
+                    mirror = [int.from_bytes(r, "big") >> (8 * size - lanes) for r in rev]
+                    yield 1, b << width, planes, mirror, kept, kept
 
 
-def _edge_sweep(blocks: _Blocks, m: int) -> tuple[int, tuple[int, int], int, int]:
+def _edge_sweep(
+    blocks: _Blocks, m: int, n: Optional[int] = None
+) -> tuple[int, tuple[int, int], int, int]:
     """Max, keep-first witness, total and count of the distances of
     :func:`_block_edges`.
 
@@ -328,7 +395,7 @@ def _edge_sweep(blocks: _Blocks, m: int) -> tuple[int, tuple[int, int], int, int
     edges = 0
     best = -1
     bz, bi = 0, 1
-    for i, start, planes, partner, e in _block_edges(blocks, m):
+    for i, start, planes, partner, e, kept in _block_edges(blocks, m, n):
         edges += e.bit_count()
         counter: list[int] = []
         for p, q in zip(planes, partner):
@@ -346,7 +413,7 @@ def _edge_sweep(blocks: _Blocks, m: int) -> tuple[int, tuple[int, int], int, int
                 at = hit
                 top |= 1 << j
         if top >= best:  # only then can this block move the witness
-            z = start + _lowest_lane(at)
+            z = _least_point(at, kept, start, start + (1 << (m - i)), m)
             if top > best or z < bz:
                 best, bz, bi = top, z, i
     return best, (bz, bi), total, edges
@@ -360,7 +427,7 @@ def _exhaustive_report(
     m: int,
     averaging: str,
 ) -> StretchReport:
-    best, (z, i), total, edges = _edge_sweep(blocks, m)
+    best, (z, i), total, edges = _edge_sweep(blocks, m, n)
     return StretchReport(
         kind=kind,
         direction=direction,
@@ -392,9 +459,9 @@ def inverse_stretch_exhaustive(
 ) -> StretchReport:
     """Exact max and average inverse stretch over ball-induced edges.
 
-    Sweeps the inverse plane rule's planes over {0,1}^(n+1) with the ball
-    kept, in the same pass that proves the map a bijection onto the ball
-    with that rule as its inverse (:func:`_preimage_blocks`).
+    Sweeps the inverse plane rule's planes over the ball, complement-packed
+    into 2^n lanes, after the pass that proves the map a bijection onto the
+    ball with that rule as its inverse (:func:`_preimage_blocks`).
     """
     kind = BijectionKind(kind)
     _require_dimension(n, kind.value)
@@ -509,7 +576,8 @@ def transitivity_ratio_audit(
     """Distortion audit of the swap map g(z) built from ball points x and y.
 
     g(z) = psi(psi^-1(z) ^ delta) with delta = psi^-1(x) ^ psi^-1(y).  Its
-    planes over {0,1}^(n+1) come from psi's plane rules: the inverse rule,
+    planes over the ball, in the packed blocks of :func:`_preimage_blocks`,
+    come from psi's plane rules: the inverse rule,
     with the planes of delta's set bits complemented, then the forward
     rule, on the inverse rule's planes that :func:`_preimage_blocks` proves
     to be psi^-1 on the ball.  The audit checks g(x) = y and g(y) = x on the
@@ -524,10 +592,11 @@ def transitivity_ratio_audit(
     _require_cap(m, cap, "(z, i) pairs", m)
     if 2 * xv.bit_count() <= n or 2 * yv.bit_count() <= n:
         raise NotInBallError("audit endpoints must lie inside the ball")
+    size = 1 << n
     psi = _MAPS[BijectionKind.PSI]
     delta = psi.inverse(BitVector(m, xv)).value ^ psi.inverse(BitVector(m, yv)).value
     blocks = _preimage_blocks(BijectionKind.PSI, n)
-    for k, ((back, ball), (_, full)) in enumerate(zip(blocks, _cube_blocks(m), strict=True)):
+    for k, ((back, ball), (_, full)) in enumerate(zip(blocks, _cube_blocks(n), strict=True)):
         xs = [p ^ full if delta >> t & 1 else p for t, p in enumerate(back)]
         blocks[k] = psi.planes(xs, full), ball
     # The ball is geodesic, so no pair ratio of g exceeds its largest
@@ -535,13 +604,13 @@ def transitivity_ratio_audit(
     # d(g(g(a)), g(g(b))) <= s * d(g(a), g(b)): no ratio falls below 1/s,
     # and (g(a), g(b)) attains it for an edge (a, b) stretched by s.  The
     # ratios span exactly [1/s, s].
-    s = _edge_sweep(blocks, m)[0]
+    s = _edge_sweep(blocks, m, n)[0]
 
     def g(z: int) -> int:
-        b, r = divmod(z, full.bit_length())
+        # a ball point with bit n set sits at its complement's lane
+        b, r = divmod(z if z < size else z ^ (2 * size - 1), full.bit_length())
         return sum((p >> r & 1) << t for t, p in enumerate(blocks[b][0]))
 
-    size = 1 << n
     return TransitivityAudit(
         n=n,
         pairs=size * (size - 1) // 2,

@@ -78,6 +78,26 @@ def test_unmarked_profile_count_examples(n, a, b, expected):
     assert analysis.unmarked_profile_count(n, a, b) == expected
 
 
+@pytest.mark.parametrize(
+    "call,error,message",
+    [
+        (lambda: analysis.chain_count_formula(4, 0), ValueError, "chain length 0 out of [1, 5]"),
+        (lambda: analysis.chain_count_formula(4, 6), ValueError, "chain length 6 out of [1, 5]"),
+        (lambda: analysis.unmarked_zeros_count(4, -1), ValueError,
+         "unmarked zero count -1 out of [0, 4]"),
+        (lambda: analysis.unmarked_zeros_count(4, 5), ValueError,
+         "unmarked zero count 5 out of [0, 4]"),
+        (lambda: analysis.majority(BitVector.parse("0110")), ParityError,
+         "majority needs odd length, got 4"),
+    ],
+    ids=["chain-length-low", "chain-length-high", "zeros-low", "zeros-high", "majority-even"],
+)
+def test_counts_and_majority_refuse_out_of_range_input(call, error, message):
+    with pytest.raises(error) as caught:
+        call()
+    assert (caught.type, str(caught.value)) == (error, message)
+
+
 def test_unmarked_profile_count_parity_error():
     with pytest.raises(ParityError):
         analysis.unmarked_profile_count(4, 1, 0)

@@ -117,6 +117,20 @@ def test_phi_inverse_not_in_image_is_distinct():
         phi_inverse(BitVector.parse("00110"))
 
 
+def test_phi_inverse_names_why_a_point_is_outside_the_image():
+    # trailing 1 with level < n/2 is outside the image too
+    with pytest.raises(NotInImageError, match="^00110 ends in 0 but has level 2 <= 4/2$"):
+        phi_inverse(BitVector.parse("00110"))
+    with pytest.raises(NotInImageError, match="^00011 ends in 1 but has level 1 < 4/2$"):
+        phi_inverse(BitVector.parse("00011"))
+
+
+def test_transitivity_map_refuses_points_of_different_lengths():
+    x, y = BallVector(BitVector.parse("11100")), BallVector(BitVector.parse("01110"))
+    with pytest.raises(NotInBallError, match="^transitivity_map needs three points of equal length$"):
+        transitivity_map(x, y, BallVector(BitVector.parse("011")))
+
+
 def test_ball_vector_validates_membership():
     with pytest.raises(NotInBallError):
         BallVector(BitVector.parse("00011"))

@@ -482,6 +482,32 @@ def test_inverse_sweep_proof_pads_the_ball_point_it_names(monkeypatch, block_bit
         metrics.inverse_stretch_exhaustive(PSI, n)
 
 
+@pytest.mark.parametrize("block_bits", [3, 16])
+@pytest.mark.parametrize(
+    "points,message",
+    [
+        # with blocks of 8 points, 1011010 is held complemented in the fifth
+        # block and 0111010 as itself in the eighth
+        ((0b1011010, 0b0111010), "0111010"),
+        # 1110010 is held complemented in the second block, 1011010 in the fifth
+        ((0b1110010, 0b1011010), "1011010"),
+    ],
+    ids=["complemented-then-native", "two-complemented"],
+)
+def test_inverse_sweep_proof_names_the_least_of_two_failing_ball_points(
+    monkeypatch, block_bits, points, message
+):
+    # the least failing point in z order, as a scan of the ball in z order names it
+    monkeypatch.setattr(chains, "_BLOCK_BITS", block_bits)
+    rules = _MAPS[PSI]
+    rule = rules.inverse_planes
+    for z in points:
+        rule = _miss_point(rule, z)
+    monkeypatch.setitem(_MAPS, PSI, rules._replace(inverse_planes=rule))
+    with pytest.raises(BijectivityError, match=f"^psi does not give back ball point {message}$"):
+        metrics.inverse_stretch_exhaustive(PSI, 6)
+
+
 def test_transitivity_audit_proves_the_inverse_rule_first(monkeypatch):
     # the swap map reads the inverse plane rule, so a rule wrong in one lane must stop it
     n, v = 6, 0b100101
@@ -495,7 +521,7 @@ def test_transitivity_audit_proves_the_inverse_rule_first(monkeypatch):
 
 
 def test_inverse_sweep_and_swap_audit_run_the_inverse_rule_once_per_block(monkeypatch):
-    # blocks of 8 points: 8 cover {0,1}^6 and 16 cover {0,1}^7
+    # blocks of 8 points: 8 cover {0,1}^6, and 8 hold the ball of {0,1}^7
     monkeypatch.setattr(chains, "_BLOCK_BITS", 3)
     rules = _MAPS[PSI]
     forward_inputs, inverse_outputs = [], []
@@ -512,14 +538,14 @@ def test_inverse_sweep_and_swap_audit_run_the_inverse_rule_once_per_block(monkey
         _MAPS, PSI, rules._replace(planes=planes, inverse_planes=inverse_planes))
     metrics.inverse_stretch_exhaustive(PSI, 6)
     # the forward rule reads the inverse rule's planes only, never a block of {0,1}^6
-    assert (len(forward_inputs), len(inverse_outputs)) == (16, 16)
+    assert (len(forward_inputs), len(inverse_outputs)) == (8, 8)
     assert forward_inputs == inverse_outputs
     forward_inputs.clear()
     inverse_outputs.clear()
     metrics.transitivity_ratio_audit(0b1111111, 0b0111111, 6)
-    # 16 to prove the inverse planes, then 16 for the swap map's planes
-    assert (len(forward_inputs), len(inverse_outputs)) == (32, 16)
-    assert forward_inputs[:16] == inverse_outputs
+    # 8 to prove the inverse planes, then 8 for the swap map's planes
+    assert (len(forward_inputs), len(inverse_outputs)) == (16, 8)
+    assert forward_inputs[:8] == inverse_outputs
 
 
 def _complement_outside_ball(rule):
@@ -549,6 +575,46 @@ def test_inverse_rules_lanes_outside_the_ball_change_no_report(monkeypatch, bloc
         other = _complement_outside_ball(rules.inverse_planes)
         monkeypatch.setitem(_MAPS, kind, rules._replace(inverse_planes=other))
     assert reports() == want
+
+
+def test_reversal_table_mirrors_every_byte():
+    assert list(metrics._REVERSE) == [int(f"{v:08b}"[::-1], 2) for v in range(256)]
+
+
+def _lane_values(planes, lanes):
+    """Lane r of ``planes`` as an integer, for r below ``lanes``."""
+    table = array("i", [0]) * lanes
+    chains._set_planes(table, 0, planes, lanes)
+    return table
+
+
+@pytest.mark.parametrize("kind", [PSI, PHI, NAIVE])
+@pytest.mark.parametrize("n", range(2, 17, 2))
+def test_packed_blocks_hold_each_ball_point_once_with_its_preimage(monkeypatch, kind, n):
+    # Packing leaves no lane outside the ball, so a rule's values there can
+    # change nothing: this is the check that the inverse rule is run on the
+    # ball and nothing else.  Lane r of block k holds point v = k 2^width + r
+    # where v is in the ball, and the complement of v in {0,1}^(n+1) where not.
+    inv = metrics.preimage_table(kind, n)
+    rules = _MAPS[kind]
+    for block_bits in (3, 16):
+        monkeypatch.setattr(chains, "_BLOCK_BITS", block_bits)
+        inputs = []
+
+        def inverse_planes(zs, full):
+            inputs.append((zs, full.bit_length()))
+            return rules.inverse_planes(zs, full)
+
+        monkeypatch.setitem(_MAPS, kind, rules._replace(inverse_planes=inverse_planes))
+        seen = []
+        for (zs, lanes), (back, kept) in zip(inputs, metrics._preimage_blocks(kind, n), strict=True):
+            points = _lane_values(zs, lanes)
+            for r, x in enumerate(_lane_values(back, lanes)):
+                v = len(seen)
+                assert points[r] == (v if kept >> r & 1 else v ^ ((2 << n) - 1)), (n, v)
+                assert x == inv[points[r]], (n, v)
+                seen.append(points[r])
+        assert sorted(seen) == [z for z, x in enumerate(inv) if x >= 0]
 
 
 def _checked_rule(rule, name, calls):
@@ -584,11 +650,11 @@ def test_plane_rules_get_their_blocks_full_and_return_planes_within_it(monkeypat
             assert calls == {("forward", full(n))}
             calls.clear()
             metrics.inverse_stretch_exhaustive(kind, n)
-            assert calls == {("forward", full(n + 1)), ("inverse", full(n + 1))}
+            assert calls == {("forward", full(n)), ("inverse", full(n))}
         calls.clear()
         top = (1 << (n + 1)) - 1
         metrics.transitivity_ratio_audit(top, top ^ 1, n)
-        assert calls == {("forward", full(n + 1)), ("inverse", full(n + 1))}
+        assert calls == {("forward", full(n)), ("inverse", full(n))}
 
 
 @pytest.mark.parametrize("kind", [PSI, PHI, NAIVE])
@@ -684,6 +750,11 @@ def test_sampled_is_deterministic_per_seed():
     assert a == b
     c = metrics.forward_stretch_sampled(PSI, 10, 2000, 8)
     assert c != a
+
+
+def test_sampled_refuses_no_samples():
+    with pytest.raises(ValueError, match="^samples must be >= 1, got 0$"):
+        metrics.forward_stretch_sampled(PSI, 64, 0, 5)
 
 
 def test_sampled_refuses_a_negative_seed():
