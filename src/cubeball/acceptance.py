@@ -38,6 +38,7 @@ from .bijections import _MAPS, BijectionKind
 from .bits import BitVector, _record
 from .chains import (
     _cube_blocks,
+    _differing_lanes,
     _lowest_lane,
     _majority_lanes,
     _reference_planes,
@@ -249,14 +250,6 @@ def _marked_planes(n: int) -> tuple[int, ...]:
         rows += format(mark(BitVector(n, v)).mask, spec).encode()
     rows.reverse()
     return tuple(int(rows[s::n], 2) for s in range(n))
-
-
-def _differing_lanes(got: list[int], want: tuple[int, ...]) -> int:
-    """The lanes in which two sets of planes differ in some coordinate."""
-    lanes = 0
-    for g, w in zip(got, want, strict=True):
-        lanes |= g ^ w
-    return lanes
 
 
 def _c11_dyck_equivalence() -> tuple[bool, str]:

@@ -37,6 +37,7 @@ from .chains import (
     _increment,
     _lowest,
     _majority_lanes,
+    _mirror,
     _nonzero,
     _subtract,
     _unmatched_ones,
@@ -59,17 +60,12 @@ class BallVector:
     vector: BitVector
 
     def __post_init__(self):
-        n, vec = _inverse_input(self.vector, "BallVector")
-        if 2 * vec.weight() <= n:
-            raise NotInBallError(
-                f"weight {vec.weight()} not above {n / 2} for length {n + 1}"
-            )
+        _as_ball_value(self.vector, "BallVector")
 
     def render(self) -> str:
         return self.vector.render()
 
-    def __str__(self) -> str:
-        return self.render()
+    __str__ = render
 
 
 BallLike = Union[BallVector, BitVector]
@@ -109,8 +105,8 @@ def _as_ball_value(z: BallLike, who: str) -> tuple[int, int]:
 # chains._cube_blocks) from its bit planes, entry t holding bit t of every
 # lane, to the planes of the lanes' images: n to n + 1 forward, n + 1 to n
 # inverse.  psi's and phi's move a vertex along its chain, so they run the
-# marking kernel on the block; naive's reads only the weight.  An inverse
-# rule's lanes outside the ball hold values that mean nothing.
+# marking kernel on the block; naive's reads only the weight.  The inverse
+# rules run on the ball lanes that metrics._preimage_blocks packs.
 
 
 def _psi_value(n: int, v: int) -> int:
@@ -142,15 +138,6 @@ def _psi_planes(xs: list[int], full: int) -> list[int]:
     _increment(a, full)
     # bit 0 of a + 1 marks the lanes where a is even; the rest is ceil(a / 2)
     return [a[0]] + _flip_last(list(xs), zeros, a[1:])
-
-
-def _mirror(xs: list[int], full: int) -> list[int]:
-    """``xs`` reversed and complemented, in place: the unmatched 1s of x are
-    the unmatched 0s of its mirror, and the mirror of the mirror is x."""
-    xs.reverse()
-    for t, x in enumerate(xs):
-        xs[t] = full ^ x
-    return xs
 
 
 def _psi_inverse_value(n: int, z: int) -> int:
@@ -344,9 +331,8 @@ def transitivity_map(x: BallVector, y: BallVector, z: BallVector) -> BallVector:
 
 
 class _Map(NamedTuple):
-    """One map's integer form, plane rules, edge-distance rule and public pair."""
+    """One map's plane rules, edge-distance rule and public pair."""
 
-    value: Callable[[int, int], int]
     planes: Callable[[list[int], int], list[int]]
     inverse_planes: Callable[[list[int], int], list[int]]
     edge_distance: Callable[[int, int, int, int, int], int]
@@ -355,11 +341,8 @@ class _Map(NamedTuple):
 
 
 _MAPS: dict[BijectionKind, _Map] = {
-    BijectionKind.PSI: _Map(
-        _psi_value, _psi_planes, _psi_inverse_planes, _psi_edge_distance, psi, psi_inverse),
-    BijectionKind.PHI: _Map(
-        _phi_value, _phi_planes, _phi_inverse_planes, _phi_edge_distance, phi, phi_inverse),
+    BijectionKind.PSI: _Map(_psi_planes, _psi_inverse_planes, _psi_edge_distance, psi, psi_inverse),
+    BijectionKind.PHI: _Map(_phi_planes, _phi_inverse_planes, _phi_edge_distance, phi, phi_inverse),
     BijectionKind.NAIVE: _Map(
-        _naive_value, _naive_planes, _naive_inverse_planes, _naive_edge_distance, naive,
-        naive_inverse),
+        _naive_planes, _naive_inverse_planes, _naive_edge_distance, naive, naive_inverse),
 }

@@ -78,8 +78,7 @@ class BitVector:
     def render(self) -> str:
         return format(self.value, f"0{self.n}b")
 
-    def __str__(self) -> str:
-        return self.render()
+    __str__ = render
 
     def __len__(self) -> int:
         return self.n
@@ -126,9 +125,7 @@ def _require_coordinate(i: int, n: int) -> None:
 
 def distance(a: BitVector, b: BitVector) -> int:
     """Hamming distance between two vectors of equal length."""
-    if a.n != b.n:
-        raise LengthMismatchError(f"length {a.n} vs {b.n}")
-    return (a.value ^ b.value).bit_count()
+    return (a ^ b).weight()
 
 
 def _require_cap(n: int, cap: int, what: str, per: int = 1) -> None:

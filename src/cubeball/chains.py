@@ -53,8 +53,10 @@ and no Python step per vertex.  The result, a mask of unmatched 0s per
 coordinate and the counts a and b as bit-sliced counters, is the fixed
 counting circuit that puts psi in TC0; psi's and phi's plane rules in
 ``bijections`` and the counting routines in ``analysis`` read it.  naive's
-rule and the ball read only the weight (:func:`_majority_lanes`).  The byte
-table and ``metrics.image_table`` fill their entries with :func:`_set_planes`.
+rule and the ball read only the weight (:func:`_majority_lanes`).  Lists of
+planes are mirrored by :func:`_mirror` and compared lane by lane by
+:func:`_differing_lanes`; the byte table and ``metrics.image_table`` fill
+their entries with :func:`_set_planes`.
 """
 
 from __future__ import annotations
@@ -62,7 +64,7 @@ from __future__ import annotations
 import sys
 from array import array
 from itertools import zip_longest
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .bits import BitVector, _low_mask, _record
 from .errors import LevelRangeError
@@ -156,6 +158,23 @@ def _lowest_lane(lanes: int) -> int:
     return (lanes ^ (lanes - 1)).bit_length() - 1
 
 
+def _differing_lanes(got: Sequence[int], want: Sequence[int]) -> int:
+    """The lanes in which two equally long lists of planes differ in some plane."""
+    lanes = 0
+    for g, w in zip(got, want, strict=True):
+        lanes |= g ^ w
+    return lanes
+
+
+def _mirror(xs: list[int], full: int) -> list[int]:
+    """``xs`` reversed and complemented, in place: the unmatched 1s of x are
+    the unmatched 0s of its mirror, and the mirror of the mirror is x."""
+    xs.reverse()
+    for t, x in enumerate(xs):
+        xs[t] = full ^ x
+    return xs
+
+
 def _cube_blocks(n: int) -> Iterator[tuple[list[int], int]]:
     """The cube {0,1}^n in blocks of consecutive vertices, as bit planes.
 
@@ -226,7 +245,7 @@ def _byte_rows() -> tuple[tuple[int, int, tuple[int, ...], tuple[int, ...]], ...
     zeros, ones = array("B", bytes(256)), array("B", bytes(256))
     _set_planes(zeros, 0, _unmatched_planes(xs, full)[0], 256)
     # the unmatched 1s of a byte are the unmatched 0s of its mirror, mirrored
-    _set_planes(ones, 0, _unmatched_planes([full ^ x for x in reversed(xs)], full)[0][::-1], 256)
+    _set_planes(ones, 0, _unmatched_planes(_mirror(xs, full), full)[0][::-1], 256)
     # per mask: the mask less its d highest (less its d lowest) set bits, for d from 0
     highs: list[tuple[int, ...]] = [()]
     lows: list[tuple[int, ...]] = [()]

@@ -96,8 +96,6 @@ def _fmt(value) -> str:
 
 
 def _emit(records: list[dict[str, str]], fmt: str, stream: TextIO) -> None:
-    if not records:
-        return
     if fmt == "csv":
         writer = csv.writer(stream, lineterminator="\n")
         keys = list(records[0])
@@ -107,10 +105,6 @@ def _emit(records: list[dict[str, str]], fmt: str, stream: TextIO) -> None:
     else:
         for rec in records:
             stream.write(" ".join(f"{k}={_fmt(v)}" for k, v in rec.items()) + "\n")
-
-
-def _base(command: str) -> dict[str, str]:
-    return {"tool": "cubeball", "version": __version__, "command": command}
 
 
 def _position_fields(pos: ChainPosition) -> dict[str, str]:
@@ -330,7 +324,7 @@ def run(argv: list[str], stdout: Optional[TextIO] = None) -> int:
     except SystemExit as exc:  # argparse already printed the message
         return int(exc.code or 0)
 
-    head = _base(ns.command)
+    head = {"tool": "cubeball", "version": __version__, "command": ns.command}
     try:
         records = [{**head, **fields} for fields in ns.handler(ns)]
     except UsageError as exc:

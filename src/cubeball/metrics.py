@@ -89,7 +89,8 @@ from typing import Iterator, Optional
 
 from .bijections import _MAPS, BijectionKind, _require_dimension
 from .bits import DEFAULT_ENUMERATION_CAP, BitVector, EdgeId, _low_mask, _record, _require_cap
-from .chains import _cube_blocks, _increment, _lowest_lane, _majority_lanes, _profile, _set_planes
+from .chains import (_cube_blocks, _differing_lanes, _increment, _lowest_lane, _majority_lanes,
+                     _profile, _set_planes)
 from .errors import BijectivityError, EnumerationCapError, LengthMismatchError, NotInBallError
 
 # Above this domain size, or above 16 vertices per draw, sampled sweeps find
@@ -239,10 +240,7 @@ def _preimage_blocks(kind: BijectionKind, n: int) -> _Blocks:
         out = full ^ ball
         zs = [p ^ out for p in xs] + [out]
         back = rules.inverse_planes(zs, full)
-        wrong = 0
-        for p, q in zip(zs, rules.planes(back, full), strict=True):
-            wrong |= p ^ q
-        if wrong:
+        if wrong := _differing_lanes(zs, rules.planes(back, full)):
             start = k * full.bit_length()
             bad.append(_least_point(wrong, ball, start, start, n + 1))
         blocks.append((back, ball))

@@ -6,12 +6,16 @@ failure); the same checklist backs the ``cubeball selftest`` command.
 
 import importlib
 import pkgutil
+import random
+from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
 import cubeball
-from cubeball import acceptance, analysis, bijections
-from cubeball.chains import MarkedString
+from cubeball import acceptance, analysis, bijections, cli, metrics
+from cubeball.analysis import ChainCountTable
+from cubeball.chains import ChainCode, MarkedString
 
 _IDS = [f"{num:02d}_{name.replace(' ', '_').replace('-', '_')}"
         for num, name, _ in acceptance.CRITERIA]
@@ -134,7 +138,139 @@ def test_criterion_10_evaluates_no_vertex_on_its_own(monkeypatch):
                          (analysis, "_psi_value"), (bijections, "_psi_value")):
         monkeypatch.setattr(module, name, per_vertex)
     kind = acceptance.PSI
-    rule = bijections._MAPS[kind]._replace(value=per_vertex, forward=per_vertex)
+    rule = bijections._MAPS[kind]._replace(forward=per_vertex)
     monkeypatch.setitem(bijections._MAPS, kind, rule)
     result = acceptance.run_criterion(10)
     assert result.passed, result.detail
+
+
+def _returns(**fields):
+    """A stand-in for a library call: whatever it is given, a record of ``fields``."""
+    return lambda *args, **kwargs: SimpleNamespace(**fields)
+
+
+def _raises(exc):
+    def call(*args, **kwargs):
+        raise exc
+
+    return call
+
+
+def _rerun_differs():
+    """A stand-in for ``cli.run`` whose output changes from one run to the next."""
+    runs = iter(range(10))
+    return lambda argv, stdout: stdout.write(f"run {next(runs)}\n") and 0
+
+
+_REAL = SimpleNamespace(
+    chain_count_enumerated=analysis.chain_count_enumerated,
+    flip_probability_exact=analysis.flip_probability_exact,
+)
+
+# (criterion, {(module, name): stand-in}, detail): each stand-in breaks the
+# fact its criterion reads from that call, and the criterion names the break
+_BROKEN = [
+    pytest.param(1, {(metrics, "forward_stretch_exhaustive"): _returns(max_stretch=5)},
+                 "forward max 5 at n=2", id="c01-forward"),
+    pytest.param(1, {(metrics, "inverse_stretch_exhaustive"): _returns(max_stretch=6)},
+                 "inverse max 6 at n=2", id="c01-inverse"),
+    pytest.param(2, {(acceptance, "mark"): lambda x: MarkedString(x, 0)},
+                 "marking of 01100110 got ()", id="c02-marking"),
+    pytest.param(2, {(acceptance, "chain_code"): lambda x: ChainCode("________")},
+                 "chain code of 01100110 got ________", id="c02-code"),
+    pytest.param(2, {(acceptance, "chain_members"): lambda code: []},
+                 "chain members got []", id="c02-members"),
+    pytest.param(2, {(acceptance, "position"): _returns(k=3, j=4, ell=0)},
+                 "position got (3, 4, 0)", id="c02-position"),
+    pytest.param(2, {(metrics, "image_table"): lambda kind, n: [0] * (1 << n)},
+                 "image of 1111 got 00000, want 11111", id="c02-image"),
+    pytest.param(3, {(metrics, "forward_stretch_exhaustive"): _returns(max_stretch=4)},
+                 "forward max 4 != 3 at n=4", id="c03-forward"),
+    pytest.param(3, {(metrics, "forward_stretch_exhaustive"): _returns(max_stretch=3),
+                     (metrics, "inverse_stretch_exhaustive"): _returns(avg_stretch=Fraction(2))},
+                 "inverse avg 2 != pinned 16/9 at n=8", id="c03-inverse-pin"),
+    pytest.param(3, {(metrics, "forward_stretch_exhaustive"): _returns(max_stretch=3),
+                     (acceptance, "PHI_INVERSE_AVG"): {8: Fraction(2), 12: Fraction(3),
+                                                       16: Fraction(2)},
+                     (metrics, "inverse_stretch_exhaustive"): lambda kind, n: SimpleNamespace(
+                         avg_stretch=acceptance.PHI_INVERSE_AVG[n])},
+                 "|avg - 2| not non-increasing: "
+                 "[Fraction(0, 1), Fraction(1, 1), Fraction(0, 1)]", id="c03-drift"),
+    pytest.param(4, {(metrics, "forward_stretch_exhaustive"): _returns(max_stretch=3)},
+                 "max 3 != n at n=4", id="c04-max"),
+    pytest.param(4, {(metrics, "forward_stretch_exhaustive"): lambda kind, n: SimpleNamespace(
+                         max_stretch=n, avg_stretch=Fraction(1))},
+                 "avg/sqrt(n) outside window at n=4: avg=1", id="c04-window"),
+    pytest.param(5, {(metrics, "pairwise_ratio_audit"): _returns(pairs=1)},
+                 "pair count 1", id="c05-pairs"),
+    pytest.param(5, {(metrics, "pairwise_ratio_audit"): _returns(
+                         pairs=32640, min_ratio=Fraction(1, 6), max_ratio=Fraction(4))},
+                 "ratios [1/6, 4] escape [1/5, 4]", id="c05-ratios"),
+    pytest.param(5, {(metrics, "pairwise_ratio_audit"): _raises(ZeroDivisionError("no pair"))},
+                 "ZeroDivisionError: no pair", id="c05-crash"),
+    pytest.param(6, {(metrics, "transitivity_ratio_audit"): _returns(swaps_ok=False)},
+                 "trial 0: swap property failed", id="c06-swap"),
+    pytest.param(6, {(metrics, "transitivity_ratio_audit"): _returns(
+                         swaps_ok=True, min_ratio=Fraction(1, 21), max_ratio=Fraction(20))},
+                 "trial 0: ratios [1/21, 20] escape [1/20, 20]", id="c06-ratios"),
+    pytest.param(7, {(analysis, "chain_count_formula"): lambda n, t: -1},
+                 "length 1 count mismatch at n=1", id="c07-formula"),
+    pytest.param(7, {(analysis, "chain_count_enumerated"): lambda n: ChainCountTable(
+                         n, {**_REAL.chain_count_enumerated(n).entries, n + 2: 1})},
+                 "sum of t*M_t != 2^n at n=1", id="c07-total"),
+    pytest.param(7, {(analysis, "unmarked_profile_count"): lambda n, a, b: -1},
+                 "profile (0,1) mismatch at n=1", id="c07-profile"),
+    pytest.param(7, {(analysis, "unmarked_profile_histogram"): lambda n: {(0, 0): 1}},
+                 "parity-violating profile (0,0) seen at n=1", id="c07-parity"),
+    pytest.param(7, {(analysis, "unmarked_zeros_count"): lambda n, a: -1},
+                 "unmarked-zeros count mismatch at n=1, a=0", id="c07-zeros"),
+    pytest.param(7, {(analysis, "chain_count_enumerated"): lambda n: ChainCountTable(
+                         n, {**_REAL.chain_count_enumerated(n).entries, 0: 1})},
+                 "n=4 chain table is not {1:2, 3:3, 5:1}", id="c07-n4"),
+    pytest.param(8, {(analysis, "flip_probability_exact"): lambda n, i: Fraction(1)},
+                 "exact 1 != counted 1/4 at n=2, i=1", id="c08-exact"),
+    pytest.param(8, {(analysis, "flip_probability_exact"): lambda n, i: Fraction(3, 4)
+                     if n == 16 else _REAL.flip_probability_exact(n, i)},
+                 "probability 3/4 above 1/2 at n=16", id="c08-half"),
+    pytest.param(8, {(analysis, "flip_probability_exact"): lambda n, i: Fraction(1, 2)
+                     if n == 16 else _REAL.flip_probability_exact(n, i)},
+                 "max probability * sqrt(16) = 2.000000 above pinned bound", id="c08-scaling"),
+    pytest.param(9, {(analysis, "influence_profile"): lambda kind, n: [Fraction(0)],
+                     (metrics, "forward_stretch_exhaustive"): _returns(avg_stretch=Fraction(1))},
+                 "sum of influences 0 != n * avg 2 at n=2", id="c09-identity"),
+    pytest.param(13, {(cli, "run"): lambda argv, stdout: 1},
+                 "sample verify exited 1", id="c13-exit"),
+    pytest.param(13, {(cli, "run"): _rerun_differs()},
+                 "repeated sample runs differ", id="c13-rerun"),
+]
+
+
+@pytest.mark.parametrize("number,patches,detail", _BROKEN)
+def test_broken_fact_fails_its_criterion_with_its_detail(monkeypatch, number, patches, detail):
+    for (module, name), stand_in in patches.items():
+        monkeypatch.setattr(module, name, stand_in)
+    result = acceptance.run_criterion(number)
+    assert (result.number, result.passed, result.detail) == (number, False, detail)
+
+
+def test_an_unknown_criterion_is_refused():
+    with pytest.raises(ValueError) as info:
+        acceptance.run_criterion(99)
+    assert type(info.value) is ValueError and str(info.value) == "no criterion 99"
+
+
+def test_criterion_6_draws_again_when_a_swap_meets_itself(monkeypatch):
+    draws = []
+
+    class Repeating(random.Random):
+        """Seeded as asked, but gives its first draw twice."""
+
+        def getrandbits(self, k):
+            draws.append(draws[0] if len(draws) == 1 else super().getrandbits(k))
+            return draws[-1]
+
+    monkeypatch.setattr(acceptance, "random", SimpleNamespace(Random=Repeating))
+    result = acceptance.run_criterion(6)
+    assert result.passed, result.detail
+    # seed 20 itself never repeats a point: two draws per swap, and the one forced
+    assert draws[0] == draws[1] and len(draws) == 2 * 20 + 1

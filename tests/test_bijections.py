@@ -5,7 +5,10 @@ from hypothesis import given
 from cubeball.bits import BitVector, distance
 from cubeball.bijections import (
     _MAPS,
+    _naive_value,
+    _phi_value,
     _psi_inverse_value,
+    _psi_value,
     BallVector,
     BijectionKind,
     forward_map,
@@ -26,6 +29,10 @@ from marking_oracle import unmatched_shifts
 from strategies import bit_vectors, lengths_with_residue
 
 KINDS = list(BijectionKind)
+
+# each map's integer form, read by name: _MAPS holds no field for it
+VALUE = {BijectionKind.PSI: _psi_value, BijectionKind.PHI: _phi_value,
+         BijectionKind.NAIVE: _naive_value}
 
 
 @pytest.mark.parametrize(
@@ -132,9 +139,17 @@ def test_transitivity_map_refuses_points_of_different_lengths():
 
 
 def test_ball_vector_validates_membership():
-    with pytest.raises(NotInBallError):
+    # the inverse maps' ball test and message
+    with pytest.raises(NotInBallError) as info:
         BallVector(BitVector.parse("00011"))
+    assert type(info.value) is NotInBallError
+    assert str(info.value) == "00011 has weight 2, not above 4/2"
     assert BallVector(BitVector.parse("00111")).render() == "00111"
+
+
+def test_ball_vector_prints_as_its_vector():
+    # the README quickstart's image
+    assert str(psi(BitVector.parse("01100110"))) == "111001100"
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -236,7 +251,7 @@ def test_edge_images_depend_only_on_unmarked_profiles(data):
 @pytest.mark.parametrize("n", range(2, 15, 2))
 @pytest.mark.parametrize("kind", KINDS)
 def test_edge_distance_rule_matches_map_exhaustive(kind, n):
-    f = _MAPS[kind].value
+    f = VALUE[kind]
     rule = _MAPS[kind].edge_distance
     images = [f(n, v) for v in range(1 << n)]
     # profiles[m][u]: the oracle's profile of the m-bit string u
@@ -260,7 +275,7 @@ def test_edge_distance_rule_matches_map_large_n(kind, residue, data):
     v = data.draw(st.integers(0, (1 << n) - 1))
     # coordinates 1 and n leave an empty prefix or suffix
     i = data.draw(st.one_of(st.just(1), st.just(n), st.integers(1, n)))
-    f = _MAPS[kind].value
+    f = VALUE[kind]
     want = (f(n, v) ^ f(n, v ^ (1 << (n - i)))).bit_count()
     low = n - i
     prefix = _oracle_profile(i - 1, v >> (low + 1))

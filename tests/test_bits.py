@@ -30,8 +30,11 @@ def test_distance_examples(a, b, expected):
 
 
 def test_distance_length_mismatch():
-    with pytest.raises(LengthMismatchError):
-        distance(BitVector.parse("01"), BitVector.parse("011"))
+    # the check and message of BitVector.__xor__, which distance goes through
+    for m, n in [(2, 3), (1, 2), (4, 5), (5, 4), (64, 65), (200, 7)]:
+        with pytest.raises(LengthMismatchError) as info:
+            distance(BitVector(m, 0), BitVector(n, 0))
+        assert type(info.value) is LengthMismatchError and str(info.value) == f"length {m} vs {n}"
 
 
 @pytest.mark.parametrize(
