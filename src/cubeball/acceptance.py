@@ -11,12 +11,13 @@ criterion, repeated deletion of the leftmost or rightmost ``10`` pair, and
 the three-scan split marking.  Each oracle runs lane-parallel, one lane per
 vertex, on the bit planes of the whole cube (``analysis._dyck_planes``,
 ``chains._reference_planes``, ``chains._split_planes``).  ``mark`` itself
-runs once per vertex; the digits of its mask are transposed into planes
-that both criteria share, and the criteria compare plane against plane.  A
-disagreement is reported at the first (x, i) that a per-vertex loop would
-meet.  The per-vertex forms of the oracles (``dyck_marked_coordinates``,
-``mark_reference``, ``mark_via_split``) live in ``tests/marking_oracle.py``,
-and the tests check the lane forms against them on every vertex of n <= 10.
+runs once per vertex, and its masks go into one array, whose bytes are
+transposed into planes that both criteria share (``_marked_planes``); the
+criteria compare plane against plane.  A disagreement is reported at the
+first (x, i) that a per-vertex loop would meet.  The per-vertex forms of
+the oracles (``dyck_marked_coordinates``, ``mark_reference``,
+``mark_via_split``) live in ``tests/marking_oracle.py``, and the tests
+check the lane forms against them on every vertex of n <= 10.
 
 Criterion 10 runs lane-parallel too: psi's plane rule maps the blown-up
 planes of the whole cube (``analysis._majority_reduction_planes``), and its
@@ -29,6 +30,8 @@ from __future__ import annotations
 
 import io
 import random
+import sys
+from array import array
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable
@@ -69,6 +72,9 @@ NAIVE_RATIO_HI = Fraction(107, 100)
 # 0.3750 (n=4) to 0.3919 (n=14); 2/5 holds at every even n, because
 # p = C(n, n/2)/2^(n+1) gives p * sqrt(n) < 1/sqrt(2 pi) ~ 0.3989.
 FLIP_SCALING_BOUND = Fraction(2, 5)
+
+# per bit b, the ASCII digit of bit b of each byte value
+_DIGITS = tuple((b"0" * (1 << b) + b"1" * (1 << b)) * (128 >> b) for b in range(8))
 
 @_record
 class CriterionResult:
@@ -240,16 +246,19 @@ def _marked_planes(n: int) -> tuple[int, ...]:
     """The public ``mark`` run on every vertex of {0,1}^n, as planes indexed
     by shift like ``chains._cube_blocks``.
 
-    Each vertex's mask, n ASCII digits, is appended to one buffer as it is
-    marked, so no ``MarkedString`` outlives its row.  In the reversed buffer,
-    plane s is every n-th digit from digit s, lane 0 last.
+    Each vertex's mask goes into its slot of one array as it is marked, so no
+    ``MarkedString`` outlives its vertex.  In the array's little-endian bytes,
+    bit s of every mask is bit s & 7 of every itemsize-th byte from byte
+    s >> 3; ``_DIGITS`` turns those bytes into base-2 digits, lane 0 last
+    once reversed.
     """
-    spec = f"0{n}b"
-    rows = bytearray()
+    masks = array("H" if n <= 16 else "I", [0]) * (1 << n)
     for v in range(1 << n):
-        rows += format(mark(BitVector(n, v)).mask, spec).encode()
-    rows.reverse()
-    return tuple(int(rows[s::n], 2) for s in range(n))
+        masks[v] = mark(BitVector(n, v)).mask
+    if sys.byteorder == "big":
+        masks.byteswap()
+    raw, size = masks.tobytes(), masks.itemsize
+    return tuple(int(raw[s >> 3 :: size].translate(_DIGITS[s & 7])[::-1], 2) for s in range(n))
 
 
 def _c11_dyck_equivalence() -> tuple[bool, str]:

@@ -27,28 +27,35 @@ def _record(cls):
     It gives what ``dataclasses.dataclass(frozen=True, slots=True)`` gives,
     without importing ``dataclasses`` and the modules it loads.  Each class
     gets one generated ``__init__``: the fields in order, class-level values
-    as defaults, then ``__post_init__`` if the class has one.  ``==`` holds
-    only within the class, ``hash`` and ``repr`` read the fields in order,
-    and ``copy`` and ``pickle`` rebuild through the constructor.
+    as defaults, then ``__post_init__`` if the class has one.  It sets each
+    field through the ``__set__`` of its slot's member descriptor, bound into
+    the methods' scope once the class exists, which costs less per field than
+    ``object.__setattr__`` with the field's name.  ``==`` holds only within
+    the class, ``hash`` and ``repr`` read the fields in order, and ``copy``
+    and ``pickle`` rebuild through the constructor.  The methods are compiled
+    under the file name ``<record module.qualname>``, so that tracebacks and
+    profiles tell the records apart.
     """
     names = tuple(cls.__annotations__)
     body = {k: v for k, v in cls.__dict__.items() if k not in ("__dict__", "__weakref__")}
-    defaults = {f: body.pop(f) for f in names if f in body}
-    params = ", ".join(f"{f}={f}" if f in defaults else f for f in names)
-    sets = "".join(f" _set(self, {f!r}, {f})\n" for f in names)
+    scope = {f: body.pop(f) for f in names if f in body}  # the defaults, then the setters
+    params = ", ".join(f"{f}={f}" if f in scope else f for f in names)
+    sets = "".join(f" _set{i}(self, {f})\n" for i, f in enumerate(names))
     post = " self.__post_init__()\n" if "__post_init__" in body else ""
     shown = ", ".join(f"{f}={{self.{f}!r}}" for f in names)
     row = "".join(f"self.{f}, " for f in names)  # a tuple even for one field
-    exec(
+    exec(compile(
         f"def __init__(self, {params}):\n{sets}{post}"
         f"def __repr__(self):\n return f'{{self.__class__.__qualname__}}({shown})'\n"
         f"def __eq__(self, other):\n return ({row}) == ({row.replace('self.', 'other.')})"
         " if other.__class__ is self.__class__ else NotImplemented\n"
         f"def __hash__(self):\n return hash(({row}))\n"
         f"def __reduce__(self):\n return self.__class__, ({row})\n",
-        {"_set": object.__setattr__, **defaults}, body)
+        f"<record {cls.__module__}.{cls.__qualname__}>", "exec"), scope, body)
     body.update(__slots__=names, __setattr__=_frozen, __delattr__=_frozen)
-    return type(cls)(cls.__name__, cls.__bases__, body)
+    made = type(cls)(cls.__name__, cls.__bases__, body)
+    scope.update((f"_set{i}", made.__dict__[f].__set__) for i, f in enumerate(names))
+    return made
 
 
 def _frozen(self, name, value=None):

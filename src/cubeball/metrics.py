@@ -101,6 +101,10 @@ from .errors import BijectivityError, EnumerationCapError, LengthMismatchError, 
 # benchmark at n = 1024).
 _TABLE_LIMIT = 1 << 20
 
+# preimage_table's checks read its two tables in slices of this many entries
+# (64 KiB of array("i"))
+_SLICE = 1 << 14
+
 # (planes, kept lanes) per block of chains._cube_blocks, blocks in point order.
 # In the ball's packed blocks (see _preimage_blocks) the kept lanes are those
 # that hold their own point.
@@ -278,12 +282,14 @@ def preimage_table(kind: BijectionKind, n: int) -> array:
     _require_dimension(n, kind.value)
     _require_cap(n + 1, DEFAULT_ENUMERATION_CAP, "table entries")
     fwd = image_table(kind, n)
-    # The images' total weight, taken before ``inv`` is allocated, from the
-    # even and the odd entries, so that no temporary outgrows the byte column
-    # read below.  glibc raises its mmap threshold to the largest block
-    # freed, and one whole-table temporary left the sweeps that follow with
-    # 0.1 MiB more peak RSS for psi at n = 18 (CPython 3.11, x86-64 Linux).
-    weight = sum(int.from_bytes(fwd[k::2], "little").bit_count() for k in (0, 1))
+    # Both checks read the tables a _SLICE at a time, so that no temporary
+    # reaches glibc's default 128 KiB mmap threshold: glibc raises the
+    # threshold to the largest mapped block freed, and one whole-table
+    # temporary left the sweeps that follow with 0.1 MiB more peak RSS for psi
+    # at n = 18 (CPython 3.11, x86-64 Linux).  Images are non-negative, so
+    # the bits set in the bytes of ``fwd`` are the images' total weight.
+    weight = sum(int.from_bytes(fwd[k : k + _SLICE], "little").bit_count()
+                 for k in range(0, len(fwd), _SLICE))
     inv = array("i", [-1]) * (1 << (n + 1))
     for v, z in enumerate(fwd):
         inv[z] = v
@@ -294,8 +300,8 @@ def preimage_table(kind: BijectionKind, n: int) -> array:
     # when their weights sum to the ball's: over w > n/2, w C(n+1, w) =
     # (n+1) C(n, w-1), and the C(n, j) for j >= n/2 sum to (2^n + C(n, n/2))/2.
     top = inv.itemsize - 1 if sys.byteorder == "little" else 0
-    with memoryview(inv) as view, view.cast("B") as raw:
-        unwritten = bytes(raw[top :: inv.itemsize]).count(0xFF)
+    unwritten = sum(inv[k : k + _SLICE].tobytes()[top :: inv.itemsize].count(0xFF)
+                    for k in range(0, len(inv), _SLICE))
     if unwritten != 1 << n or weight != (n + 1) * ((1 << n) + comb(n, n // 2)) // 2:
         # Name the fault as a checked scatter would: the first collision in
         # vertex order, else the smallest point where images and ball differ.

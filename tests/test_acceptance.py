@@ -7,6 +7,7 @@ failure); the same checklist backs the ``cubeball selftest`` command.
 import importlib
 import pkgutil
 import random
+import tracemalloc
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -112,6 +113,18 @@ def test_criteria_11_and_12_mark_each_vertex_once(monkeypatch, fresh_marks):
                             for info in pkgutil.iter_modules(cubeball.__path__)]
     oracles = ("mark_reference", "mark_via_split", "dyck_marked_coordinates", "dyck_is_marked")
     assert [(m.__name__, name) for m in modules for name in oracles if hasattr(m, name)] == []
+
+
+def test_marked_planes_keep_no_per_vertex_rows(fresh_marks):
+    # 14 * 2^14 bytes is the n = 14 buffer of 14 ASCII digits per vertex
+    # alone; the masks' array holds 2 bytes per vertex
+    tracemalloc.start()
+    try:
+        acceptance._marked_planes(14)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 14 << 14, peak
 
 
 def test_majority_mismatch_is_named_at_the_first_odd_n_then_vertex(monkeypatch):

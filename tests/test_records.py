@@ -65,6 +65,7 @@ RECORDS = [
 def test_record_contract(cls, fields, shown):
     values = tuple(fields.values())
     a, b = cls(*values), cls(**fields)
+    assert cls.__init__.__code__.co_filename == f"<record {cls.__module__}.{cls.__qualname__}>"
     assert repr(a) == repr(b) == shown
     assert a == b and not a != b
     assert a != values and values != a
