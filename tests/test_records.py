@@ -86,6 +86,19 @@ def test_record_contract(cls, fields, shown):
         assert type(twin) is cls and twin == a and repr(twin) == shown
 
 
+def test_records_compile_only_init():
+    # repr, ==, hash and __reduce__ are shared; each class compiles __init__ alone
+    classes = [cls for cls, _, _ in RECORDS]
+    assert len(set(classes)) == 12
+    for method in ("__eq__", "__hash__", "__repr__", "__reduce__"):
+        code = getattr(BitVector, method).__code__
+        assert all(getattr(cls, method).__code__ is code for cls in classes), method
+    compiled = {name for cls in classes for name, value in vars(cls).items()
+                if getattr(value, "__code__", None) is not None
+                and value.__code__.co_filename.startswith("<record ")}
+    assert compiled == {"__init__"}
+
+
 def test_stretch_report_defaults_to_no_sample_fields():
     fields = next(f for cls, f, _ in RECORDS if cls is StretchReport)
     report = StretchReport(**fields)
@@ -129,4 +142,6 @@ def test_import_loads_neither_dataclasses_nor_inspect():
                           env={**os.environ, "PYTHONPATH": path}, check=True)
     added = set(proc.stdout.split())
     assert "cubeball.acceptance" in added
-    assert not added & {"dataclasses", "inspect"}, sorted(added & {"dataclasses", "inspect"})
+    # csv only for --format csv, which imports it when it writes
+    refused = {"dataclasses", "inspect", "csv"}
+    assert not added & refused, sorted(added & refused)
